@@ -16,14 +16,6 @@
 //      permanent fault degrades the engine at a chosen op; we then time
 //      Open() replaying checkpoint + WAL tail back to the acknowledged
 //      prefix.
-//   4. Sharded availability under faults (DESIGN.md §17): mutation
-//      availability (acked/attempted) on a 2-shard engine at 0/1/10%
-//      transient append-fault rates and under a single-shard PERMANENT
-//      failure — once with quarantine + self-healing (the default; the
-//      permanent failure is absorbed and we time quarantine-to-rejoin),
-//      once with the fail-stop fallback (the pre-quarantine baseline,
-//      where the same fault poisons the coordinator and every further
-//      mutation bounces).
 //
 // Emits BENCH_faults.json next to the human-readable tables.
 
@@ -35,7 +27,6 @@
 #include "bench/bench_util.h"
 #include "persist/durable_engine.h"
 #include "persist/wal.h"
-#include "shard/sharded_engine.h"
 #include "util/failpoint.h"
 #include "util/fs.h"
 #include "util/logging.h"
@@ -302,156 +293,6 @@ std::vector<CrashResult> RunCrashBench(const datagen::Corpus& corpus) {
   return results;
 }
 
-struct ShardedFaultResult {
-  std::string mode;
-  double fault_rate = 0.0;
-  size_t attempted = 0;
-  size_t acked = 0;
-  double availability_pct = 0.0;
-  double ops_per_s = 0.0;
-  uint64_t quarantines = 0;
-  uint64_t rejoins = 0;
-  uint64_t wal_retries = 0;
-  double heal_to_rejoin_ms = 0.0;  ///< quarantine modes only; else 0.
-};
-
-/// Feeds the corpus through a 2-shard engine under one fault regime and
-/// reports mutation availability (acked/attempted) plus, when a shard
-/// quarantines, the wall-clock from quarantine entry to rejoin.
-ShardedFaultResult RunOneShardedMode(const datagen::Corpus& corpus,
-                                     const std::string& mode,
-                                     double transient_rate,
-                                     bool permanent_fault,
-                                     bool quarantine) {
-  constexpr size_t kSnippets = 1'200;
-  std::string dir = "bench_faults_tmp/sharded_" + mode;
-  RemoveDirRecursive(dir);
-  SP_CHECK_OK(CreateDirectories(dir));
-
-  shard::ShardOptions options;
-  options.num_shards = 2;
-  options.durability.wal.fsync = persist::FsyncPolicy::kOnRotate;
-  options.durability.wal.retry_sleep = [](uint64_t) {};
-  options.quarantine = quarantine;
-  options.heal_retry_sleep = [](uint64_t) {};
-  Result<std::unique_ptr<shard::ShardedEngine>> opened =
-      shard::ShardedEngine::Open(dir, options);
-  SP_CHECK_OK(opened.status());
-  shard::ShardedEngine& sharded = *opened.value();
-
-  failpoint::Registry& registry = failpoint::Registry::Instance();
-  registry.DisarmAll();
-  if (transient_rate > 0.0) {
-    registry.Arm("fs.append.write",
-                 failpoint::Probability(transient_rate, 42,
-                                        /*transient=*/true));
-  }
-  if (permanent_fault) {
-    // Mid-run: the ~300th op's append on one shard dies for good.
-    registry.Arm("wal.append", failpoint::OneShot(601, /*transient=*/false));
-  }
-
-  ShardedFaultResult r;
-  r.mode = mode;
-  r.fault_rate = transient_rate;
-  WallTimer heal_timer;
-  bool quarantine_seen = false;
-  bool rejoin_seen = false;
-  auto after_op = [&]() {
-    if (!quarantine || rejoin_seen) return;
-    bool unhealthy = false;
-    bool rejoined = false;
-    for (size_t s = 0; s < sharded.num_shards(); ++s) {
-      const shard::ShardHealth health = sharded.shard_health(s);
-      unhealthy |= health == shard::ShardHealth::kQuarantined ||
-                   health == shard::ShardHealth::kHealing;
-      rejoined |= health == shard::ShardHealth::kRejoined;
-    }
-    if (!quarantine_seen && unhealthy) {
-      quarantine_seen = true;
-      heal_timer = WallTimer();
-    }
-    if (quarantine_seen && rejoined && !unhealthy) {
-      rejoin_seen = true;
-      r.heal_to_rejoin_ms = heal_timer.ElapsedMillis();
-    }
-  };
-  auto apply = [&](Status status) {
-    ++r.attempted;
-    if (status.ok()) ++r.acked;
-    after_op();
-  };
-
-  WallTimer timer;
-  apply(sharded.ImportVocabularies(*corpus.entity_vocabulary,
-                                   *corpus.keyword_vocabulary));
-  for (const SourceInfo& source : corpus.sources) {
-    apply(sharded.RegisterSource(source.name).status());
-  }
-  for (size_t i = 0; i < kSnippets && i < corpus.snippets.size(); ++i) {
-    Snippet copy = corpus.snippets[i];
-    copy.id = kInvalidSnippetId;
-    apply(sharded.AddSnippet(std::move(copy)).status());
-  }
-  const double ms = timer.ElapsedMillis();
-  r.ops_per_s = 1000.0 * static_cast<double>(r.attempted) / ms;
-  r.availability_pct =
-      100.0 * static_cast<double>(r.acked) / static_cast<double>(r.attempted);
-
-  // A heal still in flight when the stream ends: drive it to rejoin so
-  // the latency row reflects a complete cycle.
-  if (quarantine_seen && !rejoin_seen) {
-    sharded.WaitForHealerIdle();
-    IgnoreError(sharded.PollHealth());
-    r.heal_to_rejoin_ms = heal_timer.ElapsedMillis();
-  }
-  registry.DisarmAll();
-
-  for (const shard::ShardedEngine::ShardStats& shard :
-       sharded.GetStats().shards) {
-    r.quarantines += shard.quarantines;
-    r.rejoins += shard.rejoins;
-    r.wal_retries += shard.wal_retry.retries;
-  }
-  IgnoreError(sharded.Close());  // Fail-stop mode closes degraded.
-  return r;
-}
-
-std::vector<ShardedFaultResult> RunShardedBench(
-    const datagen::Corpus& corpus) {
-  std::vector<ShardedFaultResult> results;
-  std::printf("%24s %10s %8s %13s %10s %8s %8s %14s\n", "sharded mode",
-              "attempted", "acked", "availability", "ops/s", "quaran",
-              "rejoin", "heal-ms");
-  results.push_back(RunOneShardedMode(corpus, "fault-free", 0.0,
-                                      /*permanent_fault=*/false,
-                                      /*quarantine=*/true));
-  if (kFailpointsCompiled) {
-    results.push_back(RunOneShardedMode(corpus, "transient-1pct", 0.01,
-                                        false, true));
-    results.push_back(RunOneShardedMode(corpus, "transient-10pct", 0.10,
-                                        false, true));
-    results.push_back(RunOneShardedMode(corpus, "permanent-quarantine",
-                                        0.0, /*permanent_fault=*/true,
-                                        /*quarantine=*/true));
-    results.push_back(RunOneShardedMode(corpus, "permanent-failstop", 0.0,
-                                        /*permanent_fault=*/true,
-                                        /*quarantine=*/false));
-  } else {
-    std::printf("  (failpoints compiled out — fault-free baseline only)\n");
-  }
-  for (const ShardedFaultResult& r : results) {
-    std::printf("%24s %10zu %8zu %12.1f%% %10.0f %8llu %8llu %14.2f\n",
-                r.mode.c_str(), r.attempted, r.acked, r.availability_pct,
-                r.ops_per_s, static_cast<unsigned long long>(r.quarantines),
-                static_cast<unsigned long long>(r.rejoins),
-                r.heal_to_rejoin_ms);
-  }
-  std::printf("  (availability = acked mutations / attempted; heal-ms = "
-              "quarantine entry to rejoin)\n\n");
-  return results;
-}
-
 void Run() {
   std::printf("== faults: failpoint cost, retry latency, crash recovery "
               "==\n\n");
@@ -462,7 +303,6 @@ void Run() {
   std::vector<MacroResult> macro = RunMacroBench();
   std::vector<AppendResult> appends = RunAppendBench();
   std::vector<CrashResult> crashes = RunCrashBench(corpus);
-  std::vector<ShardedFaultResult> sharded = RunShardedBench(corpus);
 
   std::string json = StrFormat(
       "{\"bench\":\"faults\",\"failpoints_compiled\":%s,"
@@ -495,21 +335,6 @@ void Run() {
         static_cast<unsigned long long>(r.crash_at_op),
         static_cast<unsigned long long>(r.acked_ops), r.recover_ms,
         static_cast<unsigned long long>(r.tail_ops));
-  }
-  json += "],\"sharded\":[";
-  for (size_t i = 0; i < sharded.size(); ++i) {
-    const ShardedFaultResult& r = sharded[i];
-    json += StrFormat(
-        "%s{\"mode\":\"%s\",\"fault_rate\":%.2f,\"attempted\":%zu,"
-        "\"acked\":%zu,\"availability_pct\":%.2f,\"ops_per_s\":%.1f,"
-        "\"quarantines\":%llu,\"rejoins\":%llu,\"wal_retries\":%llu,"
-        "\"heal_to_rejoin_ms\":%.3f}",
-        i == 0 ? "" : ",", r.mode.c_str(), r.fault_rate, r.attempted,
-        r.acked, r.availability_pct, r.ops_per_s,
-        static_cast<unsigned long long>(r.quarantines),
-        static_cast<unsigned long long>(r.rejoins),
-        static_cast<unsigned long long>(r.wal_retries),
-        r.heal_to_rejoin_ms);
   }
   json += "]}\n";
   SP_CHECK_OK(WriteStringToFile("BENCH_faults.json", json));

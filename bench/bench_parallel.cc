@@ -1,26 +1,20 @@
 // Parallel executor bench (DESIGN.md §9): batch ingestion (AddSnippets)
 // and alignment throughput as a function of the engine thread count,
 // with a determinism cross-check — every thread count must reproduce the
-// t=1 engine state bit for bit. A second experiment crosses the engine
-// thread count with the shard count (DESIGN.md §16): the same corpus is
-// ingested through a ShardedEngine for every (threads, shards) cell, and
-// every cell must land on the same fingerprint as the in-memory engine.
-// Emits BENCH_parallel.json next to the human-readable tables so CI and
-// the experiment index can track both scaling curves.
+// t=1 engine state bit for bit. Emits BENCH_parallel.json next to the
+// human-readable table so CI and the experiment index can track the
+// scaling curve.
 //
 // Note: speedups only materialise on multi-core hardware; the bench
 // reports std::thread::hardware_concurrency() so a flat curve on a
 // single-core runner is interpretable.
 
-#include <algorithm>
 #include <cstdio>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "core/snapshot.h"
-#include "persist/durable_engine.h"
-#include "shard/sharded_engine.h"
 #include "util/fs.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -30,78 +24,6 @@ namespace storypivot::bench {
 namespace {
 
 constexpr size_t kBatchSize = 512;
-constexpr const char kScratchRoot[] = "bench_parallel_tmp";
-
-void RemoveDirRecursive(const std::string& path) {
-  if (!FileExists(path)) return;
-  Result<std::vector<std::string>> names = ListDirectory(path);
-  if (names.ok()) {  // A directory: empty it, then rmdir.
-    for (const std::string& entry : names.value()) {
-      RemoveDirRecursive(path + "/" + entry);
-    }
-    IgnoreError(RemoveDirectory(path));
-    return;
-  }
-  IgnoreError(RemoveFile(path));
-}
-
-struct ShardCell {
-  size_t threads = 1;
-  size_t shards = 1;
-  double ingest_ms = 0.0;
-  double align_ms = 0.0;
-  uint64_t fingerprint = 0;
-};
-
-/// Ingests the corpus through an N-shard durable deployment with the
-/// given engine thread count, aligns, and returns the timings plus the
-/// final fingerprint (which must match the in-memory engine's).
-ShardCell RunSharded(const datagen::Corpus& corpus, size_t threads,
-                     size_t shards) {
-  const std::string dir =
-      StrFormat("%s/t%zu_s%zu", kScratchRoot, threads, shards);
-  RemoveDirRecursive(dir);
-  SP_CHECK_OK(CreateDirectories(dir));
-
-  shard::ShardOptions options;
-  options.num_shards = shards;
-  options.engine_config.num_threads = threads;
-  options.durability.wal.fsync = persist::FsyncPolicy::kOnRotate;
-  Result<std::unique_ptr<shard::ShardedEngine>> opened =
-      shard::ShardedEngine::Open(dir, options);
-  SP_CHECK_OK(opened.status());
-  shard::ShardedEngine& sharded = *opened.value();
-
-  ShardCell cell;
-  cell.threads = threads;
-  cell.shards = shards;
-  WallTimer ingest_timer;
-  SP_CHECK_OK(sharded.ImportVocabularies(*corpus.entity_vocabulary,
-                                         *corpus.keyword_vocabulary));
-  for (const SourceInfo& source : corpus.sources) {
-    SP_CHECK_OK(sharded.RegisterSource(source.name));
-  }
-  for (size_t begin = 0; begin < corpus.snippets.size();
-       begin += kBatchSize) {
-    const size_t end = std::min(begin + kBatchSize, corpus.snippets.size());
-    std::vector<Snippet> batch;
-    batch.reserve(end - begin);
-    for (size_t i = begin; i < end; ++i) {
-      Snippet copy = corpus.snippets[i];
-      copy.id = kInvalidSnippetId;
-      batch.push_back(std::move(copy));
-    }
-    SP_CHECK_OK(sharded.AddSnippets(std::move(batch)));
-  }
-  cell.ingest_ms = ingest_timer.ElapsedMillis();
-
-  WallTimer align_timer;
-  SP_CHECK_OK(sharded.Align());
-  cell.align_ms = align_timer.ElapsedMillis();
-  cell.fingerprint = sharded.Fingerprint();
-  SP_CHECK_OK(sharded.Close());
-  return cell;
-}
 
 struct RunResult {
   size_t threads = 1;
@@ -180,26 +102,6 @@ void Run() {
   }
   std::printf("\n");
 
-  // ---- threads x shards ingest matrix (sharded durable engine).
-  std::printf("\n== sharded ingest: engine threads x shard count ==\n\n");
-  std::printf("%8s %8s %12s %14s %12s %12s\n", "threads", "shards",
-              "ingest ms", "snippets/s", "align ms", "identical");
-  std::vector<ShardCell> matrix;
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
-      ShardCell cell = RunSharded(corpus, threads, shards);
-      const bool identical =
-          cell.fingerprint == results.front().fingerprint;
-      SP_CHECK(identical);  // Sharded state == in-memory state, bit for bit.
-      std::printf("%8zu %8zu %12.1f %14.0f %12.1f %12s\n", cell.threads,
-                  cell.shards, cell.ingest_ms,
-                  corpus.snippets.size() / (cell.ingest_ms / 1000.0),
-                  cell.align_ms, identical ? "yes" : "NO");
-      matrix.push_back(cell);
-    }
-  }
-  RemoveDirRecursive(kScratchRoot);
-
   std::string json = StrFormat(
       "{\"bench\":\"parallel\",\"snippets\":%zu,\"sources\":%d,"
       "\"batch_size\":%zu,\"hardware_threads\":%u,\"results\":[",
@@ -212,16 +114,6 @@ void Run() {
         "\"speedup_vs_serial\":%.3f,\"deterministic\":true}",
         i == 0 ? "" : ",", r.threads, r.ingest_ms, r.snippets_per_s,
         r.align_ms, r.snippets_per_s / base);
-  }
-  json += "],\"shard_matrix\":[";
-  for (size_t i = 0; i < matrix.size(); ++i) {
-    const ShardCell& cell = matrix[i];
-    json += StrFormat(
-        "%s{\"threads\":%zu,\"shards\":%zu,\"ingest_ms\":%.2f,"
-        "\"ingest_snippets_per_s\":%.1f,\"align_ms\":%.2f,"
-        "\"deterministic\":true}",
-        i == 0 ? "" : ",", cell.threads, cell.shards, cell.ingest_ms,
-        corpus.snippets.size() / (cell.ingest_ms / 1000.0), cell.align_ms);
   }
   json += "]}\n";
   SP_CHECK_OK(WriteStringToFile("BENCH_parallel.json", json));

@@ -5,28 +5,23 @@
 //       Generate a synthetic multi-source corpus (GDELT-style TSV).
 //   detect <in.tsv> [--mode temporal|complete] [--window-days W]
 //          [--refine] [--diagnose] [--snapshot out.sp] [--json out.json]
-//          [--wal-dir DIR] [--shards N] [--strict]
+//          [--wal-dir DIR] [--strict]
 //       Run story identification + alignment over a TSV corpus; print the
 //       integrated story table and quality (when truth labels exist).
 //       Malformed input rows are QUARANTINED by default — skipped,
 //       counted and reported with line numbers; --strict fails the run
 //       on the first bad row instead. With --wal-dir, every mutation is
 //       write-ahead logged to DIR and the final state checkpointed, so
-//       the run is crash-recoverable. --shards N (requires --wal-dir)
-//       runs the sharded engine instead: N shards under DIR, each with
-//       its own WAL, producing byte-identical stories to the unsharded
-//       run (DESIGN.md §16). Sharded runs also print the per-shard
-//       health dump (quarantine/heal state, catch-up journal backlog,
-//       WAL retry counters — DESIGN.md §17).
-//   recover <wal-dir> [--checkpoint] [--shards N]
+//       the run is crash-recoverable.
+//   recover <wal-dir> [--checkpoint]
 //       Recover the engine state from a durability directory (newest
-//       checkpoint + WAL tail) and print its stories. A sharded directory
-//       (one holding a shard manifest) recovers all shards in parallel;
-//       --shards N additionally cross-checks the manifest's count.
-//       --checkpoint also compacts the directory afterwards. A missing
-//       or unreadable directory exits non-zero with a one-line
-//       diagnostic that classifies the failure (transient vs.
-//       corruption).
+//       checkpoint + WAL tail) and print its stories. --checkpoint also
+//       compacts the directory afterwards. A missing or unreadable
+//       directory exits non-zero with a one-line diagnostic that
+//       classifies the failure (transient vs. corruption). Both detect
+//       and recover refuse a directory written by the removed sharded
+//       engine (one holding manifest.json) the same way, writing
+//       nothing into it.
 //   load <snapshot.sp>
 //       Load a previously saved engine snapshot and print its stories.
 //   query <in.tsv> <entity>
@@ -60,8 +55,6 @@
 #include "eval/experiment.h"
 #include "persist/durable_engine.h"
 #include "search/search_engine.h"
-#include "shard/manifest.h"
-#include "shard/sharded_engine.h"
 #include "text/knowledge_base.h"
 #include "util/csv.h"
 #include "util/retry.h"
@@ -82,9 +75,8 @@ int Usage() {
                "  storypivot_cli detect <in.tsv> [--mode temporal|complete]"
                " [--window-days W] [--refine] [--diagnose]\n"
                "                 [--snapshot out.sp] [--json out.json]"
-               " [--wal-dir DIR] [--shards N] [--strict]\n"
-               "  storypivot_cli recover <wal-dir> [--checkpoint]"
-               " [--shards N]\n"
+               " [--wal-dir DIR] [--strict]\n"
+               "  storypivot_cli recover <wal-dir> [--checkpoint]\n"
                "  storypivot_cli load <snapshot.sp>\n"
                "  storypivot_cli query <in.tsv> <entity>\n"
                "  storypivot_cli search <in.tsv> \"<query>\" [--topk N]"
@@ -212,6 +204,21 @@ int WalOpenFailed(const char* verb, const std::string& dir,
   return 1;
 }
 
+/// Refuses a directory written by the removed sharded engine (its root
+/// holds a shard manifest and the WALs live in shard-NNN/ subdirectories)
+/// with a one-line diagnostic and exit 1, before anything is written:
+/// opening it as a plain durability directory would "recover" an empty
+/// engine, or start a fresh run beside the shard data.
+bool RefuseShardedDir(const char* verb, const std::string& dir) {
+  if (!FileExists(dir + "/manifest.json")) return false;
+  std::fprintf(stderr,
+               "%s: %s: [error] sharded data directory (manifest.json); "
+               "sharding was removed — re-run detect into an empty "
+               "--wal-dir\n",
+               verb, dir.c_str());
+  return true;
+}
+
 Result<std::unique_ptr<StoryPivotEngine>> DetectFromCorpus(
     const datagen::ImportedCorpus& corpus, const EngineConfig& config) {
   auto engine = std::make_unique<StoryPivotEngine>(config);
@@ -267,71 +274,6 @@ Result<std::unique_ptr<persist::DurableEngine>> DetectDurable(
   return durable;
 }
 
-/// Ingests the TSV corpus through a ShardedEngine: N durable shards under
-/// `dir`, one WAL each, byte-identical results to the unsharded run.
-Result<std::unique_ptr<shard::ShardedEngine>> DetectSharded(
-    const datagen::ImportedCorpus& corpus, const EngineConfig& config,
-    const std::string& dir, size_t num_shards) {
-  shard::ShardOptions options;
-  options.num_shards = num_shards;
-  options.engine_config = config;
-  Result<std::unique_ptr<shard::ShardedEngine>> opened =
-      shard::ShardedEngine::Open(dir, options);
-  if (!opened.ok()) return opened.status();
-  std::unique_ptr<shard::ShardedEngine> sharded =
-      std::move(opened.value());
-  if (sharded->next_lsn() != 0) {
-    return Status::FailedPrecondition(StrFormat(
-        "%s already holds a recorded run (%llu ops) — inspect it with "
-        "`storypivot_cli recover %s` or point --wal-dir at an empty "
-        "directory",
-        dir.c_str(), static_cast<unsigned long long>(sharded->next_lsn()),
-        dir.c_str()));
-  }
-  Status vocab = sharded->ImportVocabularies(*corpus.entity_vocabulary,
-                                             *corpus.keyword_vocabulary);
-  if (!vocab.ok()) return vocab;
-  for (const SourceInfo& source : corpus.sources) {
-    Result<SourceId> registered = sharded->RegisterSource(source.name);
-    if (!registered.ok()) return registered.status();
-  }
-  for (const Snippet& snippet : corpus.snippets) {
-    Snippet copy = snippet;
-    copy.id = kInvalidSnippetId;
-    Result<SnippetId> added = sharded->AddSnippet(std::move(copy));
-    if (!added.ok()) return added.status();
-  }
-  return sharded;
-}
-
-/// Sharded counterpart of PrintEngineSummary: aligns (through the log)
-/// and prints totals, the per-shard layout, and the per-shard health
-/// diagnostics (quarantine/heal state, journal backlog, retry stats —
-/// DESIGN.md §17).
-int PrintShardedSummary(shard::ShardedEngine& sharded) {
-  if (!sharded.has_alignment()) {
-    Status aligned = sharded.Align();
-    if (!aligned.ok()) {
-      std::fprintf(stderr, "%s\n", aligned.ToString().c_str());
-      return 1;
-    }
-  }
-  size_t snippets = 0;
-  for (size_t s = 0; s < sharded.num_shards(); ++s) {
-    const StoryPivotEngine& engine = sharded.shard(s).engine();
-    std::printf("shard %03zu: %zu snippets, %zu stories\n", s,
-                engine.store().size(), engine.TotalStories());
-    snippets += engine.store().size();
-  }
-  std::printf("%zu snippets, %zu per-source stories, %zu integrated "
-              "stories across %zu shards (fingerprint %016llx)\n",
-              snippets, sharded.TotalStories(),
-              sharded.alignment().stories.size(), sharded.num_shards(),
-              static_cast<unsigned long long>(sharded.Fingerprint()));
-  std::printf("%s", sharded.GetStats().ToString().c_str());
-  return 0;
-}
-
 void PrintEngineSummary(StoryPivotEngine& engine) {
   // Skip the realign when the caller already holds a current alignment —
   // on a durable engine that alignment came from the logged Align().
@@ -377,53 +319,6 @@ int CmdDetect(int argc, char** argv) {
     return 1;
   }
 
-  // With --shards N, the whole run goes through the sharded coordinator
-  // (which subsumes the durability layer: one DurableEngine per shard).
-  const int64_t num_shards = FlagInt(argc, argv, "--shards", 0);
-  if (num_shards > 0) {
-    std::string shard_dir;
-    if (!ParseFlag(argc, argv, "--wal-dir", &shard_dir)) {
-      std::fprintf(stderr, "detect: --shards requires --wal-dir DIR\n");
-      return 2;
-    }
-    Result<std::unique_ptr<shard::ShardedEngine>> opened = DetectSharded(
-        imported.value(), config, shard_dir,
-        static_cast<size_t>(num_shards));
-    if (!opened.ok()) {
-      return WalOpenFailed("detect --shards", shard_dir, opened.status());
-    }
-    shard::ShardedEngine& sharded = *opened.value();
-    if (HasFlag(argc, argv, "--refine")) {
-      Result<RefinementStats> refined = sharded.Refine();
-      if (!refined.ok()) {
-        std::fprintf(stderr, "%s\n", refined.status().ToString().c_str());
-        return 1;
-      }
-      std::printf("refinement: moved %d snippets, split %d stories\n",
-                  refined.value().snippets_moved,
-                  refined.value().stories_split);
-    }
-    if (int failed = PrintShardedSummary(sharded); failed != 0) {
-      return failed;
-    }
-    const uint64_t ops = sharded.next_lsn();
-    Status finished = sharded.Checkpoint();
-    if (finished.ok()) finished = sharded.Close();
-    if (!finished.ok()) {
-      // A refused checkpoint usually means a quarantined shard whose
-      // durability still lags — the per-shard dump says which and why.
-      std::fprintf(stderr, "%s\n%s", finished.ToString().c_str(),
-                   sharded.GetStats().ToString().c_str());
-      return 1;
-    }
-    std::printf("durable: %llu ops logged and checkpointed across %zu "
-                "shards under %s (recover with `storypivot_cli recover "
-                "%s`)\n",
-                static_cast<unsigned long long>(ops), sharded.num_shards(),
-                shard_dir.c_str(), shard_dir.c_str());
-    return 0;
-  }
-
   // With --wal-dir, ingestion runs through the durability layer; without
   // it, through a plain in-memory engine. Either way `engine` points at
   // the engine to summarise.
@@ -431,6 +326,7 @@ int CmdDetect(int argc, char** argv) {
   std::unique_ptr<StoryPivotEngine> plain;
   std::string wal_dir;
   if (ParseFlag(argc, argv, "--wal-dir", &wal_dir)) {
+    if (RefuseShardedDir("detect --wal-dir", wal_dir)) return 1;
     Result<std::unique_ptr<persist::DurableEngine>> opened =
         DetectDurable(imported.value(), config, wal_dir);
     if (!opened.ok()) {
@@ -527,43 +423,7 @@ int CmdRecover(int argc, char** argv) {
                  dir.c_str());
     return 1;
   }
-  // A shard manifest marks a sharded directory: recover every shard in
-  // parallel through the coordinator. --shards N cross-checks the count
-  // (0 / absent defers to the manifest).
-  if (FileExists(shard::ManifestPath(dir))) {
-    shard::ShardOptions options;
-    options.num_shards =
-        static_cast<size_t>(FlagInt(argc, argv, "--shards", 0));
-    Result<std::unique_ptr<shard::ShardedEngine>> sharded =
-        shard::ShardedEngine::Open(dir, options);
-    if (!sharded.ok()) {
-      return WalOpenFailed("recover", dir, sharded.status());
-    }
-    std::printf("recovered %llu ops from %s (%zu shards, parallel "
-                "replay)\n",
-                static_cast<unsigned long long>(
-                    sharded.value()->next_lsn()),
-                dir.c_str(), sharded.value()->num_shards());
-    if (int failed = PrintShardedSummary(*sharded.value()); failed != 0) {
-      return failed;
-    }
-    if (HasFlag(argc, argv, "--checkpoint")) {
-      Status compacted = sharded.value()->Checkpoint();
-      if (!compacted.ok()) {
-        std::fprintf(stderr, "%s\n%s", compacted.ToString().c_str(),
-                     sharded.value()->GetStats().ToString().c_str());
-        return 1;
-      }
-      std::printf("checkpointed; covered WAL segments dropped\n");
-    }
-    Status closed = sharded.value()->Close();
-    if (!closed.ok()) {
-      std::fprintf(stderr, "%s\n", closed.ToString().c_str());
-      return 1;
-    }
-    return 0;
-  }
-
+  if (RefuseShardedDir("recover", dir)) return 1;
   Result<std::unique_ptr<persist::DurableEngine>> opened =
       persist::DurableEngine::Open(dir);
   if (!opened.ok()) {

@@ -1,7 +1,6 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 
 #include "core/parallel_ingest.h"
@@ -386,179 +385,6 @@ Result<SnippetId> StoryPivotEngine::AdoptAssignment(Snippet snippet,
   stale_ = true;
   NotifyAdded(*stored);
   return id;
-}
-
-void StoryPivotEngine::ApplyDocumentFrequencyDelta(
-    const std::vector<text::TermVector>& added,
-    const std::vector<text::TermVector>& removed) {
-  serial_.AssertInSection();  // Mutator: single-writer serial section.
-  for (const text::TermVector& keywords : added) df_.AddDocument(keywords);
-  for (const text::TermVector& keywords : removed) {
-    df_.RemoveDocument(keywords);
-  }
-}
-
-Status StoryPivotEngine::ApplyPlannedIngest(const PlannedIngest& plan) {
-  serial_.AssertInSection();  // Mutator: single-writer serial section.
-  // Upfront validation: a planned batch was already admitted globally, so
-  // a local rejection means the plan (not the data) is wrong, and the
-  // whole batch is refused before any state changes — no rollback path.
-  std::unordered_set<SnippetId> batch_ids;
-  for (const Snippet& snippet : plan.snippets) {
-    if (!partitions_.contains(snippet.source)) {
-      return Status::InvalidArgument(
-          StrFormat("unregistered source %u", snippet.source));
-    }
-    if (snippet.id == kInvalidSnippetId) {
-      return Status::InvalidArgument("planned snippet without an id");
-    }
-    if (store_.Find(snippet.id) != nullptr ||
-        !batch_ids.insert(snippet.id).second) {
-      return Status::AlreadyExists(StrFormat(
-          "snippet %llu", static_cast<unsigned long long>(snippet.id)));
-    }
-  }
-  std::unordered_map<SourceId, StoryId> block_of;
-  for (const auto& [source, begin] : plan.story_blocks) {
-    if (!block_of.emplace(source, begin).second) {
-      return Status::InvalidArgument(
-          StrFormat("duplicate story block for source %u", source));
-    }
-  }
-  for (const Snippet& snippet : plan.snippets) {
-    if (!block_of.contains(snippet.source)) {
-      return Status::InvalidArgument(
-          StrFormat("no story block for source %u", snippet.source));
-    }
-  }
-
-  // Phase 1 — serialized writes in arrival order, exactly like
-  // AddSnippets: every own snippet enters the store and the DF table, and
-  // the foreign snippets' keyword supports keep DF in global lockstep.
-  std::vector<const Snippet*> stored;
-  stored.reserve(plan.snippets.size());
-  for (const Snippet& snippet : plan.snippets) {
-    Result<SnippetId> inserted = store_.Insert(snippet);
-    SP_CHECK_OK(inserted.status());  // Collisions rejected above.
-    const Snippet* ptr = store_.Find(inserted.value());
-    SP_CHECK(ptr != nullptr);
-    df_.AddDocument(ptr->keywords);
-    stored.push_back(ptr);
-  }
-  for (const text::TermVector& keywords : plan.foreign_keywords) {
-    df_.AddDocument(keywords);
-  }
-
-  // Phase 2 — shard by source and identify concurrently, with the
-  // PLANNED story-id blocks instead of locally computed ones: the plan's
-  // block layout is the one an unsharded engine would have derived for
-  // the full batch, which is what keeps assigned story ids identical.
-  std::vector<IngestShard> shards;
-  std::unordered_map<SourceId, size_t> shard_of;
-  for (const Snippet* snippet : stored) {
-    auto [it, inserted] = shard_of.emplace(snippet->source, shards.size());
-    if (inserted) {
-      IngestShard shard;
-      shard.source = snippet->source;
-      shard.partition = MutablePartition(snippet->source);
-      SP_CHECK(shard.partition != nullptr);
-      if (config_.use_sketches) {
-        auto sketch_it = sketches_.find(snippet->source);
-        SP_CHECK(sketch_it != sketches_.end());
-        shard.sketches = &sketch_it->second;
-      }
-      shards.push_back(std::move(shard));
-    }
-    shards[it->second].snippets.push_back(snippet);
-  }
-  std::sort(shards.begin(), shards.end(),
-            [](const IngestShard& a, const IngestShard& b) {
-              return a.source < b.source;
-            });
-  for (IngestShard& shard : shards) {
-    shard.story_id_begin = block_of.at(shard.source);
-  }
-
-  WallTimer timer;
-  ParallelIngestor ingestor(identifier_.get(), pool_.get());
-  std::vector<IngestShardResult> results = ingestor.Run(shards, store_);
-  const double batch_wall_ms = timer.ElapsedMillis();
-
-  double identify_ms = 0.0;
-  for (size_t i = 0; i < shards.size(); ++i) {
-    identify_ms += results[i].identify_time_ms;
-    if (config_.incremental_alignment) {
-      for (StoryId assigned : results[i].assigned) {
-        dirty_stories_.push_back({shards[i].source, assigned});
-      }
-    }
-  }
-  stats_.identify_time_ms += std::max(identify_ms, batch_wall_ms);
-  stats_.snippets_ingested += stored.size();
-  // The plan's counters already account for the whole batch (including
-  // foreign snippets and their story blocks), so adopt rather than infer.
-  RETURN_IF_ERROR(AdoptIdCounters(plan.post));
-  stale_ = true;
-  for (const Snippet* snippet : stored) NotifyAdded(*snippet);
-  return Status::OK();
-}
-
-Status StoryPivotEngine::ApplyRefinementJournal(
-    const RefinementJournal& journal) {
-  serial_.AssertInSection();  // Mutator: single-writer serial section.
-  for (const RefinementJournal::Entry& entry : journal.entries) {
-    switch (entry.kind) {
-      case RefinementJournal::Entry::Kind::kMove: {
-        const RefinementJournal::Move& move = entry.move;
-        StorySet* partition = MutablePartition(move.source);
-        if (partition == nullptr) {
-          return Status::InvalidArgument(
-              StrFormat("unregistered source %u", move.source));
-        }
-        const Snippet* snippet = store_.Find(move.snippet);
-        if (snippet == nullptr ||
-            partition->StoryOf(move.snippet) != move.from) {
-          return Status::Internal(
-              "refinement journal diverged from engine state");
-        }
-        if (!move.created && partition->FindStory(move.to) == nullptr) {
-          return Status::Internal(
-              "refinement journal diverged from engine state");
-        }
-        partition->RemoveSnippet(*snippet, store_);
-        if (move.created) partition->CreateStory(move.to);
-        partition->AddSnippetToStory(*snippet, move.to);
-        next_story_id_.store(
-            std::max(next_story_id_.load(std::memory_order_relaxed),
-                     move.to + 1),
-            std::memory_order_relaxed);
-        break;
-      }
-      case RefinementJournal::Entry::Kind::kSplit: {
-        const RefinementJournal::Split& split = entry.split;
-        StorySet* partition = MutablePartition(split.source);
-        if (partition == nullptr) {
-          return Status::InvalidArgument(
-              StrFormat("unregistered source %u", split.source));
-        }
-        if (partition->FindStory(split.story) == nullptr) {
-          return Status::Internal(
-              "refinement journal diverged from engine state");
-        }
-        partition->SplitStoryWithIds(split.story, split.components, store_,
-                                     split.assigned);
-        for (StoryId assigned : split.assigned) {
-          next_story_id_.store(
-              std::max(next_story_id_.load(std::memory_order_relaxed),
-                       assigned + 1),
-              std::memory_order_relaxed);
-        }
-        break;
-      }
-    }
-  }
-  stale_ = true;
-  return Status::OK();
 }
 
 void StoryPivotEngine::RemoveSnippetInternal(const Snippet& snippet,

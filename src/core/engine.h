@@ -293,56 +293,6 @@ class StoryPivotEngine {
   /// only move forward; a value below the current one is an error.
   [[nodiscard]] Status AdoptIdCounters(const IdCounters& counters);
 
-  // --- Shard-replica hooks (src/shard, DESIGN.md §16) --------------------
-  //
-  // A sharded deployment keeps every shard's document-frequency table
-  // and id counters in LOCKSTEP with the global op stream while each
-  // shard stores only its own sources' snippets. The methods below are
-  // the replication primitives the shard coordinator logs: they apply
-  // the global side effects of an operation whose snippets live on
-  // other shards, without running identification or scoring here.
-
-  /// Applies document-frequency deltas for snippets owned elsewhere:
-  /// one AddDocument per vector in `added`, one RemoveDocument per
-  /// vector in `removed` (DF updates are count-based, hence
-  /// commutative — order across shards does not matter).
-  void ApplyDocumentFrequencyDelta(
-      const std::vector<text::TermVector>& added,
-      const std::vector<text::TermVector>& removed);
-
-  /// A batch ingest whose global decisions (snippet ids, per-source
-  /// story-id blocks) were made by a coordinator simulating
-  /// AddSnippets' id assignment over the WHOLE batch. A shard applies
-  /// only its own snippets — plus the foreign snippets' keyword
-  /// supports, so DF stays in global lockstep — and fast-forwards its
-  /// counters to the post-batch values.
-  struct PlannedIngest {
-    /// This shard's snippets, arrival order, ids pre-assigned.
-    std::vector<Snippet> snippets;
-    /// (source, first story id) per distinct own source, ascending by
-    /// source — the slice of the batch's global story-id block layout
-    /// owned here.
-    std::vector<std::pair<SourceId, StoryId>> story_blocks;
-    /// Keyword supports of the batch's foreign snippets (DF-only).
-    std::vector<text::TermVector> foreign_keywords;
-    /// Global id counters after the whole batch.
-    IdCounters post;
-  };
-
-  /// Applies a planned batch: inserts own snippets + DF in arrival
-  /// order, applies foreign DF, identifies stories per own source with
-  /// the planned story-id blocks (deterministic — same result as the
-  /// batch run on an unsharded engine), then adopts `plan.post`.
-  /// Validation failures reject the whole batch with no state change.
-  [[nodiscard]] Status ApplyPlannedIngest(const PlannedIngest& plan);
-
-  /// Replays refinement-journal entries (all of which must target
-  /// sources registered here, with their snippets in this engine's
-  /// store) — the primitive moves/splits a coordinator's refinement
-  /// pass executed, with explicit story ids. See RefinementJournal.
-  [[nodiscard]] Status ApplyRefinementJournal(
-      const RefinementJournal& journal);
-
  private:
   StorySet* MutablePartition(SourceId source);
   void RemoveSnippetInternal(const Snippet& snippet, bool split_check)

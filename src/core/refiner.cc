@@ -21,8 +21,7 @@ struct TimedSnippet {
 RefinementStats StoryRefiner::Refine(const std::vector<StorySet*>& partitions,
                                      const AlignmentResult& alignment,
                                      const SnippetStore& store,
-                                     StoryId* next_story_id,
-                                     RefinementJournal* journal) const {
+                                     StoryId* next_story_id) const {
   SP_CHECK(next_story_id != nullptr);
   RefinementStats stats;
 
@@ -170,20 +169,13 @@ RefinementStats StoryRefiner::Refine(const std::vector<StorySet*>& partitions,
       continue;  // Target vanished (merged/emptied) — skip.
     }
     partition->RemoveSnippet(*v, store);
-    const bool created = to == kInvalidStoryId;
-    if (created) {
+    if (to == kInvalidStoryId) {
       to = (*next_story_id)++;
       partition->CreateStory(to);
       ++stats.stories_created;
     }
     partition->AddSnippetToStory(*v, to);
     ++stats.snippets_moved;
-    if (journal != nullptr) {
-      RefinementJournal::Entry entry;
-      entry.kind = RefinementJournal::Entry::Kind::kMove;
-      entry.move = {partition->source(), v->id, move.from, to, created};
-      journal->entries.push_back(std::move(entry));
-    }
     if (dirty.insert(move.from).second) {
       dirty_stories.push_back({move.partition_index, move.from});
     }
@@ -193,8 +185,8 @@ RefinementStats StoryRefiner::Refine(const std::vector<StorySet*>& partitions,
   if (config_.split_check) {
     for (const auto& [p, story_id] : dirty_stories) {
       if (partitions[p]->FindStory(story_id) == nullptr) continue;
-      int created = SplitIfDisconnected(partitions[p], story_id, store,
-                                        next_story_id, journal);
+      int created =
+          SplitIfDisconnected(partitions[p], story_id, store, next_story_id);
       if (created > 0) {
         ++stats.stories_split;
         stats.stories_created += created;
@@ -206,8 +198,7 @@ RefinementStats StoryRefiner::Refine(const std::vector<StorySet*>& partitions,
 
 int StoryRefiner::SplitIfDisconnected(StorySet* partition, StoryId story_id,
                                       const SnippetStore& store,
-                                      StoryId* next_story_id,
-                                      RefinementJournal* journal) const {
+                                      StoryId* next_story_id) const {
   const Story* story = partition->FindStory(story_id);
   SP_CHECK(story != nullptr);
   if (story->size() <= 1) return 0;
@@ -263,14 +254,7 @@ int StoryRefiner::SplitIfDisconnected(StorySet* partition, StoryId story_id,
   // Deterministic order: by earliest member id.
   std::sort(parts.begin(), parts.end(),
             [](const auto& a, const auto& b) { return a.front() < b.front(); });
-  std::vector<StoryId> assigned =
-      partition->SplitStory(story_id, parts, store, next_story_id);
-  if (journal != nullptr) {
-    RefinementJournal::Entry entry;
-    entry.kind = RefinementJournal::Entry::Kind::kSplit;
-    entry.split = {partition->source(), story_id, parts, std::move(assigned)};
-    journal->entries.push_back(std::move(entry));
-  }
+  partition->SplitStory(story_id, parts, store, next_story_id);
   return static_cast<int>(parts.size() - 1);
 }
 

@@ -39,44 +39,6 @@ struct RefinementStats {
   uint64_t conflicts_examined = 0;
 };
 
-/// An exact record of the primitive story-set mutations one refinement
-/// pass EXECUTED (skipped candidate moves are not recorded), in
-/// execution order, with every assigned story id explicit. Replaying a
-/// journal against partitions in the pre-refinement state reproduces
-/// the post-refinement state bit for bit — without re-running any
-/// similarity scoring. The sharded engine relies on this: the
-/// coordinator refines frozen copies once, then ships each shard the
-/// journal entries for its own sources (entries touch only their own
-/// partition and carry explicit ids, so per-shard subsequences replay
-/// independently). See StoryPivotEngine::ApplyRefinementJournal.
-struct RefinementJournal {
-  /// One executed relocation: `snippet` left story `from` for story
-  /// `to` (freshly created by this move when `created`).
-  struct Move {
-    SourceId source = 0;
-    SnippetId snippet = 0;
-    StoryId from = kInvalidStoryId;
-    StoryId to = kInvalidStoryId;
-    bool created = false;
-  };
-  /// One executed split of `story` into `components`, which received
-  /// `assigned` ids (assigned[0] == story; components pre-sorted by
-  /// earliest member id, exactly as executed).
-  struct Split {
-    SourceId source = 0;
-    StoryId story = kInvalidStoryId;
-    std::vector<std::vector<SnippetId>> components;
-    std::vector<StoryId> assigned;
-  };
-  struct Entry {
-    enum class Kind : uint8_t { kMove = 0, kSplit = 1 };
-    Kind kind = Kind::kMove;
-    Move move;
-    Split split;
-  };
-  std::vector<Entry> entries;
-};
-
 /// Resolves conflicts between story identification and story alignment:
 /// when a snippet's cross-source counterpart lives in a *different*
 /// integrated story, identification likely mis-assigned one of them
@@ -96,22 +58,18 @@ class StoryRefiner {
   /// Runs one refinement pass over all partitions, using `alignment` as
   /// the evidence. Mutates the per-source story sets. The alignment result
   /// becomes stale afterwards; callers re-align if they need fresh
-  /// integrated stories. When `journal` is non-null, every executed
-  /// primitive is appended to it (see RefinementJournal).
+  /// integrated stories.
   RefinementStats Refine(const std::vector<StorySet*>& partitions,
                          const AlignmentResult& alignment,
                          const SnippetStore& store,
-                         StoryId* next_story_id,
-                         RefinementJournal* journal = nullptr) const;
+                         StoryId* next_story_id) const;
 
   /// Splits `story_id` into connected components under the configured
   /// edge threshold/window if it is no longer connected. Returns the
   /// number of additional stories created (0 when still connected).
-  /// An executed split is appended to `journal` when non-null.
   int SplitIfDisconnected(StorySet* partition, StoryId story_id,
                           const SnippetStore& store,
-                          StoryId* next_story_id,
-                          RefinementJournal* journal = nullptr) const;
+                          StoryId* next_story_id) const;
 
   const RefinementConfig& config() const { return config_; }
 

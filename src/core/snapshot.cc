@@ -198,24 +198,13 @@ Result<std::unique_ptr<StoryPivotEngine>> LoadSnapshotFromFile(
 }
 
 uint64_t EngineStateFingerprint(const StoryPivotEngine& engine) {
-  return EngineStateFingerprint({&engine});
-}
-
-uint64_t EngineStateFingerprint(
-    const std::vector<const StoryPivotEngine*>& engines) {
-  // Sharded engines register every source on every shard but store each
-  // source's snippets on exactly one, so concatenating per-engine triples
-  // never yields duplicates: empty non-owner partitions contribute none.
   std::vector<std::tuple<SourceId, SnippetId, StoryId>> triples;
-  for (const StoryPivotEngine* engine : engines) {
-    SP_CHECK(engine != nullptr);
-    for (const SourceInfo& info : engine->sources()) {
-      const StorySet* partition = engine->partition(info.id);
-      SP_CHECK(partition != nullptr);
-      partition->snippet_times().ForEach([&](Timestamp, SnippetId sid) {
-        triples.emplace_back(info.id, sid, partition->StoryOf(sid));
-      });
-    }
+  for (const SourceInfo& info : engine.sources()) {
+    const StorySet* partition = engine.partition(info.id);
+    SP_CHECK(partition != nullptr);
+    partition->snippet_times().ForEach([&](Timestamp, SnippetId sid) {
+      triples.emplace_back(info.id, sid, partition->StoryOf(sid));
+    });
   }
   std::sort(triples.begin(), triples.end());
   uint64_t h = 0x9e3779b97f4a7c15ULL;

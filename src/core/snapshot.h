@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/engine.h"
 #include "util/status.h"
@@ -51,13 +50,6 @@ namespace storypivot {
 /// the parallel-determinism bench and the crash-recovery test harness to
 /// compare a recovered engine against a freshly built one.
 [[nodiscard]] uint64_t EngineStateFingerprint(const StoryPivotEngine& engine);
-
-/// Composite fingerprint of several engines holding disjoint slices of
-/// one logical corpus (the shards of a ShardedEngine): hashes the merged,
-/// sorted triple set, so an N-shard deployment fingerprints identically
-/// to a 1-shard engine with the same assignments (DESIGN.md §16).
-[[nodiscard]] uint64_t EngineStateFingerprint(
-    const std::vector<const StoryPivotEngine*>& engines);
 
 }  // namespace storypivot
 

@@ -74,36 +74,22 @@ std::vector<StoryId> StorySet::SplitStory(
     StoryId story_id, const std::vector<std::vector<SnippetId>>& components,
     const SnippetStore& store, StoryId* next_story_id) {
   SP_CHECK(next_story_id != nullptr);
-  SP_CHECK(!components.empty());
-  std::vector<StoryId> ids;
-  ids.reserve(components.size());
-  ids.push_back(story_id);
-  // A single-component "split" is a no-op and consumes no ids, matching
-  // the early return in SplitStoryWithIds.
-  for (size_t c = 1; c < components.size(); ++c) {
-    ids.push_back((*next_story_id)++);
-  }
-  return SplitStoryWithIds(story_id, components, store, ids);
-}
-
-std::vector<StoryId> StorySet::SplitStoryWithIds(
-    StoryId story_id, const std::vector<std::vector<SnippetId>>& components,
-    const SnippetStore& store, const std::vector<StoryId>& ids) {
   const Story* existing = stories_.Find(story_id);
   SP_CHECK(existing != nullptr);
   SP_CHECK(!components.empty());
-  SP_CHECK(ids.size() == components.size());
-  SP_CHECK(ids.front() == story_id);
 
   size_t total = 0;
   for (const auto& c : components) total += c.size();
   SP_CHECK(total == existing->size());
 
-  std::vector<StoryId> out = ids;
-  if (components.size() == 1) return out;
+  std::vector<StoryId> out;
+  if (components.size() == 1) {
+    out.push_back(story_id);
+    return out;
+  }
   stories_.Erase(story_id);
   for (size_t c = 0; c < components.size(); ++c) {
-    StoryId id = out[c];
+    StoryId id = (c == 0) ? story_id : (*next_story_id)++;
     Story& story = CreateStory(id);
     for (SnippetId sid : components[c]) {
       const Snippet* snippet = store.Find(sid);
@@ -111,6 +97,7 @@ std::vector<StoryId> StorySet::SplitStoryWithIds(
       story.AddSnippet(*snippet);
       *story_of_.FindMutable(sid) = id;
     }
+    out.push_back(id);
   }
   return out;
 }

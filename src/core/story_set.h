@@ -65,16 +65,6 @@ class StorySet {
                                   const SnippetStore& store,
                                   StoryId* next_story_id);
 
-  /// Like SplitStory, but with CALLER-CHOSEN component ids
-  /// (ids.size() == components.size(), ids[0] == story_id). Used when
-  /// replaying a recorded split — the refinement journal carries the
-  /// ids the original run assigned, so a replica reproduces them
-  /// verbatim (see RefinementJournal).
-  std::vector<StoryId> SplitStoryWithIds(
-      StoryId story_id,
-      const std::vector<std::vector<SnippetId>>& components,
-      const SnippetStore& store, const std::vector<StoryId>& ids);
-
   /// Story containing `id`, or kInvalidStoryId.
   StoryId StoryOf(SnippetId id) const;
 

@@ -24,145 +24,6 @@ void EncodeVocabulary(Encoder* enc, const text::Vocabulary& vocab) {
   }
 }
 
-// --- Shard-op wire helpers (kShardSync / kShardRefine / kShardAddSnippets).
-
-void EncodeTermVectors(Encoder* enc,
-                       const std::vector<text::TermVector>& vectors) {
-  enc->PutU32(static_cast<uint32_t>(vectors.size()));
-  for (const text::TermVector& vector : vectors) enc->PutTermVector(vector);
-}
-
-std::vector<text::TermVector> DecodeTermVectors(Decoder* dec) {
-  uint32_t n = dec->GetU32();
-  std::vector<text::TermVector> vectors;
-  vectors.reserve(dec->ok() ? n : 0);
-  for (uint32_t i = 0; i < n && dec->ok(); ++i) {
-    vectors.push_back(dec->GetTermVector());
-  }
-  return vectors;
-}
-
-void EncodeCounters(Encoder* enc,
-                    const StoryPivotEngine::IdCounters& counters) {
-  enc->PutU32(counters.next_source);
-  enc->PutU64(counters.next_snippet);
-  enc->PutU64(counters.next_story);
-}
-
-StoryPivotEngine::IdCounters DecodeCounters(Decoder* dec) {
-  StoryPivotEngine::IdCounters counters;
-  counters.next_source = dec->GetU32();
-  counters.next_snippet = dec->GetU64();
-  counters.next_story = dec->GetU64();
-  return counters;
-}
-
-void EncodeJournal(Encoder* enc, const RefinementJournal& journal) {
-  enc->PutU32(static_cast<uint32_t>(journal.entries.size()));
-  for (const RefinementJournal::Entry& entry : journal.entries) {
-    enc->PutU8(static_cast<uint8_t>(entry.kind));
-    if (entry.kind == RefinementJournal::Entry::Kind::kMove) {
-      enc->PutU32(entry.move.source);
-      enc->PutU64(entry.move.snippet);
-      enc->PutU64(entry.move.from);
-      enc->PutU64(entry.move.to);
-      enc->PutU8(entry.move.created ? 1 : 0);
-    } else {
-      enc->PutU32(entry.split.source);
-      enc->PutU64(entry.split.story);
-      enc->PutU32(static_cast<uint32_t>(entry.split.components.size()));
-      for (const std::vector<SnippetId>& component : entry.split.components) {
-        enc->PutU32(static_cast<uint32_t>(component.size()));
-        for (SnippetId id : component) enc->PutU64(id);
-      }
-      enc->PutU32(static_cast<uint32_t>(entry.split.assigned.size()));
-      for (StoryId id : entry.split.assigned) enc->PutU64(id);
-    }
-  }
-}
-
-RefinementJournal DecodeJournal(Decoder* dec) {
-  RefinementJournal journal;
-  uint32_t n = dec->GetU32();
-  journal.entries.reserve(dec->ok() ? n : 0);
-  for (uint32_t i = 0; i < n && dec->ok(); ++i) {
-    RefinementJournal::Entry entry;
-    entry.kind = static_cast<RefinementJournal::Entry::Kind>(dec->GetU8());
-    if (entry.kind == RefinementJournal::Entry::Kind::kMove) {
-      entry.move.source = dec->GetU32();
-      entry.move.snippet = dec->GetU64();
-      entry.move.from = dec->GetU64();
-      entry.move.to = dec->GetU64();
-      entry.move.created = dec->GetU8() != 0;
-    } else {
-      entry.split.source = dec->GetU32();
-      entry.split.story = dec->GetU64();
-      uint32_t n_components = dec->GetU32();
-      entry.split.components.reserve(dec->ok() ? n_components : 0);
-      for (uint32_t c = 0; c < n_components && dec->ok(); ++c) {
-        uint32_t n_ids = dec->GetU32();
-        std::vector<SnippetId> component;
-        component.reserve(dec->ok() ? n_ids : 0);
-        for (uint32_t k = 0; k < n_ids && dec->ok(); ++k) {
-          component.push_back(dec->GetU64());
-        }
-        entry.split.components.push_back(std::move(component));
-      }
-      uint32_t n_assigned = dec->GetU32();
-      entry.split.assigned.reserve(dec->ok() ? n_assigned : 0);
-      for (uint32_t k = 0; k < n_assigned && dec->ok(); ++k) {
-        entry.split.assigned.push_back(dec->GetU64());
-      }
-    }
-    journal.entries.push_back(std::move(entry));
-  }
-  return journal;
-}
-
-void EncodePlannedIngest(Encoder* enc,
-                         const StoryPivotEngine::PlannedIngest& plan) {
-  enc->PutU32(static_cast<uint32_t>(plan.snippets.size()));
-  for (const Snippet& snippet : plan.snippets) enc->PutSnippet(snippet);
-  enc->PutU32(static_cast<uint32_t>(plan.story_blocks.size()));
-  for (const auto& [source, begin] : plan.story_blocks) {
-    enc->PutU32(source);
-    enc->PutU64(begin);
-  }
-  EncodeTermVectors(enc, plan.foreign_keywords);
-  EncodeCounters(enc, plan.post);
-}
-
-StoryPivotEngine::PlannedIngest DecodePlannedIngest(Decoder* dec) {
-  StoryPivotEngine::PlannedIngest plan;
-  uint32_t n = dec->GetU32();
-  plan.snippets.reserve(dec->ok() ? n : 0);
-  for (uint32_t i = 0; i < n && dec->ok(); ++i) {
-    plan.snippets.push_back(dec->GetSnippet());
-  }
-  uint32_t n_blocks = dec->GetU32();
-  plan.story_blocks.reserve(dec->ok() ? n_blocks : 0);
-  for (uint32_t i = 0; i < n_blocks && dec->ok(); ++i) {
-    SourceId source = dec->GetU32();
-    StoryId begin = dec->GetU64();
-    plan.story_blocks.emplace_back(source, begin);
-  }
-  plan.foreign_keywords = DecodeTermVectors(dec);
-  plan.post = DecodeCounters(dec);
-  return plan;
-}
-
-/// Shared by LogShardSync and replay so both paths apply the identical
-/// sequence: source removal first (it subtracts its own DF supports),
-/// then the foreign DF deltas, then the counter fast-forward.
-Status ApplyShardSync(StoryPivotEngine* engine,
-                      const DurableEngine::ShardSyncRecord& record) {
-  if (record.remove_source) {
-    RETURN_IF_ERROR(engine->RemoveSource(record.removed_source));
-  }
-  engine->ApplyDocumentFrequencyDelta(record.df_added, record.df_removed);
-  return engine->AdoptIdCounters(record.post);
-}
-
 }  // namespace
 
 DurableEngine::DurableEngine(std::string dir, DurabilityOptions options)
@@ -201,31 +62,12 @@ Status DurableEngine::Recover() {
           ? std::move(loaded.engine)
           : std::make_unique<StoryPivotEngine>(engine_config_);
   const uint64_t covered = loaded.covered_lsn;
-  const uint64_t limit = options_.replay_lsn_limit;
-  if (covered > limit) {
-    // The sharded coordinator checkpoints only behind a sync-all barrier,
-    // so a checkpoint past the common durable prefix means the directory
-    // was mixed up, not that the barrier failed silently.
-    return Status::IoError(StrFormat(
-        "checkpoint covers lsn %llu past the replay limit %llu",
-        static_cast<unsigned long long>(covered),
-        static_cast<unsigned long long>(limit)));
-  }
 
-  // 2. Replay the WAL tail: every record with lsn >= covered (and below
-  // the replay limit, when one is set), in order.
+  // 2. Replay the WAL tail: every record with lsn >= covered, in order.
   ASSIGN_OR_RETURN(std::vector<uint64_t> segments,
                    WriteAheadLog::ListSegments(dir_));
   uint64_t expected_next = covered;
-  bool clipped = false;  // True once the replay limit truncated the log.
   for (size_t i = 0; i < segments.size(); ++i) {
-    if (clipped) {
-      // Everything past the truncation point is an unacknowledged
-      // suffix; physically drop it so the reopened log is the prefix.
-      RETURN_IF_ERROR(
-          RemoveFile(dir_ + "/" + WriteAheadLog::SegmentName(segments[i])));
-      continue;
-    }
     const bool last = i + 1 == segments.size();
     // Fully checkpoint-covered segments (every record below `covered`)
     // are skipped: they may linger when a past DropSegmentsBelow was
@@ -237,47 +79,19 @@ Status DurableEngine::Recover() {
           WriteAheadLog::SegmentName(segments[i]).c_str(),
           static_cast<unsigned long long>(expected_next)));
     }
-    if (segments[i] >= limit) {
-      // The whole segment is at or past the cutoff: nothing to keep.
-      RETURN_IF_ERROR(
-          RemoveFile(dir_ + "/" + WriteAheadLog::SegmentName(segments[i])));
-      clipped = true;
-      continue;
-    }
     ASSIGN_OR_RETURN(SegmentScan scan,
                      WriteAheadLog::ScanSegmentFile(dir_, segments[i]));
-    const uint64_t segment_end = segments[i] + scan.records.size();
-    const bool clips_here = segment_end > limit;
-    // A torn record in a non-final segment is corruption — unless the
-    // tear sits past the replay limit, in which case the truncation
-    // below removes it along with the rest of the discarded suffix.
-    if (scan.torn_tail && !last && !clips_here) {
+    if (scan.torn_tail && !last) {
       return Status::IoError(
           "WAL corruption: torn record in a non-final segment " +
           WriteAheadLog::SegmentName(segments[i]));
     }
     for (const WalRecord& record : scan.records) {
       if (record.lsn < expected_next) continue;  // Below the checkpoint.
-      if (record.lsn >= limit) break;            // Past the replay limit.
       RETURN_IF_ERROR(ReplayOp(record, engine.get()));
       ++expected_next;
     }
-    if (clips_here) {
-      // Cut the segment at the exact frame boundary of the first record
-      // past the limit, then drop every later segment (loop above).
-      uint64_t keep_bytes = 0;
-      for (const WalRecord& record : scan.records) {
-        if (record.lsn >= limit) break;
-        keep_bytes += WriteAheadLog::kFrameHeadBytes + record.payload.size();
-      }
-      const std::string path =
-          dir_ + "/" + WriteAheadLog::SegmentName(segments[i]);
-      SP_LOG(kWarning) << "WAL " << path << ": truncating records at/past "
-                       << "replay limit " << limit;
-      RETURN_IF_ERROR(TruncateFile(path, keep_bytes));
-      clipped = true;
-      continue;
-    }
+    const uint64_t segment_end = segments[i] + scan.records.size();
     if (!last && segments[i + 1] != segment_end) {
       return Status::IoError(StrFormat(
           "WAL gap: segment after %s starts at lsn %llu, expected %llu",
@@ -318,12 +132,6 @@ Status DurableEngine::Recover() {
   ops_since_checkpoint_ = expected_next - covered;
   degraded_ = false;
   degraded_cause_ = Status::OK();
-  closed_ = false;
-  quarantined_ = false;
-  quarantine_cause_ = Status::OK();
-  quarantine_base_lsn_ = 0;
-  quarantine_journal_.clear();
-  quarantine_journal_bytes_ = 0;
   if (observer != nullptr) {
     engine_->set_ingest_observer(observer);
     observer->OnEngineReplaced(engine_.get());
@@ -337,13 +145,6 @@ Status DurableEngine::Reopen() {
     IgnoreError(wal_->Close());
     wal_.reset();
   }
-  // A quarantined engine's journaled suffix is discarded up front:
-  // recovery rewinds to the durable prefix, exactly as if the process
-  // had crashed at quarantine entry.
-  quarantined_ = false;
-  quarantine_cause_ = Status::OK();
-  quarantine_journal_.clear();
-  quarantine_journal_bytes_ = 0;
   Status recovered = Recover();
   if (!recovered.ok()) {
     // Still broken: stay degraded on the old in-memory state so reads
@@ -366,12 +167,6 @@ Status DurableEngine::CheckWritable() const {
         "durable engine is in read-only degraded mode ("
         + degraded_cause_.ToString() + "); call Reopen() to recover");
   }
-  if (closed_) {
-    return Status::FailedPrecondition("durable engine is closed");
-  }
-  // Quarantined engines ACCEPT mutations (they are journaled in memory,
-  // DESIGN.md §17) even though the WAL handle is gone.
-  if (quarantined_) return Status::OK();
   if (wal_ == nullptr) {
     return Status::FailedPrecondition("durable engine is closed");
   }
@@ -380,25 +175,9 @@ Status DurableEngine::CheckWritable() const {
 
 Status DurableEngine::LogOp(std::string payload) {
   RETURN_IF_ERROR(CheckWritable());
-  if (quarantined_) return JournalOp(std::move(payload));
   Result<uint64_t> lsn = wal_->Append(payload);
   if (!lsn.ok()) {
     // The WAL already retried transients, so this failure is permanent.
-    if (options_.quarantine_on_append_failure) {
-      // QUARANTINE (DESIGN.md §17): the failed append withdrew cleanly,
-      // so the log on disk is exactly the durable prefix. Record it as
-      // the journal's base lsn, close the WAL (releasing the directory
-      // claim so a healer can rebuild a replacement from disk), and
-      // journal this payload — the mutation is already applied to
-      // memory, so ACKing it keeps reads byte-identical to the acked
-      // stream while durability catches up later.
-      quarantine_base_lsn_ = wal_->next_lsn();
-      IgnoreError(wal_->Close());
-      wal_.reset();
-      quarantined_ = true;
-      quarantine_cause_ = lsn.status();
-      return JournalOp(std::move(payload));
-    }
     // The in-memory state now has a mutation the log does not:
     // acknowledging further mutations would desynchronise replay, so
     // drop to READ-ONLY degraded mode — queries stay served (from state
@@ -430,47 +209,6 @@ Status DurableEngine::LogOp(std::string payload) {
   // batch, not per snippet.
   if (commit_hook_) commit_hook_(CommitEvent::kMutation);
   return Status::OK();
-}
-
-Status DurableEngine::JournalOp(std::string payload) {
-  if (quarantine_journal_.size() >= options_.quarantine_max_journal_ops ||
-      quarantine_journal_bytes_ + payload.size() >
-          options_.quarantine_max_journal_bytes) {
-    // Overflow: the bounded catch-up window is exhausted before a healer
-    // drained it. Convert the quarantine into classic permanent
-    // degradation — the coordinator falls back to full recovery, which
-    // rewinds every shard to the common durable prefix. The journal is
-    // dropped (its ops survive only in this engine's memory, which the
-    // fallback discards anyway).
-    degraded_ = true;
-    degraded_cause_ = Status::Degraded(StrFormat(
-        "quarantine journal overflow after %llu ops / %llu bytes; "
-        "original failure: %s",
-        static_cast<unsigned long long>(quarantine_journal_.size()),
-        static_cast<unsigned long long>(quarantine_journal_bytes_),
-        quarantine_cause_.ToString().c_str()));
-    quarantined_ = false;
-    quarantine_cause_ = Status::OK();
-    quarantine_journal_.clear();
-    quarantine_journal_bytes_ = 0;
-    return degraded_cause_;
-  }
-  quarantine_journal_bytes_ += payload.size();
-  quarantine_journal_.push_back(std::move(payload));
-  // The mutation is applied and ACKed (durability deferred, bounded by
-  // the journal): the serving tier should still publish it.
-  if (commit_hook_) commit_hook_(CommitEvent::kMutation);
-  return Status::OK();
-}
-
-Status DurableEngine::ApplyJournaled(const std::string& payload) {
-  writer_.AssertInSection();  // Single-writer serial section.
-  RETURN_IF_ERROR(CheckWritable());
-  // Replay first (verifying recorded ids, exactly like recovery), then
-  // log — the same apply-then-log order every native mutator uses.
-  WalRecord record{next_lsn(), payload};
-  RETURN_IF_ERROR(ReplayOp(record, engine_.get()));
-  return LogOp(payload);
 }
 
 Result<SourceId> DurableEngine::RegisterSource(const std::string& name) {
@@ -617,47 +355,6 @@ Status DurableEngine::Align() {
   return LogOp(enc.Release());
 }
 
-// --- Shard-replication ops (DESIGN.md §16) ---------------------------------
-
-Status DurableEngine::LogShardSync(const ShardSyncRecord& record) {
-  writer_.AssertInSection();  // Single-writer serial section.
-  RETURN_IF_ERROR(CheckWritable());
-  RETURN_IF_ERROR(ApplyShardSync(engine_.get(), record));
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(WalOp::kShardSync));
-  EncodeTermVectors(&enc, record.df_added);
-  EncodeTermVectors(&enc, record.df_removed);
-  enc.PutU8(record.remove_source ? 1 : 0);
-  enc.PutU32(record.removed_source);
-  EncodeCounters(&enc, record.post);
-  return LogOp(enc.Release());
-}
-
-Status DurableEngine::LogShardIngest(
-    const StoryPivotEngine::PlannedIngest& plan) {
-  writer_.AssertInSection();  // Single-writer serial section.
-  RETURN_IF_ERROR(CheckWritable());
-  RETURN_IF_ERROR(engine_->ApplyPlannedIngest(plan));
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(WalOp::kShardAddSnippets));
-  EncodePlannedIngest(&enc, plan);
-  return LogOp(enc.Release());
-}
-
-Status DurableEngine::LogShardRefine(
-    const RefinementJournal& journal,
-    const StoryPivotEngine::IdCounters& post) {
-  writer_.AssertInSection();  // Single-writer serial section.
-  RETURN_IF_ERROR(CheckWritable());
-  RETURN_IF_ERROR(engine_->ApplyRefinementJournal(journal));
-  RETURN_IF_ERROR(engine_->AdoptIdCounters(post));
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(WalOp::kShardRefine));
-  EncodeJournal(&enc, journal);
-  EncodeCounters(&enc, post);
-  return LogOp(enc.Release());
-}
-
 // --- Replay ----------------------------------------------------------------
 
 Status DurableEngine::ReplayOp(const WalRecord& record,
@@ -785,28 +482,6 @@ Status DurableEngine::ReplayOp(const WalRecord& record,
       }
       return Status::OK();
     }
-    case WalOp::kShardSync: {
-      ShardSyncRecord sync;
-      sync.df_added = DecodeTermVectors(&dec);
-      sync.df_removed = DecodeTermVectors(&dec);
-      sync.remove_source = dec.GetU8() != 0;
-      sync.removed_source = dec.GetU32();
-      sync.post = DecodeCounters(&dec);
-      RETURN_IF_ERROR(dec.Finish());
-      return ApplyShardSync(engine, sync);
-    }
-    case WalOp::kShardRefine: {
-      RefinementJournal journal = DecodeJournal(&dec);
-      StoryPivotEngine::IdCounters post = DecodeCounters(&dec);
-      RETURN_IF_ERROR(dec.Finish());
-      RETURN_IF_ERROR(engine->ApplyRefinementJournal(journal));
-      return engine->AdoptIdCounters(post);
-    }
-    case WalOp::kShardAddSnippets: {
-      StoryPivotEngine::PlannedIngest plan = DecodePlannedIngest(&dec);
-      RETURN_IF_ERROR(dec.Finish());
-      return engine->ApplyPlannedIngest(plan);
-    }
   }
   return Status::IoError(StrFormat(
       "WAL record %llu has unknown opcode %u",
@@ -819,13 +494,6 @@ Status DurableEngine::ReplayOp(const WalRecord& record,
 Status DurableEngine::Checkpoint() {
   writer_.AssertInSection();  // Single-writer serial section.
   RETURN_IF_ERROR(CheckWritable());
-  if (quarantined_) {
-    // The journaled suffix exists only in memory: a checkpoint covering
-    // it would claim durability the disk does not have.
-    return Status::FailedPrecondition(
-        "cannot checkpoint a quarantined engine: the catch-up journal is "
-        "not durable yet");
-  }
   // Rotate first so every previous segment becomes droppable the moment
   // the checkpoint lands.
   RETURN_IF_ERROR(wal_->Rotate());
@@ -843,11 +511,6 @@ Status DurableEngine::Checkpoint() {
 
 Status DurableEngine::Sync() {
   writer_.AssertInSection();  // Single-writer serial section.
-  if (quarantined_) {
-    return Status::FailedPrecondition(
-        "cannot sync a quarantined engine: the WAL is closed until a "
-        "healer rebuilds the shard");
-  }
   if (wal_ == nullptr) {
     return Status::FailedPrecondition("durable engine is closed");
   }
@@ -856,7 +519,6 @@ Status DurableEngine::Sync() {
 
 Status DurableEngine::Close() {
   writer_.AssertInSection();  // Single-writer serial section.
-  closed_ = true;
   if (wal_ == nullptr) return Status::OK();
   Status status = wal_->Close();
   wal_.reset();
@@ -865,9 +527,6 @@ Status DurableEngine::Close() {
 
 uint64_t DurableEngine::next_lsn() const {
   writer_.AssertInSection();  // Single-writer read (DESIGN.md §13).
-  // While quarantined the lsn counter advances virtually with the
-  // journal, preserving LSN-as-GSN for the shard coordinator.
-  if (quarantined_) return quarantine_base_lsn_ + quarantine_journal_.size();
   return wal_ == nullptr ? 0 : wal_->next_lsn();
 }
 

@@ -23,33 +23,6 @@ struct DurabilityOptions {
   /// Newest checkpoints kept on disk (>= 1; 2 gives a fallback should
   /// the newest one be corrupted after the fact).
   size_t keep_checkpoints = 2;
-  /// Recovery replays only records with lsn < this limit and PHYSICALLY
-  /// truncates everything at or past it (later records are discarded,
-  /// later segments deleted). The sharded engine uses it to rewind every
-  /// shard to the common durable prefix C = min over shards of the
-  /// highest durable lsn (DESIGN.md §16); standalone engines leave the
-  /// default (no limit). A checkpoint covering lsns past the limit is an
-  /// error — the coordinator's sync-all-before-checkpoint barrier
-  /// guarantees checkpoints never outrun any future cutoff.
-  uint64_t replay_lsn_limit = UINT64_MAX;
-  /// When true, a PERMANENT WAL append failure puts the engine into
-  /// QUARANTINE instead of read-only degraded mode: the WAL is closed
-  /// (releasing the directory claim so a healer can rebuild from disk),
-  /// the failed op and every later one are ACKed and applied to memory
-  /// while their encoded payloads accumulate in a bounded in-memory
-  /// catch-up journal, and `next_lsn()` keeps counting virtually so the
-  /// LSN-as-GSN invariant holds. Reads stay live; durability of the
-  /// journaled suffix is deferred until a healer drains it (see
-  /// ApplyJournaled) or Reopen() discards it. Overflowing the journal
-  /// bounds degrades the engine for real (kDegraded). The shard
-  /// coordinator enables this; standalone engines default to the
-  /// classic fail-stop degraded mode.
-  bool quarantine_on_append_failure = false;
-  /// Journal bounds while quarantined (ops and encoded payload bytes).
-  /// Crossing either bound converts the quarantine into permanent
-  /// degradation — the full-recovery fallback path.
-  uint64_t quarantine_max_journal_ops = 4096;
-  uint64_t quarantine_max_journal_bytes = 64ull << 20;
 };
 
 /// The engine-mutation opcodes recorded in the WAL. Part of the on-disk
@@ -67,13 +40,6 @@ enum class WalOp : uint8_t {
   kRemoveSnippet = 10,
   kRefine = 11,
   kAlign = 12,
-  /// Shard-replication ops (DESIGN.md §16). Every sharded operation logs
-  /// exactly one record on EVERY shard — the native op on the owner, a
-  /// kShardSync stub elsewhere — so per-shard lsns are dense and equal
-  /// the global op sequence number.
-  kShardSync = 13,
-  kShardRefine = 14,
-  kShardAddSnippets = 15,
 };
 
 /// A StoryPivotEngine with a durability layer (DESIGN.md §10): every
@@ -102,12 +68,6 @@ enum class WalOp : uint8_t {
 /// mutations are rejected with a typed `kDegraded` status, and
 /// `Reopen()` re-runs recovery from disk to rejoin the log-consistent
 /// state (discarding the at-most-one mutation that outran the log).
-/// With DurabilityOptions::quarantine_on_append_failure the same
-/// failure instead enters QUARANTINE (DESIGN.md §17): mutations keep
-/// being ACKed and applied to memory while their payloads queue in a
-/// bounded catch-up journal, until a healer drains the journal onto a
-/// rebuilt replacement (ApplyJournaled) or the journal overflows into
-/// classic degradation.
 ///
 /// Mutations mirror the StoryPivotEngine API (plus the extraction-state
 /// mutations RegisterSource/ImportVocabularies/gazetteer seeding, which
@@ -168,37 +128,6 @@ class DurableEngine {
   /// engine().alignment().
   [[nodiscard]] Status Align();
 
-  // --- Shard-replication ops (DESIGN.md §16) -----------------------------
-  //
-  // Logged counterparts of the engine's shard-replica hooks. Only the
-  // shard coordinator (src/shard) calls these; they exist so a shard's
-  // WAL is a complete, self-contained record of the GLOBAL op stream's
-  // effect on that shard — replaying it alone reproduces the shard.
-
-  /// The global side effects of an op whose snippets live on another
-  /// shard: document-frequency deltas, an optional source removal, and
-  /// the post-op id counters.
-  struct ShardSyncRecord {
-    std::vector<text::TermVector> df_added;
-    std::vector<text::TermVector> df_removed;
-    bool remove_source = false;
-    SourceId removed_source = kInvalidSourceId;
-    StoryPivotEngine::IdCounters post;
-  };
-  [[nodiscard]] Status LogShardSync(const ShardSyncRecord& record);
-
-  /// A coordinator-planned batch ingest slice (see
-  /// StoryPivotEngine::PlannedIngest): applies and logs it as ONE op.
-  [[nodiscard]] Status LogShardIngest(
-      const StoryPivotEngine::PlannedIngest& plan);
-
-  /// This shard's slice of a coordinator refinement pass, plus the
-  /// post-refinement id counters: applies the journal, adopts the
-  /// counters, and logs both as ONE op.
-  [[nodiscard]] Status LogShardRefine(
-      const RefinementJournal& journal,
-      const StoryPivotEngine::IdCounters& post);
-
   // --- Durability control ------------------------------------------------
 
   /// Rotates the WAL, writes an atomic checkpoint covering everything
@@ -220,21 +149,8 @@ class DurableEngine {
   /// degradation is discarded — exactly the prefix-consistency
   /// contract. On failure the engine stays degraded on its OLD
   /// in-memory state (reads keep working) and Reopen can be called
-  /// again. A QUARANTINED engine can be reopened too: the journaled
-  /// suffix is discarded and the engine rewinds to its durable prefix
-  /// (as if it had crashed at quarantine entry).
+  /// again.
   [[nodiscard]] Status Reopen();
-
-  /// Catch-up replay hook for the healer (DESIGN.md §17): decodes and
-  /// applies one journaled payload to the in-memory state (verifying
-  /// recorded ids, exactly like recovery replay) and then logs it,
-  /// advancing this engine by one lsn. Draining a quarantined peer's
-  /// `quarantine_journal()` through this on a freshly recovered
-  /// replacement reproduces the peer's memory state byte for byte. If
-  /// the append fails mid-drain and quarantine is enabled here, the
-  /// payload lands in THIS engine's journal instead — the drain still
-  /// converges in memory and the shard simply re-enters quarantine.
-  [[nodiscard]] Status ApplyJournaled(const std::string& payload);
 
   // --- Reads -------------------------------------------------------------
 
@@ -287,45 +203,8 @@ class DurableEngine {
     return degraded_cause_;
   }
 
-  // --- Quarantine state (DurabilityOptions::quarantine_on_append_failure).
-
-  /// True while a permanent append failure has this engine journaling
-  /// ACKed mutations in memory instead of logging them. Mutually
-  /// exclusive with degraded(): overflow converts quarantine into
-  /// degradation.
-  [[nodiscard]] bool quarantined() const {
-    writer_.AssertInSection();  // Single-writer read (DESIGN.md §13).
-    return quarantined_;
-  }
-
-  /// The append failure that triggered quarantine (OK when healthy).
-  [[nodiscard]] const Status& quarantine_cause() const {
-    writer_.AssertInSection();  // Single-writer read (DESIGN.md §13).
-    return quarantine_cause_;
-  }
-
-  /// The durable prefix at quarantine entry == the lsn the first
-  /// journaled op would have gotten. Meaningless when not quarantined.
-  [[nodiscard]] uint64_t quarantine_base_lsn() const {
-    writer_.AssertInSection();  // Single-writer read (DESIGN.md §13).
-    return quarantine_base_lsn_;
-  }
-
-  /// Encoded payloads ACKed since quarantine entry, in lsn order
-  /// starting at quarantine_base_lsn(). The healer drains these via
-  /// ApplyJournaled on a replacement engine.
-  [[nodiscard]] const std::vector<std::string>& quarantine_journal() const {
-    writer_.AssertInSection();  // Single-writer read (DESIGN.md §13).
-    return quarantine_journal_;
-  }
-
-  [[nodiscard]] uint64_t quarantine_journal_bytes() const {
-    writer_.AssertInSection();  // Single-writer read (DESIGN.md §13).
-    return quarantine_journal_bytes_;
-  }
-
   /// Cumulative WAL append retry statistics (zeros while the WAL is
-  /// closed or quarantined). Surfaced through ShardedEngine::Stats.
+  /// closed).
   [[nodiscard]] RetryPolicy::Stats wal_retry_stats() const {
     writer_.AssertInSection();  // Single-writer read (DESIGN.md §13).
     return wal_ == nullptr ? RetryPolicy::Stats{} : wal_->retry_stats();
@@ -343,18 +222,10 @@ class DurableEngine {
   /// (best-effort: the op is already durable, so a failed auto
   /// checkpoint warns and retries after the next op). On a WAL append
   /// failure — transients were already retried inside the WAL — the
-  /// engine either degrades (classic fail-stop: the in-memory state has
-  /// the mutation but the log does not, so acknowledging further logged
-  /// mutations would desynchronise replay) or, with
-  /// quarantine_on_append_failure, enters quarantine and journals the
-  /// payload instead (the journal preserves the lsn order, so replay
-  /// stays synchronised once a healer drains it).
+  /// engine degrades: the in-memory state has the mutation but the log
+  /// does not, so acknowledging further logged mutations would
+  /// desynchronise replay.
   [[nodiscard]] Status LogOp(std::string payload) SP_REQUIRES(writer_);
-
-  /// Appends `payload` to the quarantine journal (ACKing the already
-  /// applied mutation) or, on overflow, converts the quarantine into
-  /// permanent degradation.
-  [[nodiscard]] Status JournalOp(std::string payload) SP_REQUIRES(writer_);
 
   /// The full recovery sequence (newest checkpoint + WAL tail replay +
   /// torn-tail repair + WAL open), built into locals and committed to
@@ -371,7 +242,7 @@ class DurableEngine {
   /// §13). Guards the degraded-mode flags and the WAL handle: the two
   /// pieces of state whose desynchronisation would break the durability
   /// contract if a second writer ever raced them.
-  // lockcheck: name=DurableEngine.writer_ after=ShardedEngine.writer_ role
+  // lockcheck: name=DurableEngine.writer_ role
   SerialSection writer_;
   /// Immutable after construction; safe to read without the role.
   std::string dir_;
@@ -383,14 +254,6 @@ class DurableEngine {
   uint64_t ops_since_checkpoint_ SP_GUARDED_BY(writer_) = 0;
   bool degraded_ SP_GUARDED_BY(writer_) = false;
   Status degraded_cause_ SP_GUARDED_BY(writer_);
-  /// True once Close() ran; distinguishes "closed" from "quarantined"
-  /// now that both states have a null WAL handle.
-  bool closed_ SP_GUARDED_BY(writer_) = false;
-  bool quarantined_ SP_GUARDED_BY(writer_) = false;
-  Status quarantine_cause_ SP_GUARDED_BY(writer_);
-  uint64_t quarantine_base_lsn_ SP_GUARDED_BY(writer_) = 0;
-  std::vector<std::string> quarantine_journal_ SP_GUARDED_BY(writer_);
-  uint64_t quarantine_journal_bytes_ SP_GUARDED_BY(writer_) = 0;
   /// Post-commit notification (see set_commit_hook); empty when unset.
   std::function<void(CommitEvent)> commit_hook_ SP_GUARDED_BY(writer_);
 };

@@ -11,13 +11,15 @@
 namespace storypivot::persist {
 namespace {
 
+/// Frame head: u32 payload length + u32 crc + u64 lsn.
+constexpr size_t kFrameHeadBytes = 16;
 constexpr const char kSegmentPrefix[] = "wal-";
 constexpr const char kSegmentSuffix[] = ".log";
 
 /// Process-global registry of WAL directories with a live WriteAheadLog:
 /// two logs appending to one directory would interleave frames and
 /// corrupt both op streams, so a second Open of a claimed directory is
-/// rejected up front (the N-shard engine depends on this tripwire).
+/// rejected up front — e.g. two DurableEngines opened on one data dir.
 /// The mutex is a leaf taken for map lookups only; it is acquired while
 /// the owning engine's serial role is held (Open/Close run inside it).
 // lockcheck: name=wal.registry_mu after=DurableEngine.writer_

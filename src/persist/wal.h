@@ -82,11 +82,6 @@ struct SegmentScan {
 /// from code that has not declared itself part of the serial section.
 class WriteAheadLog {
  public:
-  /// Frame head: u32 payload length + u32 crc + u64 lsn. A frame
-  /// occupies kFrameHeadBytes + payload.size() bytes on disk — recovery
-  /// code uses this to truncate a segment at an exact record boundary.
-  static constexpr size_t kFrameHeadBytes = 16;
-
   /// Opens the log in `dir` (created if missing) for appending at
   /// `next_lsn`, continuing the newest existing segment or starting a
   /// fresh one when the directory has none. Does NOT scan existing
@@ -96,10 +91,9 @@ class WriteAheadLog {
   /// Registers `dir` in a process-global registry and fails with
   /// kFailedPrecondition when another live WriteAheadLog already owns
   /// it: two logs appending to one directory would interleave frames
-  /// and corrupt both op streams (the sharded engine opens one
-  /// DurableEngine per shard, so an accidental shared directory must be
-  /// a hard error, not a latent corruption). Close() — or destruction —
-  /// releases the claim.
+  /// and corrupt both op streams, so opening a second DurableEngine on
+  /// a live data dir is a hard error, not a latent corruption. Close()
+  /// — or destruction — releases the claim.
   [[nodiscard]] static Result<std::unique_ptr<WriteAheadLog>> Open(
       const std::string& dir, const WalOptions& options, uint64_t next_lsn);
 

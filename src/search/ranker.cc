@@ -116,16 +116,12 @@ std::vector<StoryHit> RankStories(const PostingsIndex& index,
 std::vector<StoryHit> RankStories(const PostingsIndex& index,
                                   const StoryCorpus& corpus,
                                   const ParsedQuery& query,
-                                  const SearchOptions& options,
-                                  const GlobalSearchStats* global) {
+                                  const SearchOptions& options) {
   if (query.empty() || options.k == 0) return {};
-  const size_t num_stories =
-      global != nullptr ? global->total_stories : corpus.total_stories;
+  const size_t num_stories = corpus.total_stories;
   if (num_stories == 0) return {};
 
-  // Resolve each term's postings list; list length is its snippet df —
-  // unless corpus-wide stats were supplied, which take precedence so all
-  // shards derive identical idfs and bounds.
+  // Resolve each term's postings list; list length is its snippet df.
   std::vector<const std::vector<Posting>*> lists;
   std::vector<size_t> df;
   lists.reserve(query.terms.size());
@@ -138,22 +134,15 @@ std::vector<StoryHit> RankStories(const PostingsIndex& index,
     lists.push_back(list);
     df.push_back(list == nullptr ? 0 : list->size());
   }
-  if (global != nullptr) {
-    SP_CHECK(global->df.size() == query.terms.size());
-    df = global->df;
-  }
 
   bool dropped = false;
-  const size_t num_documents =
-      global != nullptr ? global->num_documents : index.num_documents();
   std::vector<ScoredTerm> terms =
-      PrepareTerms(query, df, num_documents, options.bm25, &dropped);
+      PrepareTerms(query, df, index.num_documents(), options.bm25, &dropped);
   if (terms.empty()) return {};
   if (options.mode == MatchMode::kAll && dropped) return {};
 
-  const double total_length =
-      global != nullptr ? global->total_length : index.total_length();
-  const double avgdl = total_length / static_cast<double>(num_stories);
+  const double avgdl =
+      index.total_length() / static_cast<double>(num_stories);
 
   struct Candidate {
     SourceId source = kInvalidSourceId;
@@ -190,16 +179,7 @@ std::vector<StoryHit> RankStories(const PostingsIndex& index,
         term.field == Field::kEventType
             ? index.EventTypePostings(term.event_type)
             : index.Postings(term.field, term.term);
-    if (list == nullptr) {
-      // Possible only under global stats: the term exists corpus-wide
-      // (df > 0) but has no postings on this shard. Walking an empty
-      // list keeps the bound bookkeeping identical on every shard. (A
-      // story lives wholly on one shard, so under kAll a shard without
-      // the term correctly ends up empty-handed.)
-      SP_CHECK(global != nullptr);
-      static const std::vector<Posting>& empty = *new std::vector<Posting>();
-      list = &empty;
-    }
+    SP_CHECK(list != nullptr);  // df > 0 terms only.
     touched.clear();
     for (const Posting& posting : *list) {
       if (!InWindow(options, posting.timestamp)) continue;
@@ -275,19 +255,6 @@ std::vector<StoryHit> RankStories(const PostingsIndex& index,
   }
   SortAndTruncate(&hits, options.k);
   return hits;
-}
-
-std::vector<StoryHit> MergeTopK(std::vector<std::vector<StoryHit>> per_shard,
-                                size_t k) {
-  std::vector<StoryHit> merged;
-  size_t total = 0;
-  for (const std::vector<StoryHit>& hits : per_shard) total += hits.size();
-  merged.reserve(total);
-  for (std::vector<StoryHit>& hits : per_shard) {
-    merged.insert(merged.end(), hits.begin(), hits.end());
-  }
-  SortAndTruncate(&merged, k);
-  return merged;
 }
 
 std::vector<StoryHit> RankStoriesScan(const StoryPivotEngine& engine,

@@ -73,43 +73,13 @@ struct StoryHit {
     const PostingsIndex& index, const StoryPivotEngine& engine,
     const ParsedQuery& query, const SearchOptions& options = {});
 
-/// Corpus-wide statistics for scatter-gather evaluation over a sharded
-/// engine (DESIGN.md §16). When supplied, every BM25 operand that
-/// depends on the corpus — per-term document frequencies (hence idf and
-/// the MaxScore bounds), the document count, and the average story
-/// length — comes from here instead of the local shard's index, so all
-/// shards score with identical constants. Each shard then returns its
-/// local top k and MergeTopK() produces exactly the list a single
-/// unsharded engine would have returned: scores are bit-identical
-/// (identical operands through the one shared kernel) and the global
-/// top k is always a subset of the union of per-shard top k's.
-struct GlobalSearchStats {
-  /// Parallel to ParsedQuery::terms: corpus-wide snippet df per term.
-  std::vector<size_t> df;
-  /// Corpus-wide snippet count.
-  size_t num_documents = 0;
-  /// Sum of StoryLength over every story of every shard.
-  double total_length = 0.0;
-  /// Corpus-wide story count.
-  size_t total_stories = 0;
-};
-
 /// Same ranking over an explicit StoryCorpus view instead of a live
 /// engine — the entry point snapshot readers (serve/ReadSnapshot) use.
 /// The engine overload is exactly `RankStories(index, CorpusView(engine),
 /// ...)`, so the two are bit-identical on equal state by construction.
-/// `global`, when non-null, substitutes corpus-wide statistics for the
-/// local ones (see GlobalSearchStats); terms with global df > 0 but no
-/// local postings simply contribute nothing here.
 [[nodiscard]] std::vector<StoryHit> RankStories(
     const PostingsIndex& index, const StoryCorpus& corpus,
-    const ParsedQuery& query, const SearchOptions& options = {},
-    const GlobalSearchStats* global = nullptr);
-
-/// Merges per-shard top-k lists into the global top k under the same
-/// total order RankStories emits (score descending, story id ascending).
-[[nodiscard]] std::vector<StoryHit> MergeTopK(
-    std::vector<std::vector<StoryHit>> per_shard, size_t k);
+    const ParsedQuery& query, const SearchOptions& options = {});
 
 /// Validates a SearchOptions before evaluation. Today's single rule: an
 /// inverted time window (`filter_time && from > to`) is rejected with

@@ -687,6 +687,47 @@ TEST(DurableEngineTest, ClosedEngineRejectsMutationsWithoutApplying) {
   EXPECT_EQ(opened.value()->engine().sources().size(), sources);
 }
 
+TEST(DurableEngineTest, SecondOpenOfSameWalDirIsRejected) {
+  const std::string dir = FreshDir("registry");
+  Result<std::unique_ptr<DurableEngine>> first = DurableEngine::Open(dir);
+  ASSERT_OK(first.status());
+  // Same directory, same process, first engine still live: refused —
+  // two appenders would interleave frames and corrupt the log.
+  Result<std::unique_ptr<DurableEngine>> second = DurableEngine::Open(dir);
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), StatusCode::kFailedPrecondition);
+  // Releasing the first engine releases the directory claim.
+  first.value().reset();
+  Result<std::unique_ptr<DurableEngine>> third = DurableEngine::Open(dir);
+  ASSERT_OK(third.status());
+}
+
+TEST(DurableEngineTest, UnknownOpcodeFailsOpenWithTypedError) {
+  // 13-15 are the opcodes of the retired sharded engine's replication
+  // records; 200 was never assigned. None may reach a decoder.
+  for (const unsigned opcode : {13u, 14u, 15u, 200u}) {
+    SCOPED_TRACE(opcode);
+    const std::string dir = FreshDir("unknown_opcode");
+    {
+      Result<std::unique_ptr<WriteAheadLog>> wal =
+          WriteAheadLog::Open(dir, persist::WalOptions{}, 0);
+      ASSERT_OK(wal.status());
+      std::string payload(9, '\0');
+      payload[0] = static_cast<char>(opcode);
+      ASSERT_OK(wal.value()->Append(payload).status());
+      ASSERT_OK(wal.value()->Close());
+    }
+    Result<std::unique_ptr<DurableEngine>> opened =
+        DurableEngine::Open(dir, FastOptions());
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kIoError);
+    EXPECT_NE(std::string(opened.status().message())
+                  .find("unknown opcode " + std::to_string(opcode)),
+              std::string::npos)
+        << opened.status().ToString();
+  }
+}
+
 TEST(DurableEngineTest, ReplayIsDeterministicAcrossThreadCounts) {
   RecordedRun run = MakeRun(120);
   const std::string dir = FreshDir("threads");

@@ -29,12 +29,6 @@ examples/ (and tools/ headers if any appear):
                     captures through the COW Freeze()/Capture() path
                     (O(delta), DESIGN.md §15); the deep-copy baseline in
                     read_snapshot.cc carries an explicit allow.
-  cross-shard       no shard(i) reach-through outside src/shard/ — the
-                    coordinator's per-shard accessor exists for the shard
-                    layer itself (and tests/benches/examples); production
-                    code goes through the ShardedEngine surface so shard
-                    placement stays an implementation detail (DESIGN.md
-                    §16).
   raw-sync          no raw std::mutex / std::lock_guard /
                     std::unique_lock / std::condition_variable (or their
                     shared/timed/recursive cousins) outside
@@ -246,32 +240,8 @@ def check_deep_clone(relpath, lines):
                 "full copy is required")
 
 
-CROSS_SHARD_RE = re.compile(r"(?:->|\.)\s*shard\s*\(")
-
-
-def check_cross_shard(relpath, lines):
-    """shard(i) reaches through the coordinator into one shard's private
-    engine; production code outside src/shard/ must stay on the
-    ShardedEngine surface (routed mutations, scatter-gather Search,
-    CompositeSnapshot capture) so shard placement remains an
-    implementation detail (DESIGN.md §16). Tests, benches and examples
-    are exempt — they exist to poke at individual shards."""
-    if not relpath.startswith("src/") or relpath.startswith("src/shard/"):
-        return
-    for number, line in enumerate(lines, start=1):
-        if LINE_COMMENT_RE.match(line):
-            continue
-        if CROSS_SHARD_RE.search(line) and \
-                not line_allows(line, "cross-shard"):
-            yield number, "cross-shard", (
-                "direct shard(i) access outside src/shard/; go through "
-                "the ShardedEngine surface, or annotate why reaching "
-                "into one shard is required")
-
-
 FILE_CHECKS = [check_banned, check_include_guard, check_using_namespace,
-               check_full_scan, check_raw_sync, check_deep_clone,
-               check_cross_shard]
+               check_full_scan, check_raw_sync, check_deep_clone]
 
 
 def check_build_artifacts(root):
