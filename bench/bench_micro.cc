@@ -7,7 +7,6 @@
 #include "core/similarity.h"
 #include "sketch/lsh_index.h"
 #include "sketch/minhash.h"
-#include "storage/bucketed_index.h"
 #include "storage/temporal_index.h"
 #include "text/porter_stemmer.h"
 #include "text/term_vector.h"
@@ -176,35 +175,6 @@ void BM_TemporalIndexInsertOutOfOrder(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TemporalIndexInsertOutOfOrder);
-
-void BM_BucketedIndexInsertOutOfOrder(benchmark::State& state) {
-  Pcg32 rng(9);
-  BucketedTemporalIndex index(kSecondsPerDay);
-  SnippetId id = 0;
-  for (auto _ : state) {
-    index.Insert(rng.NextInRange(0, 10000000), id++);
-    if (index.size() > 50000) {
-      state.PauseTiming();
-      index = BucketedTemporalIndex(kSecondsPerDay);
-      state.ResumeTiming();
-    }
-  }
-}
-BENCHMARK(BM_BucketedIndexInsertOutOfOrder);
-
-void BM_BucketedIndexWindowScan(benchmark::State& state) {
-  Pcg32 rng(10);
-  BucketedTemporalIndex index(kSecondsPerDay);
-  for (SnippetId i = 0; i < 50000; ++i) {
-    index.Insert(rng.NextInRange(0, 1000000), i);
-  }
-  Timestamp lo = 0;
-  for (auto _ : state) {
-    lo = (lo + 1234) % 900000;
-    benchmark::DoNotOptimize(index.CountInWindow(lo, lo + 10000));
-  }
-}
-BENCHMARK(BM_BucketedIndexWindowScan);
 
 }  // namespace
 }  // namespace storypivot

@@ -1,28 +1,25 @@
 // Search bench (DESIGN.md §11): what the inverted index buys over the
 // index-free scan path, on corpora large enough that the scan cost is
-// the story count, not constant factors. Two experiments per corpus
-// size:
+// the story count, not constant factors. Per corpus size, ranked
+// free-text search: BM25 top-k through RankStories (postings walk +
+// MaxScore pruning) vs RankStoriesScan (every story of every partition,
+// plus a store pass for document frequencies). Results are checked
+// bit-identical before timing.
 //
-//   1. Ranked free-text search: BM25 top-k through RankStories (postings
-//      walk + MaxScore pruning) vs RankStoriesScan (every story of every
-//      partition, plus a store pass for document frequencies). Results
-//      are checked bit-identical before timing.
-//   2. Boolean entity lookup: StoryQuery::FindByEntity through the
-//      StoryIndex route vs the forced full-partition scan.
-//
-// Emits BENCH_search.json. Run with --smoke for the CI-sized variant
-// (one small corpus, few repetitions, same assertions).
+// Writes BENCH_search.json. Run with --smoke for the CI-sized variant
+// (one small corpus, few repetitions, same assertions), which prints the
+// JSON instead (EmitBenchJson).
 
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "core/engine.h"
-#include "core/query.h"
+#include "search/ranker.h"
 #include "search/search_engine.h"
-#include "util/fs.h"
 #include "util/logging.h"
 #include "util/strings.h"
 #include "util/timer.h"
@@ -43,9 +40,6 @@ struct SweepResult {
   double indexed_ms_per_query = 0.0;
   double scan_ms_per_query = 0.0;
   double speedup = 0.0;
-  double find_indexed_ms_per_query = 0.0;
-  double find_scan_ms_per_query = 0.0;
-  double find_speedup = 0.0;
 };
 
 /// Deterministic query workload: vocabulary terms that actually occur,
@@ -129,7 +123,8 @@ SweepResult RunSweep(int target_snippets, int repetitions,
   // Correctness before speed: both paths must agree on every query.
   for (const ParsedQuery& query : queries) {
     std::vector<StoryHit> indexed = searcher.Search(query, options);
-    std::vector<StoryHit> scanned = searcher.SearchScan(query, options);
+    std::vector<StoryHit> scanned =
+        search::RankStoriesScan(engine, query, options);
     SP_CHECK(indexed == scanned);
   }
 
@@ -145,43 +140,14 @@ SweepResult RunSweep(int target_snippets, int repetitions,
 
   timer.Restart();
   for (const ParsedQuery& query : queries) {
-    std::vector<StoryHit> hits = searcher.SearchScan(query, options);
+    std::vector<StoryHit> hits =
+        search::RankStoriesScan(engine, query, options);
     SP_CHECK(hits.size() <= options.k);
   }
   result.scan_ms_per_query =
       timer.ElapsedMillis() / static_cast<double>(num_queries);
   result.speedup = result.scan_ms_per_query / result.indexed_ms_per_query;
 
-  // Boolean Find* route: same queries' entity terms by name.
-  StoryQuery indexed_query(&engine);
-  indexed_query.set_index(&searcher);
-  StoryQuery scan_query(&engine);
-  scan_query.set_index(&searcher);
-  scan_query.set_force_scan(true);
-  std::vector<std::string> names;
-  for (const ParsedQuery& query : queries) {
-    names.push_back(query.terms.front().surface);
-  }
-
-  timer.Restart();
-  for (int rep = 0; rep < repetitions; ++rep) {
-    for (const std::string& name : names) {
-      std::vector<StoryOverview> found = indexed_query.FindByEntity(name);
-      SP_CHECK(found.size() <= kDefaultMaxResults);
-    }
-  }
-  result.find_indexed_ms_per_query =
-      timer.ElapsedMillis() / static_cast<double>(repetitions * names.size());
-
-  timer.Restart();
-  for (const std::string& name : names) {
-    std::vector<StoryOverview> found = scan_query.FindByEntity(name);
-    SP_CHECK(found.size() <= kDefaultMaxResults);
-  }
-  result.find_scan_ms_per_query =
-      timer.ElapsedMillis() / static_cast<double>(names.size());
-  result.find_speedup =
-      result.find_scan_ms_per_query / result.find_indexed_ms_per_query;
   return result;
 }
 
@@ -196,38 +162,35 @@ int Main(int argc, char** argv) {
   const int repetitions = smoke ? 3 : 20;
   const size_t num_queries = smoke ? 10 : 25;
 
-  std::printf("Ranked search: BM25 top-10, indexed vs full scan\n");
-  std::printf("%9s %8s %8s %12s %12s %8s %12s %12s %8s\n", "snippets",
-              "stories", "queries", "indexed ms", "scan ms", "speedup",
-              "find idx ms", "find scan", "speedup");
+  const unsigned hw = std::thread::hardware_concurrency();
+  std::printf("Ranked search: BM25 top-10, indexed vs full scan "
+              "(hardware threads=%u)\n", hw);
+  std::printf("%9s %8s %8s %12s %12s %8s\n", "snippets", "stories",
+              "queries", "indexed ms", "scan ms", "speedup");
   std::vector<SweepResult> sweeps;
   for (int size : sizes) {
     SweepResult r = RunSweep(size, repetitions, num_queries);
-    std::printf("%9d %8zu %8zu %12.4f %12.4f %7.1fx %12.4f %12.4f %7.1fx\n",
-                r.snippets, r.stories, r.queries, r.indexed_ms_per_query,
-                r.scan_ms_per_query, r.speedup, r.find_indexed_ms_per_query,
-                r.find_scan_ms_per_query, r.find_speedup);
+    std::printf("%9d %8zu %8zu %12.4f %12.4f %7.1fx\n", r.snippets,
+                r.stories, r.queries, r.indexed_ms_per_query,
+                r.scan_ms_per_query, r.speedup);
     sweeps.push_back(r);
   }
 
-  std::string json =
-      StrFormat("{\"bench\":\"search\",\"smoke\":%s,\"k\":10,\"sweeps\":[",
-                smoke ? "true" : "false");
+  std::string json = StrFormat(
+      "{\"bench\":\"search\",\"smoke\":%s,\"hardware_threads\":%u,"
+      "\"k\":10,\"sweeps\":[",
+      smoke ? "true" : "false", hw);
   for (size_t i = 0; i < sweeps.size(); ++i) {
     const SweepResult& r = sweeps[i];
     json += StrFormat(
         "%s{\"snippets\":%d,\"stories\":%zu,\"queries\":%zu,"
         "\"indexed_ms_per_query\":%.4f,\"scan_ms_per_query\":%.4f,"
-        "\"speedup\":%.1f,\"find_entity_indexed_ms\":%.4f,"
-        "\"find_entity_scan_ms\":%.4f,\"find_entity_speedup\":%.1f}",
+        "\"speedup\":%.1f}",
         i == 0 ? "" : ",", r.snippets, r.stories, r.queries,
-        r.indexed_ms_per_query, r.scan_ms_per_query, r.speedup,
-        r.find_indexed_ms_per_query, r.find_scan_ms_per_query,
-        r.find_speedup);
+        r.indexed_ms_per_query, r.scan_ms_per_query, r.speedup);
   }
   json += "]}\n";
-  SP_CHECK_OK(WriteStringToFile("BENCH_search.json", json));
-  std::printf("\nwrote BENCH_search.json\n");
+  EmitBenchJson("BENCH_search.json", json, smoke);
   return 0;
 }
 

@@ -14,8 +14,9 @@
 //     keys), so this measures the steady-state mix of fresh ranks and
 //     hits under snapshot churn.
 //
-// Emits BENCH_serve.json. Run with --smoke for the CI-sized variant
-// (small corpus, two reader counts, short cells, same assertions).
+// Writes BENCH_serve.json. Run with --smoke for the CI-sized variant
+// (small corpus, two reader counts, short cells, same assertions), which
+// prints the JSON instead (EmitBenchJson).
 
 #include <algorithm>
 #include <atomic>
@@ -328,21 +329,18 @@ CellResult RunCell(const datagen::Corpus& corpus,
 // ------------------------ Publish-cost sweep (PR 8) ------------------------
 
 /// One measured point of the capture-cost curve: at `snippets` resident,
-/// the mean wall cost of publishing after ONE acked op, via the COW
-/// capture (O(delta)) and via the PR-7 deep copy (O(corpus)).
+/// the mean wall cost of publishing after ONE acked op via the COW
+/// capture (O(delta)).
 struct PublishCostPoint {
   size_t snippets = 0;
   double incremental_ms = 0.0;
-  double deep_ms = 0.0;
-  double speedup = 0.0;
   uint64_t bytes_copied_per_op = 0;
   uint64_t snapshot_approx_bytes = 0;
 };
 
 /// Grows a plain (WAL-free) engine through the checkpoint sizes and at
-/// each one measures per-op capture cost both ways. The deep capture is
-/// what ServingEngine did before PR 8 on EVERY acked op; the sweep shows
-/// the O(corpus) -> O(delta) crossover the COW subsystem buys.
+/// each one measures per-op capture cost. COW capture is O(delta), so
+/// the cost must stay flat while the corpus grows 10x.
 std::vector<PublishCostPoint> MeasurePublishCost(
     const std::vector<size_t>& checkpoints, int reps) {
   const size_t max_snippets = checkpoints.back();
@@ -410,19 +408,6 @@ std::vector<PublishCostPoint> MeasurePublishCost(
     point.bytes_copied_per_op =
         (after.bytes - before.bytes) / pinned.size();
     point.snapshot_approx_bytes = pinned.back()->ApproxBytes();
-
-    // Deep: the PR-7 per-op publish, cloning everything each time.
-    const int deep_reps = 3;
-    double deep_total = 0.0;
-    for (int r = 0; r < deep_reps; ++r) {
-      WallTimer timer;
-      auto deep = serve::ReadSnapshot::CaptureDeep(engine, searcher.index());
-      deep_total += timer.ElapsedMillis();
-    }
-    point.deep_ms = deep_total / deep_reps;
-    point.speedup =
-        point.incremental_ms > 0.0 ? point.deep_ms / point.incremental_ms
-                                   : 0.0;
     points.push_back(point);
   }
   return points;
@@ -463,33 +448,28 @@ int Main(int argc, char** argv) {
     AssertSnapshotMatchesSerialEngine(corpus, workload, options, &serving);
   }
 
-  // Publish-cost curve (ISSUE PR 8): per-op capture cost, COW vs deep,
-  // while the corpus grows 10x (to 1e5 snippets in the full run).
+  // Publish-cost curve: per-op COW capture cost while the corpus grows
+  // 10x (to 1e5 snippets in the full run).
   const std::vector<size_t> checkpoints =
       smoke ? std::vector<size_t>{150, 500, 1500}
             : std::vector<size_t>{10000, 30000, 100000};
   const int capture_reps = smoke ? 8 : 16;
-  std::printf("\nPublish cost: per-acked-op capture, COW vs deep copy\n");
-  std::printf("%10s %14s %12s %9s %14s\n", "snippets", "incremental ms",
-              "deep ms", "speedup", "copied B/op");
+  std::printf("\nPublish cost: per-acked-op COW capture\n");
+  std::printf("%10s %14s %14s\n", "snippets", "incremental ms",
+              "copied B/op");
   std::vector<PublishCostPoint> curve =
       MeasurePublishCost(checkpoints, capture_reps);
   for (const PublishCostPoint& point : curve) {
-    std::printf("%10zu %14.4f %12.3f %8.1fx %14llu\n", point.snippets,
-                point.incremental_ms, point.deep_ms, point.speedup,
+    std::printf("%10zu %14.4f %14llu\n", point.snippets,
+                point.incremental_ms,
                 static_cast<unsigned long long>(point.bytes_copied_per_op));
   }
-  if (smoke) {
-    // CI gate: COW capture cost must stay flat (bounded ratio) across
-    // the 10x corpus growth. The floor damps sub-20us timer noise.
-    const double base = std::max(curve.front().incremental_ms, 0.02);
-    SP_CHECK(curve.back().incremental_ms <= 8.0 * base);
-  } else {
-    // Acceptance gate: at 1e5 snippets the per-op COW capture is at
-    // least 10x cheaper than the PR-7 deep-copy publish.
-    SP_CHECK(curve.back().snippets >= 100000 - 100);
-    SP_CHECK(curve.back().speedup >= 10.0);
-  }
+  // Gate: COW capture cost must stay flat (bounded ratio) across the 10x
+  // corpus growth; an O(corpus) capture fails it. The floor damps
+  // sub-20us timer noise.
+  const double base = std::max(curve.front().incremental_ms, 0.02);
+  SP_CHECK(curve.back().incremental_ms <= 8.0 * base);
+  if (!smoke) SP_CHECK(curve.back().snippets >= 100000 - 100);
 
   std::printf("\nServing tier: %d snippets (half warmup), %.1fs cells, "
               "top-%zu\n",
@@ -527,25 +507,23 @@ int Main(int argc, char** argv) {
   }
 
   std::string json = StrFormat(
-      "{\"bench\":\"serve\",\"smoke\":%s,\"snippets\":%d,"
-      "\"cell_seconds\":%.1f,\"k\":%zu,\"workload_queries\":%zu,"
+      "{\"bench\":\"serve\",\"smoke\":%s,\"hardware_threads\":%u,"
+      "\"snippets\":%d,\"cell_seconds\":%.1f,\"k\":%zu,"
+      "\"workload_queries\":%zu,"
       "\"equality_gate\":\"pinned snapshot == serial engine at acked "
       "prefix\",\"publish_cost\":[",
-      smoke ? "true" : "false", target_snippets, seconds, options.k,
-      workload.size());
+      smoke ? "true" : "false", std::thread::hardware_concurrency(),
+      target_snippets, seconds, options.k, workload.size());
   for (size_t i = 0; i < curve.size(); ++i) {
     const PublishCostPoint& point = curve[i];
     json += StrFormat(
         "%s{\"snippets\":%zu,\"capture_incremental_ms\":%.4f,"
-        "\"capture_deep_ms\":%.3f,\"speedup\":%.1f,"
         "\"bytes_copied_per_op\":%llu,\"snapshot_approx_bytes\":%llu}",
         i == 0 ? "" : ",", point.snippets, point.incremental_ms,
-        point.deep_ms, point.speedup,
         static_cast<unsigned long long>(point.bytes_copied_per_op),
         static_cast<unsigned long long>(point.snapshot_approx_bytes));
   }
-  json += StrFormat("],\"capture_speedup_at_max\":%.1f,\"cells\":[",
-                    curve.back().speedup);
+  json += "],\"cells\":[";
   for (size_t i = 0; i < cells.size(); ++i) {
     const CellResult& cell = cells[i];
     json += StrFormat(
@@ -570,9 +548,8 @@ int Main(int argc, char** argv) {
         static_cast<unsigned long long>(cell.cache_evicted_by_epoch));
   }
   json += "]}\n";
-  SP_CHECK_OK(WriteStringToFile("BENCH_serve.json", json));
-  std::printf("\nwrote BENCH_serve.json\n");
   RemoveDirRecursive(kScratchRoot);
+  EmitBenchJson("BENCH_serve.json", json, smoke);
   return 0;
 }
 

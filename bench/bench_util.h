@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "eval/experiment.h"
+#include "util/fs.h"
+#include "util/logging.h"
 #include "viz/ascii.h"
 
 namespace storypivot::bench {
@@ -40,6 +42,19 @@ inline void PrintDatasetCard(const datagen::CorpusConfig& config,
   std::printf("  # Snippets  %d (target)\n", config.target_num_snippets);
   std::printf("  Start Date  %s\n", FormatDate(config.start_time).c_str());
   std::printf("  End Date    %s\n\n", FormatDate(config.end_time).c_str());
+}
+
+/// Emits a bench's JSON. A full run writes `path`, the committed BENCH
+/// file; a smoke run leaves that file alone and prints the JSON as its
+/// last stdout line, so CI's smoke steps never rewrite committed results.
+inline void EmitBenchJson(const char* path, const std::string& json,
+                          bool smoke) {
+  if (smoke) {
+    std::printf("\n%s", json.c_str());
+    return;
+  }
+  SP_CHECK_OK(WriteStringToFile(path, json));
+  std::printf("\nwrote %s\n", path);
 }
 
 }  // namespace storypivot::bench

@@ -27,11 +27,10 @@
 //   query <in.tsv> <entity>
 //       Detect stories, then show the context card for an entity.
 //   search <in.tsv> "<query>" [--topk N] [--from T] [--to T]
-//          [--mode and|or] [--scan]
+//          [--mode and|or]
 //       Detect stories, then rank them against a free-text query with
-//       BM25 over the inverted index (--scan forces the index-free
-//       reference path; --from/--to bound snippet timestamps
-//       inclusively, as YYYY-MM-DD or epoch seconds).
+//       BM25 over the inverted index (--from/--to bound snippet
+//       timestamps inclusively, as YYYY-MM-DD or epoch seconds).
 //
 // Examples:
 //   storypivot_cli generate /tmp/news.tsv --snippets 5000
@@ -80,7 +79,7 @@ int Usage() {
                "  storypivot_cli load <snapshot.sp>\n"
                "  storypivot_cli query <in.tsv> <entity>\n"
                "  storypivot_cli search <in.tsv> \"<query>\" [--topk N]"
-               " [--from T] [--to T] [--mode and|or] [--scan]\n");
+               " [--from T] [--to T] [--mode and|or]\n");
   return 2;
 }
 
@@ -545,9 +544,7 @@ int CmdSearch(int argc, char** argv) {
     return 0;
   }
 
-  std::vector<search::StoryHit> hits =
-      HasFlag(argc, argv, "--scan") ? searcher.SearchScan(parsed, options)
-                                    : searcher.Search(parsed, options);
+  std::vector<search::StoryHit> hits = searcher.Search(parsed, options);
   if (hits.empty()) {
     std::printf("no matching stories\n");
     return 0;

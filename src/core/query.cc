@@ -62,47 +62,6 @@ std::vector<StoryOverview> StoryQuery::CollectStories(
   return out;
 }
 
-std::vector<StoryOverview> StoryQuery::MaterializeHits(
-    std::vector<std::pair<SourceId, StoryId>> hits, size_t top_k,
-    size_t max_results) const {
-  // Order hits exactly like the scan path — size descending, story id
-  // ascending (story ids are unique engine-wide, so the order is total)
-  // — but materialize overview cards only for the max_results survivors.
-  struct Hit {
-    size_t num_snippets;
-    StoryId id;
-    SourceId source;
-    const Story* story;
-  };
-  std::vector<Hit> ordered;
-  ordered.reserve(hits.size());
-  for (const auto& [source, story_id] : hits) {
-    const StorySet* partition = engine_->partition(source);
-    if (partition == nullptr) continue;
-    const Story* story = partition->FindStory(story_id);
-    if (story == nullptr) continue;
-    ordered.push_back({story->size(), story_id, source, story});
-  }
-  auto by_size_desc = [](const Hit& a, const Hit& b) {
-    if (a.num_snippets != b.num_snippets) {
-      return a.num_snippets > b.num_snippets;
-    }
-    return a.id < b.id;
-  };
-  if (ordered.size() > max_results) {
-    std::nth_element(ordered.begin(), ordered.begin() + max_results,
-                     ordered.end(), by_size_desc);
-    ordered.resize(max_results);
-  }
-  std::sort(ordered.begin(), ordered.end(), by_size_desc);
-  std::vector<StoryOverview> out;
-  out.reserve(ordered.size());
-  for (const Hit& hit : ordered) {
-    out.push_back(Overview(*hit.story, /*integrated=*/false, top_k));
-  }
-  return out;
-}
-
 std::vector<StoryOverview> StoryQuery::SourceStories(SourceId source,
                                                      size_t top_k) const {
   std::vector<StoryOverview> out;
@@ -133,10 +92,6 @@ std::vector<StoryOverview> StoryQuery::FindByEntity(
   text::TermId term = text::CanonicalizeEntityQuery(
       engine_->gazetteer(), engine_->entity_vocabulary(), entity_name);
   if (term == text::kInvalidTermId) return {};
-  if (use_index()) {
-    return MaterializeHits(index_->StoriesWithEntity(term), top_k,
-                           max_results);
-  }
   return CollectStories(
       [term](const Story& story) {
         return story.entities().ValueOf(term) > 0.0;
@@ -151,10 +106,6 @@ std::vector<StoryOverview> StoryQuery::FindByKeyword(
   text::TermId term = text::CanonicalizeKeywordQuery(
       engine_->keyword_vocabulary(), keyword);
   if (term == text::kInvalidTermId) return {};
-  if (use_index()) {
-    return MaterializeHits(index_->StoriesWithKeyword(term), top_k,
-                           max_results);
-  }
   return CollectStories(
       [term](const Story& story) {
         return story.keywords().ValueOf(term) > 0.0;
@@ -164,10 +115,6 @@ std::vector<StoryOverview> StoryQuery::FindByKeyword(
 
 std::vector<StoryOverview> StoryQuery::FindByEventType(
     std::string_view event_type, size_t top_k, size_t max_results) const {
-  if (use_index()) {
-    return MaterializeHits(index_->StoriesWithEventType(event_type), top_k,
-                           max_results);
-  }
   // Event types live on snippets, not on story aggregates; scan the
   // stories' members.
   return CollectStories(
@@ -186,10 +133,6 @@ std::vector<StoryOverview> StoryQuery::FindByEventType(
 std::vector<StoryOverview> StoryQuery::FindInTimeRange(
     Timestamp begin, Timestamp end, size_t top_k,
     size_t max_results) const {
-  if (use_index()) {
-    return MaterializeHits(index_->StoriesInTimeRange(begin, end), top_k,
-                           max_results);
-  }
   return CollectStories(
       [begin, end](const Story& story) {
         return story.start_time() <= end && story.end_time() >= begin;

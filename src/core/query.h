@@ -53,33 +53,6 @@ struct EntityContext {
   std::vector<StoryOverview> stories;
 };
 
-/// Abstract story-lookup index: the dependency-inverted seam between the
-/// core query layer and the search subsystem (sp_search implements it
-/// with an inverted index; core must not depend on search). Every method
-/// returns the live (source, story) pairs matching the probe — exactly
-/// the stories the equivalent full scan would find, in any order; the
-/// query layer orders and materializes them.
-class StoryIndex {
- public:
-  virtual ~StoryIndex() = default;
-
-  /// Stories whose aggregate contains the entity term.
-  virtual std::vector<std::pair<SourceId, StoryId>> StoriesWithEntity(
-      text::TermId term) const = 0;
-
-  /// Stories whose aggregate contains the keyword term.
-  virtual std::vector<std::pair<SourceId, StoryId>> StoriesWithKeyword(
-      text::TermId term) const = 0;
-
-  /// Stories with at least one snippet of the given event type.
-  virtual std::vector<std::pair<SourceId, StoryId>> StoriesWithEventType(
-      std::string_view event_type) const = 0;
-
-  /// Stories whose [start_time, end_time] span intersects [begin, end].
-  virtual std::vector<std::pair<SourceId, StoryId>> StoriesInTimeRange(
-      Timestamp begin, Timestamp end) const = 0;
-};
-
 /// Default cap on the stories a Find* call returns. `top_k` bounds the
 /// terms per overview card; without a separate result cap a broad query
 /// materializes a card for every matching story in the corpus.
@@ -90,10 +63,7 @@ inline constexpr size_t kDefaultMaxResults = 20;
 /// ("queries will consist of enquiries about specified real-world events
 /// or entities", §4.2).
 ///
-/// With an attached StoryIndex (set_index), the Find* lookups route
-/// through the index instead of scanning every story of every partition;
-/// results are identical either way (ids and order), which
-/// set_force_scan(true) lets tests verify.
+/// The Find* lookups scan every story of every partition.
 class StoryQuery {
  public:
   /// The engine must outlive the query object.
@@ -102,14 +72,6 @@ class StoryQuery {
   /// Attaches a knowledge base used by Context(); may be nullptr. The
   /// knowledge base must outlive the query object.
   void set_knowledge_base(const text::KnowledgeBase* kb) { kb_ = kb; }
-
-  /// Attaches a story index for the Find* lookups; nullptr reverts to
-  /// scanning. The index must outlive the query object.
-  void set_index(const StoryIndex* index) { index_ = index; }
-
-  /// Forces the scan path even when an index is attached (equivalence
-  /// testing).
-  void set_force_scan(bool force_scan) { force_scan_ = force_scan; }
 
   /// Overview cards for all stories of one source, largest first.
   std::vector<StoryOverview> SourceStories(SourceId source,
@@ -168,18 +130,8 @@ class StoryQuery {
   std::vector<StoryOverview> CollectStories(Pred&& pred, size_t top_k,
                                             size_t max_results) const;
 
-  /// Orders index hits like the scan path (size desc, id asc), truncates
-  /// to max_results, and materializes only the survivors' cards.
-  std::vector<StoryOverview> MaterializeHits(
-      std::vector<std::pair<SourceId, StoryId>> hits, size_t top_k,
-      size_t max_results) const;
-
-  bool use_index() const { return index_ != nullptr && !force_scan_; }
-
   const StoryPivotEngine* engine_;
   const text::KnowledgeBase* kb_ = nullptr;
-  const StoryIndex* index_ = nullptr;
-  bool force_scan_ = false;
 };
 
 }  // namespace storypivot

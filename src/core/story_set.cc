@@ -135,13 +135,4 @@ StorySet StorySet::Freeze() const {
   return frozen;
 }
 
-StorySet StorySet::Clone() const {
-  StorySet copy(source_);
-  copy.stories_ = stories_.Materialize();
-  copy.story_of_ = story_of_.Materialize();
-  copy.snippet_times_ = snippet_times_.Materialize();
-  copy.entity_index_ = entity_index_.Clone();
-  return copy;
-}
-
 }  // namespace storypivot

@@ -91,10 +91,6 @@ class StorySet {
   /// (serve/ReadSnapshot, DESIGN.md §15) asks for one explicitly.
   [[nodiscard]] StorySet Freeze() const;
 
-  /// Honest deep copy of the whole partition (stories, assignments and
-  /// both indexes), nothing shared. Kept for the deep-capture baseline.
-  [[nodiscard]] StorySet Clone() const;
-
  private:
   SourceId source_;
   StoryMap stories_;

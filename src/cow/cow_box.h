@@ -67,13 +67,6 @@ class CowBox {
     return value_.get();
   }
 
-  /// An independent deep copy (for honest deep-clone paths; a plain
-  /// copy of the box would share).
-  [[nodiscard]] CowBox DeepCopy() const {
-    RecordCopy(CowApproxBytes(*value_));
-    return CowBox(*value_);
-  }
-
   /// True when this box is the payload's only owner (no frozen copy is
   /// still holding it).
   [[nodiscard]] bool unique() const { return value_.use_count() == 1; }

@@ -159,21 +159,6 @@ class PersistentMap {
     if (root_ != nullptr) ForEachNode(*root_, fn);
   }
 
-  /// An honest deep copy: freshly allocated nodes, values copied
-  /// through `copy_value` (pass e.g. CowBox::DeepCopy to stop the value
-  /// layer from sharing too).
-  template <typename Fn>
-  [[nodiscard]] PersistentMap Materialize(Fn&& copy_value) const {
-    PersistentMap fresh;
-    ForEach([&](const K& key, const V& value) {
-      fresh.Emplace(key, copy_value(value));
-    });
-    return fresh;
-  }
-  [[nodiscard]] PersistentMap Materialize() const {
-    return Materialize([](const V& value) { return value; });
-  }
-
  private:
   static constexpr int kBits = 5;
   /// Last shift that still draws fresh hash bits; below it lives the

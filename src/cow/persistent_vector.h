@@ -159,18 +159,6 @@ class PersistentVector {
     if (root_ != nullptr) ForEachNode(*root_, shift_, fn);
   }
 
-  /// An honest deep copy with freshly allocated nodes; values copied
-  /// through `copy_value` (e.g. CowBox::DeepCopy).
-  template <typename Fn>
-  [[nodiscard]] PersistentVector Materialize(Fn&& copy_value) const {
-    PersistentVector fresh;
-    ForEach([&](const T& value) { fresh.PushBack(copy_value(value)); });
-    return fresh;
-  }
-  [[nodiscard]] PersistentVector Materialize() const {
-    return Materialize([](const T& value) { return value; });
-  }
-
  private:
   static constexpr int kBits = 5;
   static constexpr size_t kWidth = 32;

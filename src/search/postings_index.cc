@@ -146,16 +146,4 @@ PostingsIndex PostingsIndex::Freeze() const {
   return frozen;
 }
 
-PostingsIndex PostingsIndex::Clone() const {
-  const auto deep = [](const PostingList& list) { return list.DeepCopy(); };
-  PostingsIndex copy;
-  copy.entity_postings_ = entity_postings_.Materialize(deep);
-  copy.keyword_postings_ = keyword_postings_.Materialize(deep);
-  copy.event_postings_ = event_postings_.Materialize(deep);
-  copy.num_documents_ = num_documents_;
-  copy.num_postings_ = num_postings_;
-  copy.total_length_ = total_length_;
-  return copy;
-}
-
 }  // namespace storypivot::search

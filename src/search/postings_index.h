@@ -107,11 +107,6 @@ class PostingsIndex {
   /// disallowed so accidental index copies stay compile errors.
   [[nodiscard]] PostingsIndex Freeze() const;
 
-  /// Honest deep copy — freshly allocated posting lists, nothing
-  /// shared. Kept for the deep-capture baseline
-  /// (serve/ReadSnapshot::CaptureDeep, DESIGN.md §15).
-  [[nodiscard]] PostingsIndex Clone() const;
-
  private:
   using PostingList = cow::CowBox<std::vector<Posting>>;
   using TermPostings = cow::PersistentMap<text::TermId, PostingList>;

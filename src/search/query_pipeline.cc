@@ -36,12 +36,6 @@ std::string EventTypeOfToken(const PostingsIndex& index,
 
 }  // namespace
 
-ParsedQuery ParseQuery(const StoryPivotEngine& engine,
-                       const PostingsIndex& index, std::string_view query) {
-  return ParseQuery(engine.gazetteer(), engine.entity_vocabulary(),
-                    engine.keyword_vocabulary(), index, query);
-}
-
 ParsedQuery ParseQuery(const text::Gazetteer& gazetteer,
                        const text::Vocabulary& entities,
                        const text::Vocabulary& keywords,

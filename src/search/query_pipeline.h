@@ -5,7 +5,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/engine.h"
 #include "search/postings_index.h"
 #include "text/gazetteer.h"
 #include "text/vocabulary.h"
@@ -47,16 +46,9 @@ struct ParsedQuery {
 ///      (case-insensitive);
 ///   4. anything left lands in `unmatched`.
 ///
-/// Duplicate resolutions collapse to one term.
-[[nodiscard]] ParsedQuery ParseQuery(const StoryPivotEngine& engine,
-                                     const PostingsIndex& index,
-                                     std::string_view query);
-
-/// Same canonicalization over explicit text-state components instead of
-/// a live engine — the entry point snapshot readers (serve/ReadSnapshot)
-/// use. The engine overload forwards here with the engine's gazetteer
-/// and vocabularies, so the two are identical on equal state by
-/// construction.
+/// Duplicate resolutions collapse to one term. The text state is the
+/// live engine's for SearchEngine and the frozen copy for ReadSnapshot —
+/// one function, so the two parse identically on equal state.
 [[nodiscard]] ParsedQuery ParseQuery(const text::Gazetteer& gazetteer,
                                      const text::Vocabulary& entities,
                                      const text::Vocabulary& keywords,

@@ -107,13 +107,6 @@ Status ValidateSearchOptions(const SearchOptions& options) {
 }
 
 std::vector<StoryHit> RankStories(const PostingsIndex& index,
-                                  const StoryPivotEngine& engine,
-                                  const ParsedQuery& query,
-                                  const SearchOptions& options) {
-  return RankStories(index, CorpusView(engine), query, options);
-}
-
-std::vector<StoryHit> RankStories(const PostingsIndex& index,
                                   const StoryCorpus& corpus,
                                   const ParsedQuery& query,
                                   const SearchOptions& options) {

@@ -69,14 +69,10 @@ struct StoryHit {
 /// accumulated score exceeds the summed bounds of the unprocessed terms,
 /// stories not yet seen are provably outside the top k and are never
 /// admitted — no per-story state is materialized for them.
-[[nodiscard]] std::vector<StoryHit> RankStories(
-    const PostingsIndex& index, const StoryPivotEngine& engine,
-    const ParsedQuery& query, const SearchOptions& options = {});
-
-/// Same ranking over an explicit StoryCorpus view instead of a live
-/// engine — the entry point snapshot readers (serve/ReadSnapshot) use.
-/// The engine overload is exactly `RankStories(index, CorpusView(engine),
-/// ...)`, so the two are bit-identical on equal state by construction.
+///
+/// The corpus is a view: CorpusView(engine) for a live engine
+/// (SearchEngine), the frozen partitions for a snapshot (ReadSnapshot) —
+/// one kernel, so the two are bit-identical on equal state.
 [[nodiscard]] std::vector<StoryHit> RankStories(
     const PostingsIndex& index, const StoryCorpus& corpus,
     const ParsedQuery& query, const SearchOptions& options = {});

@@ -1,8 +1,5 @@
 #include "search/search_engine.h"
 
-#include <algorithm>
-
-#include "core/story_set.h"
 #include "search/story_view.h"
 #include "util/logging.h"
 
@@ -55,41 +52,11 @@ void SearchEngine::BuildIndexFromStore() {
   });
 }
 
-std::vector<std::pair<SourceId, StoryId>> SearchEngine::ResolveStories(
-    const std::vector<Posting>* postings) const {
-  // The corpus view carries the dense partition directory that keeps
-  // the per-posting lookup off the hash path (story_view.h).
-  return ResolvePostingsToStories(postings, CorpusView(*engine_));
-}
-
-std::vector<std::pair<SourceId, StoryId>> SearchEngine::StoriesWithEntity(
-    text::TermId term) const {
-  writer_.AssertInSection();  // Single-writer read (DESIGN.md §13).
-  return ResolveStories(index_.Postings(Field::kEntity, term));
-}
-
-std::vector<std::pair<SourceId, StoryId>> SearchEngine::StoriesWithKeyword(
-    text::TermId term) const {
-  writer_.AssertInSection();  // Single-writer read (DESIGN.md §13).
-  return ResolveStories(index_.Postings(Field::kKeyword, term));
-}
-
-std::vector<std::pair<SourceId, StoryId>> SearchEngine::StoriesWithEventType(
-    std::string_view event_type) const {
-  writer_.AssertInSection();  // Single-writer read (DESIGN.md §13).
-  return ResolveStories(index_.EventTypePostings(event_type));
-}
-
-std::vector<std::pair<SourceId, StoryId>> SearchEngine::StoriesInTimeRange(
-    Timestamp begin, Timestamp end) const {
-  // Span intersection walks the partitions (see StoriesIntersecting) —
-  // the Find* win comes from k-bounded overview materialization.
-  return StoriesIntersecting(CorpusView(*engine_), begin, end);
-}
-
 ParsedQuery SearchEngine::Parse(std::string_view query) const {
   writer_.AssertInSection();  // Single-writer read (DESIGN.md §13).
-  return ParseQuery(*engine_, index_, query);
+  const StoryPivotEngine& engine = *engine_;
+  return ParseQuery(engine.gazetteer(), engine.entity_vocabulary(),
+                    engine.keyword_vocabulary(), index_, query);
 }
 
 std::vector<StoryHit> SearchEngine::Search(
@@ -100,12 +67,7 @@ std::vector<StoryHit> SearchEngine::Search(
 std::vector<StoryHit> SearchEngine::Search(
     const ParsedQuery& query, const SearchOptions& options) const {
   writer_.AssertInSection();  // Single-writer read (DESIGN.md §13).
-  return RankStories(index_, *engine_, query, options);
-}
-
-std::vector<StoryHit> SearchEngine::SearchScan(
-    const ParsedQuery& query, const SearchOptions& options) const {
-  return RankStoriesScan(*engine_, query, options);
+  return RankStories(index_, CorpusView(*engine_), query, options);
 }
 
 }  // namespace storypivot::search

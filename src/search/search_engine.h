@@ -2,11 +2,9 @@
 #define STORYPIVOT_SEARCH_SEARCH_ENGINE_H_
 
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "core/engine.h"
-#include "core/query.h"
 #include "search/postings_index.h"
 #include "search/query_pipeline.h"
 #include "search/ranker.h"
@@ -15,8 +13,8 @@
 namespace storypivot::search {
 
 /// The search subsystem's facade: an incrementally maintained
-/// PostingsIndex plus the ranked (BM25 top-k) and boolean (StoryIndex)
-/// query entry points over it (DESIGN.md §11).
+/// PostingsIndex plus the ranked (BM25 top-k) query entry points over it
+/// (DESIGN.md §11).
 ///
 /// Attaching (construction) registers the object as the engine's
 /// IngestObserver — the engine must have no other observer — and bulk-
@@ -34,7 +32,7 @@ namespace storypivot::search {
 /// epilogue) — the hooks assert the role, so the analysis rejects any
 /// new code path mutating the index outside it. Queries are safe
 /// concurrently with each other in the absence of writers.
-class SearchEngine final : public IngestObserver, public StoryIndex {
+class SearchEngine final : public IngestObserver {
  public:
   /// Attaches to `engine` and indexes its current snippets.
   explicit SearchEngine(StoryPivotEngine* engine);
@@ -52,18 +50,6 @@ class SearchEngine final : public IngestObserver, public StoryIndex {
   /// (rebuild-on-recover, DESIGN.md §11.4).
   void OnEngineReplaced(StoryPivotEngine* engine) override;
 
-  // StoryIndex — the boolean lookups StoryQuery::Find* routes through.
-  // Each resolves postings to the snippets' *current* stories at call
-  // time, deduplicated and sorted by (source, story).
-  [[nodiscard]] std::vector<std::pair<SourceId, StoryId>> StoriesWithEntity(
-      text::TermId term) const override;
-  [[nodiscard]] std::vector<std::pair<SourceId, StoryId>> StoriesWithKeyword(
-      text::TermId term) const override;
-  [[nodiscard]] std::vector<std::pair<SourceId, StoryId>>
-  StoriesWithEventType(std::string_view event_type) const override;
-  [[nodiscard]] std::vector<std::pair<SourceId, StoryId>> StoriesInTimeRange(
-      Timestamp begin, Timestamp end) const override;
-
   /// Canonicalizes a free-text query (see ParseQuery).
   [[nodiscard]] ParsedQuery Parse(std::string_view query) const;
 
@@ -75,11 +61,6 @@ class SearchEngine final : public IngestObserver, public StoryIndex {
   [[nodiscard]] std::vector<StoryHit> Search(
       const ParsedQuery& query, const SearchOptions& options = {}) const;
 
-  /// Index-free reference ranking (RankStoriesScan); bit-identical to
-  /// Search. Exposed for equivalence tests and benchmarking.
-  [[nodiscard]] std::vector<StoryHit> SearchScan(
-      const ParsedQuery& query, const SearchOptions& options = {}) const;
-
   [[nodiscard]] const PostingsIndex& index() const {
     writer_.AssertInSection();  // Single-writer read (DESIGN.md §13).
     return index_;
@@ -87,9 +68,6 @@ class SearchEngine final : public IngestObserver, public StoryIndex {
   [[nodiscard]] const StoryPivotEngine& engine() const { return *engine_; }
 
  private:
-  [[nodiscard]] std::vector<std::pair<SourceId, StoryId>> ResolveStories(
-      const std::vector<Posting>* postings) const;
-
   /// Bulk-builds `index_` from the engine's live snippet store (the
   /// constructor and OnEngineReplaced share it).
   void BuildIndexFromStore() SP_REQUIRES(writer_);

@@ -1,7 +1,5 @@
 #include "search/story_view.h"
 
-#include <algorithm>
-
 namespace storypivot::search {
 
 StoryCorpus CorpusView(const StoryPivotEngine& engine) {
@@ -17,37 +15,6 @@ StoryCorpus CorpusView(const StoryPivotEngine& engine) {
     }
   }
   return corpus;
-}
-
-std::vector<std::pair<SourceId, StoryId>> ResolvePostingsToStories(
-    const std::vector<Posting>* postings, const StoryCorpus& corpus) {
-  std::vector<std::pair<SourceId, StoryId>> out;
-  if (postings == nullptr) return out;
-  out.reserve(postings->size());
-  for (const Posting& posting : *postings) {
-    const StorySet* partition = corpus.partition(posting.source);
-    if (partition == nullptr) continue;
-    const StoryId story = partition->StoryOf(posting.snippet);
-    if (story == kInvalidStoryId) continue;
-    out.emplace_back(posting.source, story);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-std::vector<std::pair<SourceId, StoryId>> StoriesIntersecting(
-    const StoryCorpus& corpus, Timestamp begin, Timestamp end) {
-  std::vector<std::pair<SourceId, StoryId>> out;
-  for (const StorySet* partition : corpus.partitions) {
-    for (const auto& [id, story] : partition->stories()) {
-      if (story.start_time() <= end && story.end_time() >= begin) {
-        out.emplace_back(partition->source(), id);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 }  // namespace storypivot::search

@@ -2,18 +2,15 @@
 #define STORYPIVOT_SEARCH_STORY_VIEW_H_
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/story_set.h"
 #include "model/ids.h"
-#include "model/time.h"
-#include "search/postings_index.h"
 
 namespace storypivot::search {
 
-/// The exact slice of engine state ranked and boolean queries read — the
+/// The exact slice of engine state ranked queries read — the
 /// seam that lets the same query code run against a live engine and
 /// against a frozen snapshot (serve/, DESIGN.md §14). A corpus is a
 /// VIEW: it borrows the partitions it points at and is only valid while
@@ -40,22 +37,6 @@ struct StoryCorpus {
 /// must hold the engine's serial role (DESIGN.md §13), and the view is
 /// invalidated by the next mutation.
 [[nodiscard]] StoryCorpus CorpusView(const StoryPivotEngine& engine);
-
-/// Resolves a postings list to the distinct (source, story) pairs its
-/// snippets currently belong to, sorted ascending. Snippets whose source
-/// or story assignment is gone resolve to nothing (postings are
-/// snippet-granular; story membership is resolved at read time —
-/// DESIGN.md §11). `postings` may be nullptr (empty result).
-[[nodiscard]] std::vector<std::pair<SourceId, StoryId>>
-ResolvePostingsToStories(const std::vector<Posting>* postings,
-                         const StoryCorpus& corpus);
-
-/// Distinct (source, story) pairs whose story span intersects the
-/// inclusive window [begin, end], sorted ascending. Walks the story
-/// partitions directly — postings cannot answer span intersection (a
-/// story's span can cover a window none of its snippets falls into).
-[[nodiscard]] std::vector<std::pair<SourceId, StoryId>> StoriesIntersecting(
-    const StoryCorpus& corpus, Timestamp begin, Timestamp end);
 
 }  // namespace storypivot::search
 

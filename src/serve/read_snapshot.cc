@@ -38,10 +38,12 @@ std::shared_ptr<const TextState> CaptureContext::GetOrRebuild(
   const size_t keywords = engine.keyword_vocabulary().size();
   const size_t aliases = engine.gazetteer().aliases().size();
   // Vocabularies and the alias journal are append-only within an engine
-  // lifetime, so unchanged sizes imply unchanged content. A reopened
-  // engine gets a fresh ServingEngine — and hence a fresh context — so
-  // recovery that discards unacked text state cannot alias a stale
-  // cache.
+  // lifetime, so unchanged sizes imply unchanged content. That holds
+  // across an in-place DurableEngine::Reopen(), which keeps this
+  // context: recovery replays the acked prefix in its original order, so
+  // the recovered text state and every state this cache was built from
+  // are prefixes of one sequence, and the recovery publish
+  // (CommitEvent::kRecovery) re-anchors the cache before writes resume.
   if (cached_ == nullptr || entities != entity_size_ ||
       keywords != keyword_size_ || aliases != alias_count_) {
     cached_ = BuildTextState(engine);
@@ -52,11 +54,22 @@ std::shared_ptr<const TextState> CaptureContext::GetOrRebuild(
   return cached_;
 }
 
-void ReadSnapshot::FinishCapture(const StoryPivotEngine& engine,
-                                 std::vector<StorySet> parts,
-                                 ReadSnapshot* snapshot) {
+std::unique_ptr<ReadSnapshot> ReadSnapshot::Capture(
+    const StoryPivotEngine& engine, const search::PostingsIndex& index,
+    CaptureContext* context) {
+  // Private constructor, so no make_unique.
+  std::unique_ptr<ReadSnapshot> snapshot(new ReadSnapshot());
+  snapshot->text_ = context->GetOrRebuild(engine);
+  snapshot->index_ = index.Freeze();
   snapshot->sources_ = engine.sources();
-  snapshot->partitions_ = std::move(parts);
+
+  // Partitions: O(1) frozen shares per partition, then the corpus view.
+  // The freeze touches every partition header, not its contents.  // splint: allow(full-scan)
+  std::vector<const StorySet*> live = engine.partitions();  // splint: allow(full-scan)
+  snapshot->partitions_.reserve(live.size());
+  for (const StorySet* part : live) {
+    snapshot->partitions_.push_back(part->Freeze());
+  }
   // The corpus directory is built AFTER the vector is final so its
   // pointers stay valid for the snapshot's lifetime.
   search::StoryCorpus& corpus = snapshot->corpus_;
@@ -71,25 +84,6 @@ void ReadSnapshot::FinishCapture(const StoryPivotEngine& engine,
       corpus.partition_of[part.source()] = &part;
     }
   }
-}
-
-std::unique_ptr<ReadSnapshot> ReadSnapshot::Capture(
-    const StoryPivotEngine& engine, const search::PostingsIndex& index,
-    CaptureContext* context) {
-  // Private constructor, so no make_unique.
-  std::unique_ptr<ReadSnapshot> snapshot(new ReadSnapshot());
-  snapshot->text_ = context->GetOrRebuild(engine);
-  snapshot->index_ = index.Freeze();
-
-  // Partitions: O(1) frozen shares per partition, then the corpus view.
-  // The freeze touches every partition header, not its contents.  // splint: allow(full-scan)
-  std::vector<const StorySet*> live = engine.partitions();  // splint: allow(full-scan)
-  std::vector<StorySet> parts;
-  parts.reserve(live.size());
-  for (const StorySet* part : live) {
-    parts.push_back(part->Freeze());
-  }
-  FinishCapture(engine, std::move(parts), snapshot.get());
   return snapshot;
 }
 
@@ -97,24 +91,6 @@ std::unique_ptr<ReadSnapshot> ReadSnapshot::Capture(
     const StoryPivotEngine& engine, const search::PostingsIndex& index) {
   CaptureContext context;
   return Capture(engine, index, &context);
-}
-
-std::unique_ptr<ReadSnapshot> ReadSnapshot::CaptureDeep(
-    const StoryPivotEngine& engine, const search::PostingsIndex& index) {
-  std::unique_ptr<ReadSnapshot> snapshot(new ReadSnapshot());
-  snapshot->text_ = BuildTextState(engine);
-  snapshot->index_ = index.Clone();  // splint: allow(deep-clone)
-
-  // Deep-copied partitions, the PR-7 way: O(corpus) per capture.
-  // Deep capture copies every partition by definition.  // splint: allow(full-scan)
-  std::vector<const StorySet*> live = engine.partitions();  // splint: allow(full-scan)
-  std::vector<StorySet> parts;
-  parts.reserve(live.size());
-  for (const StorySet* part : live) {
-    parts.push_back(part->Clone());  // splint: allow(deep-clone)
-  }
-  FinishCapture(engine, std::move(parts), snapshot.get());
-  return snapshot;
 }
 
 size_t ReadSnapshot::ApproxBytes() const {
@@ -143,29 +119,6 @@ std::vector<search::StoryHit> ReadSnapshot::Search(
 std::vector<search::StoryHit> ReadSnapshot::Search(
     std::string_view query, const search::SearchOptions& options) const {
   return Search(Parse(query), options);
-}
-
-std::vector<std::pair<SourceId, StoryId>> ReadSnapshot::StoriesWithEntity(
-    text::TermId term) const {
-  return ResolvePostingsToStories(
-      index_.Postings(search::Field::kEntity, term), corpus_);
-}
-
-std::vector<std::pair<SourceId, StoryId>> ReadSnapshot::StoriesWithKeyword(
-    text::TermId term) const {
-  return ResolvePostingsToStories(
-      index_.Postings(search::Field::kKeyword, term), corpus_);
-}
-
-std::vector<std::pair<SourceId, StoryId>> ReadSnapshot::StoriesWithEventType(
-    std::string_view event_type) const {
-  return ResolvePostingsToStories(index_.EventTypePostings(event_type),
-                                  corpus_);
-}
-
-std::vector<std::pair<SourceId, StoryId>> ReadSnapshot::StoriesInTimeRange(
-    Timestamp begin, Timestamp end) const {
-  return StoriesIntersecting(corpus_, begin, end);
 }
 
 }  // namespace storypivot::serve

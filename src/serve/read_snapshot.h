@@ -4,14 +4,11 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/story_set.h"
 #include "model/document.h"
-#include "model/ids.h"
-#include "model/time.h"
 #include "search/postings_index.h"
 #include "search/query_pipeline.h"
 #include "search/ranker.h"
@@ -66,8 +63,7 @@ class CaptureContext {
 /// the live engine in O(partitions) pointer copies, and the writer's
 /// later mutations path-copy away from the shared nodes instead of
 /// touching them — so capture cost is O(ops since the last publish),
-/// not O(corpus). CaptureDeep() keeps the PR-7 deep-copy behavior as
-/// the measured baseline.
+/// not O(corpus).
 ///
 /// Snapshots are immutable after capture and therefore safe to read
 /// from any number of threads concurrently with no synchronization;
@@ -89,13 +85,6 @@ class ReadSnapshot {
   /// captures): still O(delta) for the indexes, but rebuilds the text
   /// state every call.
   [[nodiscard]] static std::unique_ptr<ReadSnapshot> Capture(
-      const StoryPivotEngine& engine, const search::PostingsIndex& index);
-
-  /// The PR-7 deep-copy capture: clones vocabularies, gazetteer,
-  /// postings and partitions outright, sharing nothing. O(corpus) by
-  /// construction — kept as the honest baseline the O(delta) claim is
-  /// measured against (bench_serve publish-cost sweep).
-  [[nodiscard]] static std::unique_ptr<ReadSnapshot> CaptureDeep(
       const StoryPivotEngine& engine, const search::PostingsIndex& index);
 
   // Self-referential (gazetteer -> entity_vocab, corpus_ ->
@@ -120,16 +109,6 @@ class ReadSnapshot {
       std::string_view query,
       const search::SearchOptions& options = {}) const;
 
-  // Boolean story lookups, mirroring SearchEngine's StoryIndex surface.
-  [[nodiscard]] std::vector<std::pair<SourceId, StoryId>> StoriesWithEntity(
-      text::TermId term) const;
-  [[nodiscard]] std::vector<std::pair<SourceId, StoryId>> StoriesWithKeyword(
-      text::TermId term) const;
-  [[nodiscard]] std::vector<std::pair<SourceId, StoryId>>
-  StoriesWithEventType(std::string_view event_type) const;
-  [[nodiscard]] std::vector<std::pair<SourceId, StoryId>> StoriesInTimeRange(
-      Timestamp begin, Timestamp end) const;
-
   [[nodiscard]] const search::PostingsIndex& index() const { return index_; }
   [[nodiscard]] const search::StoryCorpus& corpus() const { return corpus_; }
   [[nodiscard]] const std::vector<SourceInfo>& sources() const {
@@ -144,12 +123,6 @@ class ReadSnapshot {
 
  private:
   ReadSnapshot() = default;
-
-  /// Shared tail of the capture paths: sources, partitions (already
-  /// frozen/cloned into `parts`), corpus directory.
-  static void FinishCapture(const StoryPivotEngine& engine,
-                            std::vector<StorySet> parts,
-                            ReadSnapshot* snapshot);
 
   friend class EpochManager;  // Stamps epoch_ at publish time.
 

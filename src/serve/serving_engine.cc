@@ -4,6 +4,7 @@
 
 #include "cow/stats.h"
 #include "util/logging.h"
+#include "util/timer.h"
 
 namespace storypivot::serve {
 
@@ -45,13 +46,7 @@ void ServingEngine::OnCommit(persist::CommitEvent event) {
     PublishSnapshot();
     return;
   }
-  ++ops_since_publish_;
-  const bool ops_due = ops_since_publish_ >= policy_.every_ops;
-  const bool timer_due =
-      policy_.interval_ms > 0 &&
-      since_publish_.ElapsedMillis() >=
-          static_cast<double>(policy_.interval_ms);
-  if (ops_due || timer_due) PublishSnapshot();
+  if (++ops_since_publish_ >= policy_.every_ops) PublishSnapshot();
 }
 
 uint64_t ServingEngine::Flush() {
@@ -79,7 +74,6 @@ uint64_t ServingEngine::PublishSnapshot() {
   epochs_.RecordCapture(capture_ms, copied, shared);
   epochs_.ReclaimExpired();  // Opportunistic registry trim.
   ops_since_publish_ = 0;
-  since_publish_.Restart();
   if (server_ != nullptr) {
     // Entries cached at superseded epochs can never hit again.
     server_->OnEpochPublished(epoch);

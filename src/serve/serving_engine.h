@@ -11,23 +11,19 @@
 #include "serve/read_snapshot.h"
 #include "serve/server.h"
 #include "util/status.h"
-#include "util/timer.h"
 
 namespace storypivot::serve {
 
 /// When the serving engine publishes a fresh epoch (DESIGN.md §15).
-/// The default (every op, no timer) preserves the PR-7 behavior:
-/// readers always see the latest acked prefix. Batching trades snapshot
-/// freshness for publish amortization — with COW capture already
-/// O(delta), batching mostly matters for capping epoch churn (and hence
-/// query-cache invalidation) under write bursts.
+/// The default (every op) means readers always see the latest acked
+/// prefix. Batching trades snapshot freshness for publish amortization —
+/// with COW capture already O(delta), batching mostly matters for
+/// capping epoch churn (and hence query-cache invalidation) under write
+/// bursts.
 struct PublishPolicy {
-  /// Publish after this many acked ops (>= 1). 1 = every op.
+  /// Publish after this many acked ops (>= 1). 1 = every op. Under
+  /// batching, Flush() publishes the pending tail.
   uint64_t every_ops = 1;
-  /// Also publish when this many milliseconds have passed since the
-  /// last publish, checked on each commit (0 disables the timer). Keeps
-  /// staleness bounded when every_ops > 1 and the write stream stalls.
-  uint64_t interval_ms = 0;
 };
 
 /// The full serving stack wired together (DESIGN.md §14):
@@ -120,7 +116,6 @@ class ServingEngine {
   // Publication policy state (all writer-serial, like the hook).
   PublishPolicy policy_;
   uint64_t ops_since_publish_ = 0;
-  WallTimer since_publish_;
   /// Text-state cache reused across captures (read_snapshot.h).
   CaptureContext capture_context_;
   /// Copy-counter reading at the end of the previous publish; the delta

@@ -68,13 +68,4 @@ InvertedIndex InvertedIndex::Freeze() const {
   return frozen;
 }
 
-InvertedIndex InvertedIndex::Clone() const {
-  InvertedIndex copy;
-  copy.postings_ = postings_.Materialize(
-      [](const PostingList& list) { return list.DeepCopy(); });
-  copy.tombstones_ = tombstones_.DeepCopy();
-  copy.num_postings_ = num_postings_;
-  return copy;
-}
-
 }  // namespace storypivot

@@ -52,11 +52,6 @@ class InvertedIndex {
   /// disallowed so large-index copies stay deliberate.
   [[nodiscard]] InvertedIndex Freeze() const;
 
-  /// Honest deep copy — freshly allocated posting lists, nothing shared.
-  /// Kept for the deep-capture baseline (serve/ReadSnapshot::CaptureDeep,
-  /// DESIGN.md §15).
-  [[nodiscard]] InvertedIndex Clone() const;
-
   /// Live postings count (approximate cost indicator).
   size_t num_postings() const { return num_postings_; }
   size_t num_tombstones() const { return tombstones_.read().size(); }

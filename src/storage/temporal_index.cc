@@ -168,12 +168,4 @@ Timestamp TemporalIndex::max_time() const {
   return chunks_.back().read().back().first;
 }
 
-TemporalIndex TemporalIndex::Materialize() const {
-  TemporalIndex deep;
-  deep.chunks_ =
-      chunks_.Materialize([](const Chunk& chunk) { return chunk.DeepCopy(); });
-  deep.size_ = size_;
-  return deep;
-}
-
 }  // namespace storypivot

@@ -67,9 +67,6 @@ class TemporalIndex {
   Timestamp min_time() const;
   Timestamp max_time() const;
 
-  /// An honest deep copy (freshly allocated chunks, nothing shared).
-  TemporalIndex Materialize() const;
-
  private:
   using Chunk = cow::CowBox<std::vector<Entry>>;
 

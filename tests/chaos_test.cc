@@ -25,7 +25,9 @@
 #include "datagen/corpus.h"
 #include "persist/durable_engine.h"
 #include "persist/wal.h"
+#include "search/ranker.h"
 #include "search/search_engine.h"
+#include "serve/serving_engine.h"
 #include "util/failpoint.h"
 #include "util/fs.h"
 #include "util/logging.h"
@@ -438,7 +440,7 @@ TEST_F(ChaosTest, ReopenReattachesSearchObserverAndRebuildsIndex) {
   // observed, so a stale index would disagree with the scan here.
   std::vector<search::StoryHit> indexed = searcher.Search(query, options);
   std::vector<search::StoryHit> scanned =
-      searcher.SearchScan(query, options);
+      search::RankStoriesScan(searcher.engine(), query, options);
   EXPECT_FALSE(scanned.empty());
   EXPECT_EQ(indexed, scanned);
 
@@ -448,8 +450,58 @@ TEST_F(ChaosTest, ReopenReattachesSearchObserverAndRebuildsIndex) {
     ASSERT_OK(Apply(plan, plan.ops[i], &engine));
   }
   EXPECT_EQ(searcher.Search(query, options),
-            searcher.SearchScan(query, options));
+            search::RankStoriesScan(searcher.engine(), query, options));
   ASSERT_OK(engine.Close());
+}
+
+// An in-place Reopen() keeps the ServingEngine, its SearchEngine and its
+// capture cache; only the recovery publish (CommitEvent::kRecovery)
+// makes the rebuilt state visible. The failing append lands on an
+// AddSnippet, so the live index holds a snippet the log does not, and
+// the pinned snapshot must drop it.
+TEST_F(ChaosTest, ServingEngineReopenPublishesRecoveredState) {
+  const Plan plan = MakePlan(40);
+  const std::string dir = FreshDir("reopen_serving");
+  serve::ServerOptions server_options;
+  server_options.num_threads = 1;
+  Result<std::unique_ptr<serve::ServingEngine>> opened =
+      serve::ServingEngine::Open(dir, server_options, ChaosOptions());
+  ASSERT_OK(opened.status());
+  serve::ServingEngine& serving = *opened.value();
+  DurableEngine& durable = serving.durable();
+
+  // One append per op: the 11th append is op 10.
+  ASSERT_EQ(plan.ops[10].kind, OpKind::kAddSnippet);
+  Registry::Instance().Arm("wal.append",
+                           failpoint::OneShot(11, /*transient=*/false));
+  size_t acked = 0;
+  for (const PlanOp& op : plan.ops) {
+    if (!Apply(plan, op, &durable).ok()) break;
+    ++acked;
+  }
+  ASSERT_EQ(acked, 10u);
+  ASSERT_TRUE(durable.degraded());
+  const size_t live_documents = serving.search().index().num_documents();
+  const uint64_t epoch_before = serving.epochs().current_epoch();
+
+  ASSERT_OK(durable.Reopen());
+  std::shared_ptr<const serve::ReadSnapshot> pinned = serving.epochs().Pin();
+  EXPECT_GT(pinned->epoch(), epoch_before);
+  EXPECT_EQ(pinned->index().num_documents(), durable.engine().store().size());
+  EXPECT_EQ(live_documents, durable.engine().store().size() + 1);
+  EXPECT_EQ(EngineStateFingerprint(durable.engine()),
+            ReferenceFingerprint(plan, acked));
+
+  const text::Vocabulary& entities =
+      std::as_const(durable.engine()).entity_vocabulary();
+  size_t non_empty = 0;
+  for (text::TermId id = 0; id < entities.size(); ++id) {
+    const std::string& name = entities.TermOf(id);
+    std::vector<search::StoryHit> hits = pinned->Search(name);
+    EXPECT_EQ(hits, serving.search().Search(name)) << name;
+    if (!hits.empty()) ++non_empty;
+  }
+  EXPECT_GT(non_empty, 0u);
 }
 
 TEST_F(ChaosTest, ReopenFailureKeepsEngineDegradedAndReadable) {

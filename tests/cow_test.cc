@@ -44,13 +44,6 @@ TEST(CowBoxTest, MutateInPlaceWhenUnique) {
   EXPECT_EQ(payload, &box.read());  // No clone happened.
 }
 
-TEST(CowBoxTest, DeepCopyIsIndependentEvenWhenUnique) {
-  CowBox<std::vector<int>> box(std::vector<int>{1});
-  CowBox<std::vector<int>> deep = box.DeepCopy();
-  EXPECT_NE(&box.read(), &deep.read());
-  EXPECT_EQ(box.read(), deep.read());
-}
-
 TEST(CowBoxTest, SharedMutationRecordsACopy) {
   CowBox<std::vector<int>> box(std::vector<int>(100, 1));
   CowBox<std::vector<int>> frozen = box;
@@ -202,16 +195,6 @@ TEST(PersistentMapTest, SurvivesFullHashCollisions) {
   EXPECT_EQ(frozen.size(), 100u);
   EXPECT_NE(frozen.Find(0), nullptr);
   EXPECT_EQ(map.size(), 50u);
-}
-
-TEST(PersistentMapTest, MaterializeIsDeep) {
-  PersistentMap<int, CowBox<std::vector<int>>> map;
-  map.GetOrInsert(1) = CowBox<std::vector<int>>(std::vector<int>{1, 2});
-  PersistentMap<int, CowBox<std::vector<int>>> deep = map.Materialize(
-      [](const CowBox<std::vector<int>>& box) { return box.DeepCopy(); });
-  ASSERT_NE(deep.Find(1), nullptr);
-  EXPECT_NE(&deep.Find(1)->read(), &map.Find(1)->read());
-  EXPECT_EQ(deep.Find(1)->read(), map.Find(1)->read());
 }
 
 TEST(PersistentMapTest, MatchesReferenceUnderRandomizedChurn) {

@@ -10,6 +10,7 @@
 #include "datagen/corpus.h"
 #include "datagen/mh17.h"
 #include "persist/durable_engine.h"
+#include "search/ranker.h"
 #include "search/search_engine.h"
 #include "util/fs.h"
 #include "util/logging.h"
@@ -58,46 +59,57 @@ std::vector<StoryId> IdsOf(const std::vector<StoryOverview>& overviews) {
   return ids;
 }
 
-/// Asserts that the indexed and forced-scan routes agree on ids AND order
-/// for every Find* lookup, across a spread of query arguments drawn from
-/// the engine's vocabularies and index.
-void ExpectFindEquivalence(const StoryPivotEngine& engine,
-                           const SearchEngine& searcher) {
-  StoryQuery indexed(&engine);
-  indexed.set_index(&searcher);
-  StoryQuery scan(&engine);
-  scan.set_index(&searcher);
-  scan.set_force_scan(true);
+/// Asserts that the postings index ranks exactly like the index-free
+/// RankStoriesScan oracle for single-term entity, keyword and event-type
+/// queries, with k above the story count so every matching story (and
+/// its score) is compared, not just a top 10. Event types are also
+/// checked under a spread of time windows.
+void ExpectIndexMatchesScan(const StoryPivotEngine& engine,
+                            const SearchEngine& searcher) {
+  SearchOptions options;
+  options.k = engine.TotalStories() + 1;
+  size_t non_empty = 0;
+  auto expect_same = [&](search::QueryTerm term, const SearchOptions& o,
+                         const std::string& what) {
+    search::ParsedQuery query;
+    query.terms.push_back(std::move(term));
+    std::vector<StoryHit> indexed = searcher.Search(query, o);
+    EXPECT_EQ(indexed, search::RankStoriesScan(engine, query, o)) << what;
+    if (!indexed.empty()) ++non_empty;
+  };
 
   const text::Vocabulary& entities = engine.entity_vocabulary();
   for (text::TermId id = 0; id < entities.size(); id += 3) {
-    const std::string& name = entities.TermOf(id);
-    EXPECT_EQ(IdsOf(indexed.FindByEntity(name)),
-              IdsOf(scan.FindByEntity(name)))
-        << "entity " << name;
+    expect_same({search::Field::kEntity, id, {}, {}}, options,
+                "entity " + entities.TermOf(id));
   }
   const text::Vocabulary& keywords = engine.keyword_vocabulary();
   for (text::TermId id = 0; id < keywords.size(); id += 5) {
-    const std::string& word = keywords.TermOf(id);
-    EXPECT_EQ(IdsOf(indexed.FindByKeyword(word)),
-              IdsOf(scan.FindByKeyword(word)))
-        << "keyword " << word;
-  }
-  for (const auto& [type, df] : searcher.index().EventTypes()) {
-    EXPECT_EQ(IdsOf(indexed.FindByEventType(type)),
-              IdsOf(scan.FindByEventType(type)))
-        << "event type " << type;
+    expect_same({search::Field::kKeyword, id, {}, {}}, options,
+                "keyword " + keywords.TermOf(id));
   }
   const Timestamp lo = MakeTimestamp(2014, 6, 1);
   const Timestamp hi = MakeTimestamp(2014, 12, 1);
   const Timestamp mid = (lo + hi) / 2;
-  for (auto [begin, end] : {std::pair<Timestamp, Timestamp>{lo, hi},
-                            {lo, mid},
-                            {mid, hi},
-                            {mid, mid + kSecondsPerDay}}) {
-    EXPECT_EQ(IdsOf(indexed.FindInTimeRange(begin, end)),
-              IdsOf(scan.FindInTimeRange(begin, end)))
-        << "range " << begin << ".." << end;
+  for (const auto& [type, df] : searcher.index().EventTypes()) {
+    const search::QueryTerm term{search::Field::kEventType,
+                                 text::kInvalidTermId, type, {}};
+    expect_same(term, options, "event type " + type);
+    for (auto [begin, end] : {std::pair<Timestamp, Timestamp>{lo, hi},
+                              {lo, mid},
+                              {mid, hi},
+                              {mid, mid + kSecondsPerDay}}) {
+      SearchOptions windowed = options;
+      windowed.filter_time = true;
+      windowed.from = begin;
+      windowed.to = end;
+      expect_same(term, windowed,
+                  "event type " + type + " in " + std::to_string(begin) +
+                      ".." + std::to_string(end));
+    }
+  }
+  if (engine.TotalStories() > 0) {
+    EXPECT_GT(non_empty, 0u);
   }
 }
 
@@ -107,7 +119,6 @@ TEST(QueryEmptyEngine, AllLookupsReturnNothing) {
   StoryPivotEngine engine;
   SearchEngine searcher(&engine);
   StoryQuery query(&engine);
-  query.set_index(&searcher);
 
   EXPECT_FALSE(engine.has_alignment());
   EXPECT_TRUE(query.FindByEntity("Ukraine").empty());
@@ -171,19 +182,18 @@ TEST_F(Mh17Query, WorksWithoutAlignment) {
   ASSERT_FALSE(engine_->has_alignment());
   StoryQuery query(engine_.get());
   EXPECT_FALSE(query.FindByEntity("Ukraine").empty());
-  query.set_index(searcher_.get());
-  EXPECT_FALSE(query.FindByEntity("Ukraine").empty());
   EXPECT_FALSE(searcher_->Search("Ukraine crash").empty());
 }
 
 TEST_F(Mh17Query, IndexedAndScanAgree) {
-  ExpectFindEquivalence(*engine_, *searcher_);
+  ExpectIndexMatchesScan(*engine_, *searcher_);
 }
 
 TEST_F(Mh17Query, RankedSearchFindsAliasQueries) {
   std::vector<StoryHit> hits = searcher_->Search("MH17 crash");
   ASSERT_FALSE(hits.empty());
-  EXPECT_EQ(hits, searcher_->SearchScan(searcher_->Parse("MH17 crash")));
+  EXPECT_EQ(hits,
+            search::RankStoriesScan(*engine_, searcher_->Parse("MH17 crash")));
 }
 
 // ------------------------------- max_results -------------------------------
@@ -194,25 +204,18 @@ TEST(QueryMaxResults, CapsBothRoutes) {
   config.num_stories = 40;
   datagen::Corpus corpus = datagen::CorpusGenerator(config).Generate();
   std::unique_ptr<StoryPivotEngine> engine = BuildFromCorpus(corpus);
-  SearchEngine searcher(engine.get());
 
   const Timestamp lo = MakeTimestamp(2014, 1, 1);
   const Timestamp hi = MakeTimestamp(2015, 1, 1);
-  StoryQuery indexed(engine.get());
-  indexed.set_index(&searcher);
   StoryQuery scan(engine.get());
 
   // Far more than kDefaultMaxResults stories exist in the window.
   ASSERT_GT(engine->TotalStories(), kDefaultMaxResults);
-  EXPECT_EQ(indexed.FindInTimeRange(lo, hi).size(), kDefaultMaxResults);
   EXPECT_EQ(scan.FindInTimeRange(lo, hi).size(), kDefaultMaxResults);
-  EXPECT_EQ(indexed.FindInTimeRange(lo, hi, 5, 7).size(), 7u);
   EXPECT_EQ(scan.FindInTimeRange(lo, hi, 5, 7).size(), 7u);
-  EXPECT_EQ(IdsOf(indexed.FindInTimeRange(lo, hi, 5, 7)),
-            IdsOf(scan.FindInTimeRange(lo, hi, 5, 7)));
 }
 
-// -------------------- Scan/index equivalence (property) --------------------
+// --------------- Index/scan ranking equivalence (property) -----------------
 
 TEST(QueryEquivalenceProperty, HoldsAcrossSeedsRemovalsAndRefinement) {
   for (uint64_t seed = 1; seed <= 100; ++seed) {
@@ -226,17 +229,17 @@ TEST(QueryEquivalenceProperty, HoldsAcrossSeedsRemovalsAndRefinement) {
     std::unique_ptr<StoryPivotEngine> engine = BuildFromCorpus(corpus);
     SearchEngine searcher(engine.get());
 
-    ExpectFindEquivalence(*engine, searcher);
+    ExpectIndexMatchesScan(*engine, searcher);
 
     // Merges/splits: refinement moves snippets between stories; the
     // snippet-granular index must track the post-refinement assignment.
     engine->Align();
     engine->Refine();
-    ExpectFindEquivalence(*engine, searcher);
+    ExpectIndexMatchesScan(*engine, searcher);
 
     // Removal: dropping a whole source unposts its snippets.
     SP_CHECK_OK(engine->RemoveSource(corpus.sources[0].id));
-    ExpectFindEquivalence(*engine, searcher);
+    ExpectIndexMatchesScan(*engine, searcher);
 
     if (::testing::Test::HasFailure()) {
       FAIL() << "equivalence broke at seed " << seed;
@@ -274,7 +277,7 @@ TEST(QueryThreadDeterminism, IndexIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial_search.Search(query), parallel_search.Search(query))
         << "query " << query;
   }
-  ExpectFindEquivalence(*parallel, parallel_search);
+  ExpectIndexMatchesScan(*parallel, parallel_search);
 }
 
 // --------------------- Rebuild-on-recover equivalence ----------------------
@@ -344,7 +347,7 @@ TEST(QueryDurableRecovery, RecoveredIndexMatchesLiveOne) {
     EXPECT_EQ(live_search.Search(query), recovered_search.Search(query))
         << "query " << query;
   }
-  ExpectFindEquivalence(recovered.value()->engine(), recovered_search);
+  ExpectIndexMatchesScan(recovered.value()->engine(), recovered_search);
   SP_CHECK_OK(recovered.value()->Close());
 }
 

@@ -23,6 +23,7 @@ using search::ParsedQuery;
 using search::PostingsIndex;
 using search::Posting;
 using search::QueryTerm;
+using search::RankStoriesScan;
 using search::SearchEngine;
 using search::SearchOptions;
 using search::StoryHit;
@@ -171,7 +172,7 @@ TEST_F(TinyRankFixture, TimeFilterLimitsContributingSnippets) {
   options.to = MakeTimestamp(2014, 8, 1);
   std::vector<StoryHit> hits = searcher_->Search(EntityQuery(1), options);
   ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0], searcher_->SearchScan(EntityQuery(1), options)[0]);
+  EXPECT_EQ(hits[0], RankStoriesScan(*engine_, EntityQuery(1), options)[0]);
 
   // An empty window matches nothing.
   options.from = MakeTimestamp(2013, 1, 1);
@@ -191,13 +192,13 @@ TEST_F(TinyRankFixture, TimeWindowBoundsAreInclusiveAtBothEnds) {
   ASSERT_TRUE(search::ValidateSearchOptions(options).ok());
   std::vector<StoryHit> exact = searcher_->Search(EntityQuery(0), options);
   ASSERT_EQ(exact.size(), 1u);
-  EXPECT_EQ(exact[0], searcher_->SearchScan(EntityQuery(0), options)[0]);
+  EXPECT_EQ(exact[0], RankStoriesScan(*engine_, EntityQuery(0), options)[0]);
 
   // Window ending one second before the snippet: empty (both paths).
   options.from = t0 - kSecondsPerDay;
   options.to = t0 - 1;
   EXPECT_TRUE(searcher_->Search(EntityQuery(0), options).empty());
-  EXPECT_TRUE(searcher_->SearchScan(EntityQuery(0), options).empty());
+  EXPECT_TRUE(RankStoriesScan(*engine_, EntityQuery(0), options).empty());
 
   // Window starting one second after it: misses it too (only the
   // second snippet of story A, a day later, is left for entity 0).
@@ -208,7 +209,7 @@ TEST_F(TinyRankFixture, TimeWindowBoundsAreInclusiveAtBothEnds) {
   // tf drops from 3.0 (both snippets) to 1.0 (second snippet only), so
   // the score must differ from the exact-hit window's.
   EXPECT_NE(after[0].score, exact[0].score);
-  EXPECT_EQ(after[0], searcher_->SearchScan(EntityQuery(0), options)[0]);
+  EXPECT_EQ(after[0], RankStoriesScan(*engine_, EntityQuery(0), options)[0]);
 }
 
 TEST(SearchOptionsValidationTest, InvertedWindowIsATypedErrorNotEmpty) {
@@ -307,7 +308,7 @@ TEST(RankEquivalenceProperty, PrunedMatchesScanAcrossSeeds) {
                          kSecondsPerDay;
       }
       std::vector<StoryHit> indexed = searcher.Search(query, options);
-      std::vector<StoryHit> scanned = searcher.SearchScan(query, options);
+      std::vector<StoryHit> scanned = RankStoriesScan(engine, query, options);
       ASSERT_EQ(indexed.size(), scanned.size())
           << "seed " << seed << " query " << q;
       for (size_t i = 0; i < indexed.size(); ++i) {

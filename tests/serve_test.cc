@@ -18,6 +18,7 @@
 
 #include "core/engine.h"
 #include "datagen/corpus.h"
+#include "search/ranker.h"
 #include "search/search_engine.h"
 #include "serve/epoch_manager.h"
 #include "serve/query_cache.h"
@@ -53,6 +54,28 @@ template <typename T>
   return IsOk(result.status());
 }
 #define ASSERT_OK(expr) ASSERT_TRUE(IsOk((expr)))
+
+/// One-term queries, bypassing the parser.
+ParsedQuery TermQuery(Field field, text::TermId term) {
+  ParsedQuery query;
+  query.terms.push_back({field, term, {}, {}});
+  return query;
+}
+
+ParsedQuery EventTypeQuery(const std::string& event_type) {
+  ParsedQuery query;
+  query.terms.push_back(
+      {Field::kEventType, text::kInvalidTermId, event_type, {}});
+  return query;
+}
+
+/// Options whose k exceeds the story count, so a search returns every
+/// matching story with its score rather than a top 10.
+SearchOptions EveryStory(size_t total_stories) {
+  SearchOptions options;
+  options.k = total_stories + 1;
+  return options;
+}
 
 std::string FreshDir(const std::string& name) {
   std::string dir = ::testing::TempDir() + "/sp_serve_" + name;
@@ -145,22 +168,21 @@ TEST(ReadSnapshotTest, MatchesTheLiveEngineBitForBit) {
       EXPECT_EQ(snapshot->Search(snap_parsed, options),
                 live.searcher->Search(live_parsed, options));
       EXPECT_EQ(snapshot->Search(snap_parsed, options),
-                live.searcher->SearchScan(live_parsed, options));
+                search::RankStoriesScan(*live.engine, live_parsed, options));
     }
   }
 
-  // Boolean story lookups agree too.
+  // Single-term searches over every story agree too: same frozen story
+  // membership, same scores.
+  const SearchOptions all = EveryStory(live.engine->TotalStories());
   for (text::TermId term = 0; term < 2; ++term) {
-    EXPECT_EQ(snapshot->StoriesWithEntity(term),
-              live.searcher->StoriesWithEntity(term));
-    EXPECT_EQ(snapshot->StoriesWithKeyword(term),
-              live.searcher->StoriesWithKeyword(term));
+    for (Field field : {Field::kEntity, Field::kKeyword}) {
+      EXPECT_EQ(snapshot->Search(TermQuery(field, term), all),
+                live.searcher->Search(TermQuery(field, term), all));
+    }
   }
-  EXPECT_EQ(snapshot->StoriesWithEventType("Accident"),
-            live.searcher->StoriesWithEventType("Accident"));
-  const Timestamp t0 = MakeTimestamp(2014, 7, 17);
-  EXPECT_EQ(snapshot->StoriesInTimeRange(t0, t0 + 3 * kSecondsPerDay),
-            live.searcher->StoriesInTimeRange(t0, t0 + 3 * kSecondsPerDay));
+  EXPECT_EQ(snapshot->Search(EventTypeQuery("Accident"), all),
+            live.searcher->Search(EventTypeQuery("Accident"), all));
   EXPECT_EQ(snapshot->total_stories(), live.engine->TotalStories());
 }
 
@@ -607,9 +629,10 @@ TEST(ServingEngineTest, PublishesPerOpAndRecoversIntoServableState) {
 // --------------------- COW capture fidelity (PR 8) -------------------------
 
 /// Byte-level equality of two snapshots: every posting list over the
-/// whole term space, event-type enumeration, story lookups and corpus
-/// totals. This is the "byte-identical to a from-scratch rebuild"
-/// contract the COW capture must uphold (DESIGN.md §15).
+/// whole term space, event-type enumeration, single-term searches over
+/// every story and corpus totals. This is the "byte-identical to a
+/// from-scratch rebuild" contract the COW capture must uphold
+/// (DESIGN.md §15).
 void ExpectSnapshotsEqual(const ReadSnapshot& got, const ReadSnapshot& want,
                           size_t num_entities, size_t num_keywords) {
   ASSERT_EQ(got.index().num_documents(), want.index().num_documents());
@@ -641,11 +664,14 @@ void ExpectSnapshotsEqual(const ReadSnapshot& got, const ReadSnapshot& want,
   expect_field(Field::kEntity, num_entities);
   expect_field(Field::kKeyword, num_keywords);
 
+  const SearchOptions all = EveryStory(want.total_stories());
   for (text::TermId term = 0; term < num_entities; ++term) {
-    ASSERT_EQ(got.StoriesWithEntity(term), want.StoriesWithEntity(term));
+    ASSERT_EQ(got.Search(TermQuery(Field::kEntity, term), all),
+              want.Search(TermQuery(Field::kEntity, term), all));
   }
   for (text::TermId term = 0; term < num_keywords; ++term) {
-    ASSERT_EQ(got.StoriesWithKeyword(term), want.StoriesWithKeyword(term));
+    ASSERT_EQ(got.Search(TermQuery(Field::kKeyword, term), all),
+              want.Search(TermQuery(Field::kKeyword, term), all));
   }
 }
 
@@ -809,14 +835,14 @@ TEST(ReadSnapshotTest, SurvivesAggressiveMutationAfterCapture) {
   const size_t postings_before = snapshot->index().num_postings();
   const size_t stories_before = snapshot->total_stories();
   const auto events_before = snapshot->index().EventTypes();
+  const SearchOptions all = EveryStory(stories_before);
   std::vector<std::vector<search::Posting>> entity_lists(num_entities);
-  std::vector<std::vector<std::pair<SourceId, StoryId>>> entity_stories(
-      num_entities);
+  std::vector<std::vector<StoryHit>> entity_hits(num_entities);
   for (text::TermId term = 0; term < num_entities; ++term) {
     const std::vector<search::Posting>* list =
         snapshot->index().Postings(Field::kEntity, term);
     if (list != nullptr) entity_lists[term] = *list;
-    entity_stories[term] = snapshot->StoriesWithEntity(term);
+    entity_hits[term] = snapshot->Search(TermQuery(Field::kEntity, term), all);
   }
 
   // Now mutate as hard as the engine allows.
@@ -855,7 +881,8 @@ TEST(ReadSnapshotTest, SurvivesAggressiveMutationAfterCapture) {
         ASSERT_EQ((*list)[i].tf, entity_lists[term][i].tf);
       }
     }
-    ASSERT_EQ(snapshot->StoriesWithEntity(term), entity_stories[term]);
+    ASSERT_EQ(snapshot->Search(TermQuery(Field::kEntity, term), all),
+              entity_hits[term]);
   }
   (void)num_keywords;
 }

@@ -4,7 +4,6 @@
 #include <set>
 #include <vector>
 
-#include "storage/bucketed_index.h"
 #include "storage/inverted_index.h"
 #include "storage/snippet_store.h"
 #include "storage/temporal_index.h"
@@ -124,7 +123,8 @@ TEST(TemporalIndexTest, ForEachVisitsInOrder) {
 }
 
 // Property: the index agrees with a naive reference implementation under
-// random out-of-order inserts and erases.
+// random out-of-order inserts and erases, with timestamps and windows on
+// both sides of the epoch (negative timestamps are pre-1970 dates).
 class TemporalIndexProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(TemporalIndexProperty, MatchesNaiveReference) {
@@ -139,13 +139,13 @@ TEST_P(TemporalIndexProperty, MatchesNaiveReference) {
       EXPECT_TRUE(index.Erase(ts, id));
       reference.erase(reference.begin() + pick);
     } else {
-      Timestamp ts = rng.NextInRange(0, 1000);
+      Timestamp ts = rng.NextInRange(-500, 1000);
       SnippetId id = next_id++;
       index.Insert(ts, id);
       reference.push_back({ts, id});
     }
     if (step % 50 == 0) {
-      Timestamp lo = rng.NextInRange(0, 1000);
+      Timestamp lo = rng.NextInRange(-600, 1000);
       Timestamp hi = lo + rng.NextInRange(0, 300);
       std::set<SnippetId> expected;
       for (auto [ts, id] : reference) {
@@ -161,88 +161,6 @@ TEST_P(TemporalIndexProperty, MatchesNaiveReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TemporalIndexProperty,
                          ::testing::Values(11u, 22u, 33u, 44u));
-
-// --------------------------- BucketedTemporalIndex -------------------------
-
-TEST(BucketedIndexTest, BasicInsertEraseWindow) {
-  BucketedTemporalIndex index(100);
-  index.Insert(50, 1);
-  index.Insert(150, 2);
-  index.Insert(151, 3);
-  EXPECT_EQ(index.size(), 3u);
-  EXPECT_EQ(index.CountInWindow(0, 100), 1u);
-  EXPECT_EQ(index.CountInWindow(150, 151), 2u);
-  EXPECT_TRUE(index.Erase(150, 2));
-  EXPECT_FALSE(index.Erase(150, 2));
-  EXPECT_FALSE(index.Erase(151, 99));
-  EXPECT_EQ(index.CountInWindow(0, 1000), 2u);
-}
-
-TEST(BucketedIndexTest, NegativeTimestampsBucketCorrectly) {
-  BucketedTemporalIndex index(100);
-  index.Insert(-1, 1);
-  index.Insert(-100, 2);
-  index.Insert(0, 3);
-  EXPECT_EQ(index.CountInWindow(-100, -1), 2u);
-  EXPECT_EQ(index.CountInWindow(0, 0), 1u);
-  std::vector<SnippetId> ids = index.IdsInWindow(-150, 50);
-  EXPECT_EQ(ids.size(), 3u);
-}
-
-TEST(BucketedIndexTest, EmptyBucketsAreReclaimed) {
-  BucketedTemporalIndex index(10);
-  for (SnippetId i = 0; i < 50; ++i) {
-    index.Insert(static_cast<Timestamp>(i * 10), i);
-  }
-  size_t buckets = index.num_buckets();
-  for (SnippetId i = 0; i < 50; ++i) {
-    EXPECT_TRUE(index.Erase(static_cast<Timestamp>(i * 10), i));
-  }
-  EXPECT_EQ(index.num_buckets(), 0u);
-  EXPECT_LT(index.num_buckets(), buckets);
-  EXPECT_TRUE(index.empty());
-}
-
-// Property: the bucketed index returns exactly the same id sets as the
-// sorted-vector TemporalIndex under random mixed workloads.
-class IndexEquivalence : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(IndexEquivalence, MatchesSortedIndex) {
-  Pcg32 rng(GetParam());
-  TemporalIndex sorted;
-  BucketedTemporalIndex bucketed(97);  // Deliberately odd bucket width.
-  std::vector<std::pair<Timestamp, SnippetId>> live;
-  SnippetId next_id = 0;
-  for (int step = 0; step < 600; ++step) {
-    if (!live.empty() && rng.NextBernoulli(0.3)) {
-      size_t pick = rng.NextBounded(static_cast<uint32_t>(live.size()));
-      auto [ts, id] = live[pick];
-      EXPECT_TRUE(sorted.Erase(ts, id));
-      EXPECT_TRUE(bucketed.Erase(ts, id));
-      live.erase(live.begin() + pick);
-    } else {
-      Timestamp ts = rng.NextInRange(-500, 2000);
-      SnippetId id = next_id++;
-      sorted.Insert(ts, id);
-      bucketed.Insert(ts, id);
-      live.push_back({ts, id});
-    }
-    if (step % 40 == 0) {
-      Timestamp lo = rng.NextInRange(-600, 2000);
-      Timestamp hi = lo + rng.NextInRange(0, 800);
-      std::vector<SnippetId> a = sorted.IdsInWindow(lo, hi);
-      std::vector<SnippetId> b = bucketed.IdsInWindow(lo, hi);
-      std::sort(a.begin(), a.end());
-      std::sort(b.begin(), b.end());
-      EXPECT_EQ(a, b) << "window [" << lo << "," << hi << "]";
-      EXPECT_EQ(bucketed.CountInWindow(lo, hi), a.size());
-    }
-  }
-  EXPECT_EQ(sorted.size(), bucketed.size());
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, IndexEquivalence,
-                         ::testing::Values(7u, 8u, 9u, 10u));
 
 // ------------------------------ SnippetStore -------------------------------
 

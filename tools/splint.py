@@ -21,14 +21,11 @@ examples/ (and tools/ headers if any appear):
                     (DESIGN.md §10) hold repo-wide.
   build-artifact    no committed build trees or object/cache files.
   full-scan         no partitions() full-story scans outside src/core/
-                    and src/search/ — route story lookups through
-                    StoryQuery (which uses the search index) so O(all
-                    stories) walks stay contained in the two layers that
-                    own them. Tests are exempt.
-  deep-clone        no deep Clone() calls in src/serve/ — the read path
-                    captures through the COW Freeze()/Capture() path
-                    (O(delta), DESIGN.md §15); the deep-copy baseline in
-                    read_snapshot.cc carries an explicit allow.
+                    and src/search/ — O(all stories) walks (StoryQuery's
+                    Find* scan, the RankStoriesScan oracle) stay in the
+                    two layers that own them; everything else asks
+                    StoryQuery or the k-bounded SearchEngine. Tests are
+                    exempt.
   raw-sync          no raw std::mutex / std::lock_guard /
                     std::unique_lock / std::condition_variable (or their
                     shared/timed/recursive cousins) outside
@@ -206,7 +203,8 @@ FULL_SCAN_RE = re.compile(r"(?:->|\.)\s*partitions\s*\(\s*\)")
 def check_full_scan(relpath, lines):
     """partitions() walks every story of every source; only the core and
     search layers may pay that cost (everything else goes through
-    StoryQuery / SearchEngine, which are index-backed and k-bounded)."""
+    StoryQuery, whose Find* scan is the one deliberate walk, or the
+    index-backed, k-bounded SearchEngine)."""
     if relpath.startswith(("src/core/", "src/search/", "tests/")):
         return
     for number, line in enumerate(lines, start=1):
@@ -219,29 +217,8 @@ def check_full_scan(relpath, lines):
                 " is required")
 
 
-DEEP_CLONE_RE = re.compile(r"(?:->|\.)\s*Clone\s*\(\s*\)")
-
-
-def check_deep_clone(relpath, lines):
-    """Clone() deep-copies an entire COW structure (O(corpus)); the
-    serving read path must capture via Freeze()/Capture() instead so
-    publishes stay O(ops-since-last-publish) (DESIGN.md §15). The only
-    legitimate serve-layer caller is the measured deep-copy baseline,
-    which carries an explicit allow."""
-    if not relpath.startswith("src/serve/"):
-        return
-    for number, line in enumerate(lines, start=1):
-        if LINE_COMMENT_RE.match(line):
-            continue
-        if DEEP_CLONE_RE.search(line) and not line_allows(line, "deep-clone"):
-            yield number, "deep-clone", (
-                "deep Clone() in src/serve/; capture through the COW "
-                "Freeze()/Capture() path (O(delta)), or annotate why a "
-                "full copy is required")
-
-
 FILE_CHECKS = [check_banned, check_include_guard, check_using_namespace,
-               check_full_scan, check_raw_sync, check_deep_clone]
+               check_full_scan, check_raw_sync]
 
 
 def check_build_artifacts(root):
