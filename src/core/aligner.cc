@@ -65,9 +65,20 @@ double StoryAligner::StoryPairScore(const Story& a, const Story& b) const {
   return affinity * model_->StorySimilarity(a, b);
 }
 
+double StoryAligner::StoryPairScore(const Story& a, double a_norm,
+                                    const Story& b, double b_norm,
+                                    const IdfTable& idf) const {
+  double affinity = SimilarityModel::TemporalAffinity(
+      a.start_time(), a.end_time(), b.start_time(), b.end_time(),
+      config_.temporal_tolerance);
+  if (affinity <= 0.0) return 0.0;
+  return affinity * model_->StorySimilarity(a, a_norm, b, b_norm, idf);
+}
+
 AlignmentResult StoryAligner::Align(
     const std::vector<const StorySet*>& partitions, const SnippetStore& store,
-    StoryId* next_story_id, ThreadPool* pool) const {
+    StoryId* next_story_id, ThreadPool* pool,
+    std::shared_ptr<const CounterpartGraph> graph) const {
   SP_CHECK(next_story_id != nullptr);
   AlignmentResult result;
 
@@ -92,22 +103,29 @@ AlignmentResult StoryAligner::Align(
   std::vector<MinHashSignature> sigs;
   const bool parallel =
       pool != nullptr && pool->num_threads() > 1 && n >= kMinParallelNodes;
-  if (lsh_mode) {
-    sigs.resize(n);
-    // Sketch construction is per-node pure work; build sketches in
-    // parallel (disjoint writes), then fill the index serially.
-    auto build = [&](size_t, size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
+  // DF is frozen for the whole alignment: one IDF table, and each story's
+  // keyword norm, serve every pair.
+  const IdfTable idf(*model_);
+  std::vector<double> keyword_norms(n);
+  if (lsh_mode) sigs.resize(n);
+  // Norms and sketches are per-node pure work: build them in parallel
+  // (disjoint writes), then fill the LSH index serially.
+  auto prepare = [&](size_t, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      keyword_norms[i] = idf.SquaredNorm(nodes[i].ptr->keywords());
+      if (lsh_mode) {
         sigs[i] = MinHashSignature::FromContent(nodes[i].ptr->entities(),
                                                 nodes[i].ptr->keywords(),
                                                 config_.sketch_hashes);
       }
-    };
-    if (parallel) {
-      pool->ParallelFor(n, pool->num_threads() * kChunksPerThread, build);
-    } else {
-      build(0, 0, n);
     }
+  };
+  if (parallel) {
+    pool->ParallelFor(n, pool->num_threads() * kChunksPerThread, prepare);
+  } else {
+    prepare(0, 0, n);
+  }
+  if (lsh_mode) {
     for (size_t i = 0; i < n; ++i) lsh.Insert(i, sigs[i]);
   }
 
@@ -123,8 +141,8 @@ AlignmentResult StoryAligner::Align(
         return;
       }
       ++*scored;
-      if (StoryPairScore(*nodes[i].ptr, *nodes[j].ptr) >=
-          config_.align_threshold) {
+      if (StoryPairScore(*nodes[i].ptr, keyword_norms[i], *nodes[j].ptr,
+                         keyword_norms[j], idf) >= config_.align_threshold) {
         edges->push_back({i, j});
       }
     };
@@ -189,41 +207,39 @@ AlignmentResult StoryAligner::Align(
     std::sort(integrated.members.begin(), integrated.members.end());
   }
 
-  ClassifySnippetRoles(*model_, config_, store, &result, pool);
+  if (graph == nullptr) {
+    graph = CounterpartGraph::Build(partitions, store, *model_,
+                                    config_.pair_threshold,
+                                    config_.pair_tolerance, pool);
+  }
+  ClassifySnippetRoles(*graph, &result);
+  result.graph = std::move(graph);
   return result;
 }
 
-void ClassifySnippetRoles(const SimilarityModel& model,
-                          const AlignmentConfig& config,
-                          const SnippetStore& store,
-                          AlignmentResult* result, ThreadPool* pool) {
+void ClassifySnippetRoles(const CounterpartGraph& graph,
+                          AlignmentResult* result) {
   result->roles.clear();
   result->counterpart.clear();
-  const size_t n = result->stories.size();
-  if (pool == nullptr || pool->num_threads() <= 1 || n < kMinParallelNodes) {
-    for (const IntegratedStory& integrated : result->stories) {
-      ClassifyIntegratedStory(model, config, store, integrated,
-                              &result->roles, &result->counterpart);
+  // Group every position by its integrated story, so only edges inside
+  // one integrated story count.
+  const std::vector<SnippetId>& ids = graph.snippets();
+  std::vector<uint32_t> group(ids.size(), CounterpartGraph::kNone);
+  for (size_t p = 0; p < ids.size(); ++p) {
+    auto it = result->integrated_of.find(ids[p]);
+    if (it != result->integrated_of.end()) {
+      group[p] = static_cast<uint32_t>(it->second);
     }
-    return;
   }
-  // Every snippet belongs to exactly one integrated story, so per-story
-  // classification writes disjoint key sets; classify concurrently into
-  // per-story maps and merge in story order.
-  std::vector<std::unordered_map<SnippetId, SnippetRole>> roles(n);
-  std::vector<std::unordered_map<SnippetId, SnippetId>> counterparts(n);
-  pool->ParallelFor(n, pool->num_threads() * kChunksPerThread,
-                    [&](size_t, size_t begin, size_t end) {
-                      for (size_t s = begin; s < end; ++s) {
-                        ClassifyIntegratedStory(model, config, store,
-                                                result->stories[s], &roles[s],
-                                                &counterparts[s]);
-                      }
-                    });
-  for (size_t s = 0; s < n; ++s) {
-    result->roles.merge(roles[s]);
-    for (const auto& [sid, other] : counterparts[s]) {
-      result->counterpart.emplace(sid, other);
+  const std::vector<uint32_t> best = graph.BestCounterparts(&group);
+  result->roles.reserve(ids.size());
+  for (size_t p = 0; p < ids.size(); ++p) {
+    if (group[p] == CounterpartGraph::kNone) continue;
+    if (best[p] == CounterpartGraph::kNone) {
+      result->roles.emplace(ids[p], SnippetRole::kEnriching);
+    } else {
+      result->roles.emplace(ids[p], SnippetRole::kAligning);
+      result->counterpart.emplace(ids[p], ids[best[p]]);
     }
   }
 }
@@ -248,9 +264,12 @@ void ClassifyIntegratedStory(
     SP_CHECK(s != nullptr);
     members.push_back({s->timestamp, s});
   }
+  // (timestamp, id) order: equal timestamps must not be permuted, since
+  // the first of two equal-score counterparts wins.
   std::sort(members.begin(), members.end(),
             [](const TimedSnippet& a, const TimedSnippet& b) {
-              return a.ts < b.ts;
+              if (a.ts != b.ts) return a.ts < b.ts;
+              return a.snippet->id < b.snippet->id;
             });
   std::unordered_map<SnippetId, double> best_pair_score;
   for (size_t i = 0; i < members.size(); ++i) {

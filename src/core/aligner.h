@@ -2,10 +2,12 @@
 #define STORYPIVOT_CORE_ALIGNER_H_
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "core/counterpart_graph.h"
 #include "core/similarity.h"
 #include "core/story_set.h"
 #include "model/ids.h"
@@ -28,6 +30,9 @@ struct AlignmentConfig {
   Timestamp temporal_tolerance = 14 * kSecondsPerDay;
   /// Two snippets from different sources are counterparts (the snippet
   /// "aligns" the stories) when their similarity reaches this...
+  /// Refinement searches counterparts with the same two values. Must be
+  /// positive: counterpart candidates come only from snippet pairs that
+  /// share a term (CounterpartGraph).
   double pair_threshold = 0.45;
   /// ...and their event timestamps are within this many seconds.
   Timestamp pair_tolerance = 3 * kSecondsPerDay;
@@ -83,6 +88,11 @@ struct AlignmentResult {
   std::unordered_map<uint64_t, size_t> member_index;
   /// Story pairs actually scored (work indicator for the benches).
   uint64_t num_pairs_scored = 0;
+  /// The snippet counterpart graph the roles came from, kept for the
+  /// Refine() that follows. Null when the incremental aligner produced
+  /// this result. Valid only while the snippet set and DF are unchanged;
+  /// the engine drops it at the next snippet mutation.
+  std::shared_ptr<const CounterpartGraph> graph;
 
   /// Integrated story containing per-source story (source, id), or
   /// SIZE_MAX.
@@ -90,22 +100,18 @@ struct AlignmentResult {
 };
 
 /// Fills `result->roles` and `result->counterpart` for every snippet of
-/// every integrated story in `result`: a snippet is *aligning* when a
-/// sufficiently similar snippet from another source exists in the same
-/// integrated story within the pair tolerance, else *enriching* (§2.3).
-/// Shared by the batch and incremental aligners. With a non-null `pool`,
-/// integrated stories are classified concurrently (each story's snippets
-/// belong to it alone, so the per-story maps are disjoint) and merged in
-/// story order — the result is identical to the serial path.
-void ClassifySnippetRoles(const SimilarityModel& model,
-                          const AlignmentConfig& config,
-                          const SnippetStore& store,
-                          AlignmentResult* result,
-                          ThreadPool* pool = nullptr);
+/// every integrated story in `result` from the counterpart graph over the
+/// same snippets: a snippet is *aligning* when it has a counterpart in
+/// the same integrated story, else *enriching* (§2.3). Its counterpart
+/// is the best one inside that story (CounterpartGraph::BestCounterparts).
+void ClassifySnippetRoles(const CounterpartGraph& graph,
+                          AlignmentResult* result);
 
 /// Classifies a single integrated story's snippets into `roles` /
-/// `counterpart` (see ClassifySnippetRoles). Exposed so the incremental
-/// aligner can re-classify only the clusters that changed.
+/// `counterpart` by scanning its snippet pairs in (timestamp, id) order;
+/// the answer equals ClassifySnippetRoles' for that story. The
+/// incremental aligner uses it to re-classify only the clusters that
+/// changed, and tests use it as the graph's reference.
 void ClassifyIntegratedStory(const SimilarityModel& model,
                              const AlignmentConfig& config,
                              const SnippetStore& store,
@@ -127,20 +133,29 @@ class StoryAligner {
   StoryAligner& operator=(const StoryAligner&) = delete;
 
   /// Runs alignment over `partitions`. Integrated ids are drawn from
-  /// `next_story_id`. With a non-null `pool`, story-pair scoring (and
-  /// snippet-role classification) fans out across the pool; candidate
-  /// pairs are enumerated in a fixed order and edges applied in that
-  /// order, so the result is bit-identical to the serial path for every
-  /// thread count (see DESIGN.md §9).
-  AlignmentResult Align(const std::vector<const StorySet*>& partitions,
-                        const SnippetStore& store, StoryId* next_story_id,
-                        ThreadPool* pool = nullptr) const;
+  /// `next_story_id`. With a non-null `pool`, story-pair scoring and the
+  /// counterpart graph's rows fan out across the pool; candidate pairs
+  /// are enumerated in a fixed order and edges applied in that order, so
+  /// the result is bit-identical to the serial path for every thread
+  /// count (see DESIGN.md §9). A non-null `graph` is used instead of
+  /// building one; it must cover the same snippets under the same DF.
+  AlignmentResult Align(
+      const std::vector<const StorySet*>& partitions,
+      const SnippetStore& store, StoryId* next_story_id,
+      ThreadPool* pool = nullptr,
+      std::shared_ptr<const CounterpartGraph> graph = nullptr) const;
 
   const AlignmentConfig& config() const { return config_; }
 
   /// Combined story-pair score: content similarity gated by temporal
   /// affinity of the story spans.
   double StoryPairScore(const Story& a, const Story& b) const;
+
+  /// StoryPairScore(a, b) through SimilarityModel's cached story kernel,
+  /// with each story's keyword norm from `idf.SquaredNorm`: the same
+  /// bits.
+  double StoryPairScore(const Story& a, double a_norm, const Story& b,
+                        double b_norm, const IdfTable& idf) const;
 
  private:
   const SimilarityModel* model_;

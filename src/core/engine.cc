@@ -17,7 +17,6 @@ EngineConfig NewsProseEngineConfig() {
   config.similarity.merge_threshold = 0.40;
   config.alignment.align_threshold = 0.25;
   config.alignment.pair_threshold = 0.25;
-  config.refinement.pair_threshold = 0.25;
   return config;
 }
 
@@ -31,6 +30,11 @@ StoryPivotEngine::StoryPivotEngine(EngineConfig config)
       aligner_(&similarity_, config_.alignment),
       incremental_aligner_(&similarity_, config_.alignment),
       refiner_(&similarity_, config_.refinement) {
+  // Counterpart candidates come only from snippet pairs sharing a term;
+  // pairs sharing none score exactly 0, which only a positive threshold
+  // excludes.
+  SP_CHECK(config_.alignment.pair_threshold > 0.0 &&
+           "counterpart candidate pruning needs pair_threshold > 0");
   if (config_.identifier.use_sketch_candidates) {
     // Sketch-based candidate generation needs maintained sketches.
     config_.use_sketches = true;
@@ -123,6 +127,7 @@ Status StoryPivotEngine::RemoveSource(SourceId source) {
                 });
   std::erase_if(sources_,
                 [source](const SourceInfo& s) { return s.id == source; });
+  DropCounterpartGraph();
   stale_ = true;
   return Status::OK();
 }
@@ -242,6 +247,7 @@ Result<SnippetId> StoryPivotEngine::AddSnippet(Snippet snippet) {
     sketch_index->signatures.emplace(id, std::move(sig));
   }
   ++stats_.snippets_ingested;
+  DropCounterpartGraph();
   stale_ = true;
   NotifyAdded(*stored);
   return id;
@@ -276,6 +282,7 @@ Result<std::vector<SnippetId>> StoryPivotEngine::AddSnippets(
         df_.RemoveDocument(undo->keywords);
         SP_CHECK_OK(store_.Remove(*it));
       }
+      DropCounterpartGraph();
       return inserted.status();
     }
     ids.push_back(inserted.value());
@@ -340,6 +347,7 @@ Result<std::vector<SnippetId>> StoryPivotEngine::AddSnippets(
   // one thread they coincide; with several, the sum is the work done.
   stats_.identify_time_ms += std::max(identify_ms, batch_wall_ms);
   stats_.snippets_ingested += stored.size();
+  DropCounterpartGraph();
   stale_ = true;
   // Observer notifications happen in the serial epilogue, in arrival
   // order — identical for every thread count.
@@ -382,6 +390,7 @@ Result<SnippetId> StoryPivotEngine::AdoptAssignment(Snippet snippet,
     dirty_stories_.push_back({stored->source, story});
   }
   ++stats_.snippets_ingested;
+  DropCounterpartGraph();
   stale_ = true;
   NotifyAdded(*stored);
   return id;
@@ -414,6 +423,7 @@ void StoryPivotEngine::RemoveSnippetInternal(const Snippet& snippet,
     refiner_.SplitIfDisconnected(partition, story_id, store_, &cursor);
     next_story_id_.store(cursor, std::memory_order_relaxed);
   }
+  DropCounterpartGraph();
   stale_ = true;
 }
 
@@ -442,17 +452,21 @@ Status StoryPivotEngine::RemoveSnippet(SnippetId id) {
   return Status::OK();
 }
 
-const AlignmentResult& StoryPivotEngine::Align() {
+const AlignmentResult& StoryPivotEngine::Align() { return AlignWith(nullptr); }
+
+const AlignmentResult& StoryPivotEngine::AlignWith(
+    std::shared_ptr<const CounterpartGraph> graph) {
   serial_.AssertInSection();  // Mutator: single-writer serial section.
   WallTimer timer;
+  DropCounterpartGraph();  // At most one graph alive while building.
   StoryId cursor = next_story_id_.load(std::memory_order_relaxed);
   if (config_.incremental_alignment) {
     alignment_ = incremental_aligner_.Update(partitions(), store_,
                                              dirty_stories_, &cursor);
     dirty_stories_.clear();
   } else {
-    alignment_ =
-        aligner_.Align(partitions(), store_, &cursor, pool_.get());
+    alignment_ = aligner_.Align(partitions(), store_, &cursor, pool_.get(),
+                                std::move(graph));
   }
   next_story_id_.store(cursor, std::memory_order_relaxed);
   stats_.align_time_ms += timer.ElapsedMillis();
@@ -477,6 +491,11 @@ RefinementStats StoryPivotEngine::Refine() {
     mutable_partitions.push_back(&partitions_.at(source));
   }
   WallTimer timer;
+  if (alignment_->graph == nullptr) {  // The incremental aligner's result.
+    alignment_->graph = CounterpartGraph::Build(
+        partitions(), store_, similarity_, config_.alignment.pair_threshold,
+        config_.alignment.pair_tolerance, pool_.get());
+  }
   StoryId cursor = next_story_id_.load(std::memory_order_relaxed);
   RefinementStats stats = refiner_.Refine(mutable_partitions, *alignment_,
                                           store_, &cursor);
@@ -485,7 +504,9 @@ RefinementStats StoryPivotEngine::Refine() {
   ++stats_.refinements_run;
   if (config_.incremental_alignment) incremental_aligner_.Invalidate();
   stale_ = true;
-  Align();
+  // Refinement moved snippets between stories but changed neither the
+  // snippet set nor DF, so the graph still holds.
+  AlignWith(alignment_->graph);
   return stats;
 }
 

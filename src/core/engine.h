@@ -233,7 +233,8 @@ class StoryPivotEngine {
   const AlignmentResult& alignment() const;
 
   /// One refinement pass using the current alignment (computing it if
-  /// needed), then re-aligns. Returns what the pass changed.
+  /// needed), then re-aligns. The pass and the re-alignment reuse the
+  /// alignment's counterpart graph. Returns what the pass changed.
   RefinementStats Refine();
 
   // --- Introspection -----------------------------------------------------
@@ -297,6 +298,18 @@ class StoryPivotEngine {
   StorySet* MutablePartition(SourceId source);
   void RemoveSnippetInternal(const Snippet& snippet, bool split_check)
       SP_REQUIRES(serial_);
+
+  /// Align() with `graph` (when non-null) in place of a fresh counterpart
+  /// graph; it must cover the current snippets under the current DF.
+  const AlignmentResult& AlignWith(
+      std::shared_ptr<const CounterpartGraph> graph);
+
+  /// Frees the last alignment's counterpart graph. Snippet mutations call
+  /// it: the graph no longer matches the snippet set, and a serving
+  /// engine should not hold one between writes.
+  void DropCounterpartGraph() {
+    if (alignment_.has_value()) alignment_->graph.reset();
+  }
 
   // SP_REQUIRES(serial_) is the compile-time form of the IngestObserver
   // contract: callbacks fire only from the engine's serial sections.

@@ -1,72 +1,36 @@
 #include "core/refiner.h"
 
 #include <algorithm>
-#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "util/logging.h"
 
 namespace storypivot {
-namespace {
-
-struct TimedSnippet {
-  Timestamp ts = 0;
-  const Snippet* snippet = nullptr;
-  size_t partition_index = 0;
-};
-
-}  // namespace
 
 RefinementStats StoryRefiner::Refine(const std::vector<StorySet*>& partitions,
                                      const AlignmentResult& alignment,
                                      const SnippetStore& store,
                                      StoryId* next_story_id) const {
   SP_CHECK(next_story_id != nullptr);
+  SP_CHECK(alignment.graph != nullptr);
+  const CounterpartGraph& graph = *alignment.graph;
   RefinementStats stats;
 
-  // Global time-ordered view of all snippets across sources.
-  std::vector<TimedSnippet> all;
   std::unordered_map<SourceId, size_t> partition_of_source;
+  size_t num_snippets = 0;
   for (size_t p = 0; p < partitions.size(); ++p) {
     SP_CHECK(partitions[p] != nullptr);
     partition_of_source[partitions[p]->source()] = p;
-    partitions[p]->snippet_times().ForEach([&](Timestamp ts, SnippetId sid) {
-      const Snippet* s = store.Find(sid);
-      SP_CHECK(s != nullptr);
-      all.push_back({ts, s, p});
-    });
+    num_snippets += partitions[p]->snippet_times().size();
   }
-  std::sort(all.begin(), all.end(),
-            [](const TimedSnippet& a, const TimedSnippet& b) {
-              if (a.ts != b.ts) return a.ts < b.ts;
-              return a.snippet->id < b.snippet->id;
-            });
+  SP_CHECK(graph.snippets().size() == num_snippets);
 
   // Best cross-source counterpart per snippet, searched globally (not just
   // within one integrated story — that is exactly how mis-assignments are
   // discovered).
-  std::unordered_map<SnippetId, SnippetId> best_counterpart;
-  std::unordered_map<SnippetId, double> best_score;
-  for (size_t i = 0; i < all.size(); ++i) {
-    const Snippet& a = *all[i].snippet;
-    for (size_t j = i + 1; j < all.size(); ++j) {
-      const Snippet& b = *all[j].snippet;
-      if (b.timestamp - a.timestamp > config_.pair_tolerance) break;
-      if (a.source == b.source) continue;
-      double s = model_->SnippetSimilarity(a, b);
-      if (s < config_.pair_threshold) continue;
-      auto update = [&](const Snippet& x, const Snippet& y) {
-        auto [it, inserted] = best_score.emplace(x.id, s);
-        if (inserted || s > it->second) {
-          it->second = s;
-          best_counterpart[x.id] = y.id;
-        }
-      };
-      update(a, b);
-      update(b, a);
-    }
-  }
+  const std::vector<SnippetId>& ids = graph.snippets();
+  const std::vector<uint32_t> best_counterpart = graph.BestCounterparts();
 
   // Leave-one-out affinity of a snippet to a story.
   auto affinity = [&](const Snippet& v, const Story& story,
@@ -94,14 +58,14 @@ RefinementStats StoryRefiner::Refine(const std::vector<StorySet*>& partitions,
     StoryId to;  // kInvalidStoryId => create a new story.
   };
   std::vector<Move> moves;
-  constexpr size_t kNone = std::numeric_limits<size_t>::max();
 
-  for (const TimedSnippet& item : all) {
-    const Snippet& v = *item.snippet;
-    auto cp_it = best_counterpart.find(v.id);
-    if (cp_it == best_counterpart.end()) continue;
-    const Snippet* u = store.Find(cp_it->second);
-    SP_CHECK(u != nullptr);
+  // Snippets in (timestamp, id) order.
+  for (size_t p = 0; p < ids.size(); ++p) {
+    if (best_counterpart[p] == CounterpartGraph::kNone) continue;
+    const Snippet* vp = store.Find(ids[p]);
+    const Snippet* u = store.Find(ids[best_counterpart[p]]);
+    SP_CHECK(vp != nullptr && u != nullptr);
+    const Snippet& v = *vp;
 
     auto v_int = alignment.integrated_of.find(v.id);
     auto u_int = alignment.integrated_of.find(u->id);
@@ -112,7 +76,8 @@ RefinementStats StoryRefiner::Refine(const std::vector<StorySet*>& partitions,
     if (v_int->second == u_int->second) continue;  // Already consistent.
     ++stats.conflicts_examined;
 
-    StorySet* partition = partitions[item.partition_index];
+    const size_t partition_index = partition_of_source.at(v.source);
+    StorySet* partition = partitions[partition_index];
     StoryId current_id = partition->StoryOf(v.id);
     if (current_id == kInvalidStoryId) continue;
     const Story* current = partition->FindStory(current_id);
@@ -138,7 +103,7 @@ RefinementStats StoryRefiner::Refine(const std::vector<StorySet*>& partitions,
 
     if (best_target != kInvalidStoryId &&
         target_score > current_score + config_.margin) {
-      moves.push_back({v.id, item.partition_index, current_id, best_target});
+      moves.push_back({v.id, partition_index, current_id, best_target});
     } else if (best_target == kInvalidStoryId && current->size() > 1) {
       // No same-source story exists over there. If the snippet fits its
       // counterpart's cluster much better than its own story, break it
@@ -147,11 +112,9 @@ RefinementStats StoryRefiner::Refine(const std::vector<StorySet*>& partitions,
       double cluster_score =
           affinity(v, target_cluster.merged, /*member=*/false);
       if (cluster_score > current_score + config_.margin) {
-        moves.push_back(
-            {v.id, item.partition_index, current_id, kInvalidStoryId});
+        moves.push_back({v.id, partition_index, current_id, kInvalidStoryId});
       }
     }
-    (void)kNone;
   }
 
   // Apply moves.

@@ -16,11 +16,6 @@ struct RefinementConfig {
   /// A snippet is relocated when the target story scores at least this
   /// much higher than its current story.
   double margin = 0.05;
-  /// Snippet-pair counterpart detection thresholds (reused from alignment
-  /// semantics): similarity and time tolerance for cross-source
-  /// counterparts.
-  double pair_threshold = 0.45;
-  Timestamp pair_tolerance = 3 * kSecondsPerDay;
   /// After relocations, stories that lost snippets are checked for
   /// connectivity and split into connected components when they fall
   /// apart.
@@ -56,9 +51,12 @@ class StoryRefiner {
   StoryRefiner& operator=(const StoryRefiner&) = delete;
 
   /// Runs one refinement pass over all partitions, using `alignment` as
-  /// the evidence. Mutates the per-source story sets. The alignment result
-  /// becomes stale afterwards; callers re-align if they need fresh
-  /// integrated stories.
+  /// the evidence: each snippet's best counterpart comes from
+  /// `alignment.graph`, which must be set and cover exactly the snippets
+  /// of `partitions`. Mutates the per-source story sets. The alignment
+  /// result becomes stale afterwards; callers re-align if they need fresh
+  /// integrated stories. The graph stays valid: refinement moves snippets
+  /// between stories but changes neither the snippet set nor DF.
   RefinementStats Refine(const std::vector<StorySet*>& partitions,
                          const AlignmentResult& alignment,
                          const SnippetStore& store,

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <vector>
 
 #include "model/snippet.h"
 #include "model/story.h"
@@ -10,6 +11,8 @@
 #include "text/tfidf.h"
 
 namespace storypivot {
+
+class IdfTable;
 
 /// Weights and thresholds of the snippet/story similarity model shared by
 /// story identification, alignment and refinement.
@@ -57,6 +60,12 @@ class SimilarityModel {
   /// Content similarity between two stories' aggregates.
   double StorySimilarity(const Story& a, const Story& b) const;
 
+  /// StorySimilarity(a, b) with each story's keyword norm precomputed by
+  /// `idf.SquaredNorm`: bit-identical, without the scaled entity copies
+  /// or the std::log calls of unshared keywords.
+  double StorySimilarity(const Story& a, double a_norm, const Story& b,
+                         double b_norm, const IdfTable& idf) const;
+
   /// IDF-weighted cosine over keyword count vectors. Weights are
   /// (1 + ln tf) * idf(term), with norms computed on the fly so the
   /// current corpus statistics always apply.
@@ -91,12 +100,48 @@ class SimilarityModel {
   void ResetCounters() {
     num_comparisons_.store(0, std::memory_order_relaxed);
   }
+  /// Adds `n` evaluations made by a kernel that bypasses the scoring
+  /// methods above (one relaxed add per chunk of work).
+  void AddComparisons(uint64_t n) const {
+    num_comparisons_.fetch_add(n, std::memory_order_relaxed);
+  }
 
  private:
   SimilarityConfig config_;
   const text::DocumentFrequency* df_;
   mutable std::atomic<uint64_t> num_comparisons_{0};
 };
+
+/// A model's keyword weights with IDF frozen for one phase. DF does not
+/// change during Align() or Refine(), so one table per phase replaces
+/// IdfCosine's per-term `std::log` of the IDF with a lookup. Every value
+/// comes from the same operations, in the same order, as IdfCosine's, so
+/// scores built from it are bit-identical to the on-the-fly ones.
+class IdfTable {
+ public:
+  explicit IdfTable(const SimilarityModel& model);
+
+  /// IdfCosine's weight of one keyword: (1 + ln count) · idf(term), or
+  /// the sublinear TF alone when the model does not use IDF.
+  double Weight(text::TermId term, double count) const;
+
+  /// IdfCosine's norm accumulator: Σ Weight² over `v` in term order.
+  double SquaredNorm(const text::TermVector& v) const;
+
+  /// IdfCosine(a, b), given both SquaredNorms.
+  double Cosine(const text::TermVector& a, double a_norm,
+                const text::TermVector& b, double b_norm) const;
+
+ private:
+  /// Null when the model weighs keywords without IDF.
+  const text::DocumentFrequency* df_;
+  /// idf(term) for every term `df_` has seen; later terms fall back to it.
+  std::vector<double> idf_;
+};
+
+/// IdfCosine's final step: the cosine from a dot product and both squared
+/// norms, 0 when either norm vanishes.
+double CosineFromNorms(double dot, double a_norm, double b_norm);
 
 }  // namespace storypivot
 

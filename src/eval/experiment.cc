@@ -97,8 +97,9 @@ ExperimentRow RunExperiment(const ExperimentConfig& config) {
     row.align_time_ms = engine.stats().align_time_ms;
   }
   if (config.run_refinement) {
+    WallTimer timer;
     engine.Refine();
-    row.refine_time_ms = engine.stats().refine_time_ms;
+    row.refine_time_ms = timer.ElapsedMillis();
   }
   row.comparisons = engine.similarity().num_comparisons();
 

@@ -32,6 +32,7 @@ struct ExperimentRow {
   double ingest_time_ms = 0.0;    // Total story-identification time.
   double per_event_ms = 0.0;      // ingest_time_ms / num_events.
   double align_time_ms = 0.0;
+  /// The whole Refine() call: the pass and the re-alignment ending it.
   double refine_time_ms = 0.0;
   uint64_t comparisons = 0;       // Pairwise similarity evaluations.
 

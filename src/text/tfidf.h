@@ -26,6 +26,10 @@ class DocumentFrequency {
   /// Number of documents seen (adds minus removes).
   int64_t num_documents() const { return num_documents_; }
 
+  /// One past the highest term id ever recorded; every later term is
+  /// unseen.
+  size_t num_terms() const { return df_.size(); }
+
   /// Document frequency of `term` (0 if unseen).
   int64_t FrequencyOf(TermId term) const;
 

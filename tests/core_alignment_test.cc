@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <unordered_map>
+#include <vector>
 
 #include "core/aligner.h"
 #include "core/refiner.h"
@@ -128,6 +130,61 @@ TEST_F(AlignmentFixture, CounterpartsMarkedAligning) {
   EXPECT_EQ(result.roles.at(lonely.id), SnippetRole::kEnriching);
   EXPECT_EQ(result.counterpart.at(a.id), b.id);
   EXPECT_EQ(result.counterpart.at(b.id), a.id);
+}
+
+TEST(CounterpartTieBreakTest, EqualTimestampsKeepTheLowestIdPartner) {
+  // 18 snippets with one timestamp and identical content over 3 sources:
+  // every cross-source pair scores the same, so each snippet's counterpart
+  // is its lowest-id partner from another source. A sort by timestamp
+  // alone may permute a run of 17 or more equal keys.
+  SnippetStore store;
+  SimilarityModel model({}, nullptr);
+  StorySet partitions[3] = {StorySet(0), StorySet(1), StorySet(2)};
+  IntegratedStory integrated;
+  std::vector<const Snippet*> snippets;
+  for (int k = 0; k < 18; ++k) {
+    Snippet s;
+    s.source = static_cast<SourceId>(k % 3);
+    s.timestamp = kSecondsPerDay;
+    s.entities = text::TermVector::FromEntries({{0, 1.0}, {1, 1.0}});
+    s.keywords = text::TermVector::FromEntries({{5, 1.0}, {6, 1.0}});
+    SnippetId id = store.Insert(std::move(s)).value();
+    snippets.push_back(store.Find(id));
+  }
+  for (const Snippet* s : snippets) {
+    StorySet& partition = partitions[s->source];
+    if (partition.FindStory(s->source) == nullptr) {
+      partition.CreateStory(s->source);
+    }
+    partition.AddSnippetToStory(*s, s->source);
+  }
+  for (StoryId story = 0; story < 3; ++story) {
+    integrated.members.push_back({story, story});
+    integrated.merged.MergeFrom(*partitions[story].FindStory(story));
+  }
+  std::unordered_map<SnippetId, SnippetId> expected;
+  for (const Snippet* s : snippets) {
+    for (const Snippet* other : snippets) {
+      if (other->source != s->source) {
+        expected.emplace(s->id, other->id);  // Ids ascend: first wins.
+        break;
+      }
+    }
+  }
+
+  std::unordered_map<SnippetId, SnippetRole> roles;
+  std::unordered_map<SnippetId, SnippetId> counterparts;
+  ClassifyIntegratedStory(model, {}, store, integrated, &roles,
+                          &counterparts);
+  EXPECT_EQ(counterparts, expected);
+
+  StoryAligner aligner(&model, {});
+  StoryId next_story_id = 3;
+  AlignmentResult aligned = aligner.Align(
+      {&partitions[0], &partitions[1], &partitions[2]}, store,
+      &next_story_id);
+  ASSERT_EQ(aligned.stories.size(), 1u);
+  EXPECT_EQ(aligned.counterpart, expected);
 }
 
 TEST_F(AlignmentFixture, IntegratedOfCoversEverySnippet) {

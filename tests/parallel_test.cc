@@ -1,7 +1,8 @@
 // Serial-vs-parallel equivalence for the engine's internal parallel
-// paths (DESIGN.md §9): batch ingestion via AddSnippets and alignment
-// pair scoring must produce bit-identical results for every thread
-// count, and a failed batch must leave no trace (all-or-nothing).
+// paths (DESIGN.md §9): batch ingestion via AddSnippets, alignment pair
+// scoring and the counterpart graph behind refinement must produce
+// bit-identical results for every thread count, and a failed batch must
+// leave no trace (all-or-nothing).
 
 #include <gtest/gtest.h>
 
@@ -116,6 +117,18 @@ TEST_P(ParallelEquivalence, BatchIngestIsThreadCountInvariant) {
   // The downstream alignment (itself parallel in one engine) must agree
   // in every field.
   ExpectIdenticalAlignment(serial->Align(), parallel->Align());
+
+  // So must refinement, which reads the parallel-built counterpart graph,
+  // and the re-alignment that ends it.
+  const RefinementStats serial_stats = serial->Refine();
+  const RefinementStats parallel_stats = parallel->Refine();
+  EXPECT_EQ(serial_stats.snippets_moved, parallel_stats.snippets_moved);
+  EXPECT_EQ(serial_stats.stories_created, parallel_stats.stories_created);
+  EXPECT_EQ(serial_stats.stories_split, parallel_stats.stories_split);
+  EXPECT_EQ(serial_stats.conflicts_examined,
+            parallel_stats.conflicts_examined);
+  EXPECT_EQ(PartitionFingerprint(*serial), PartitionFingerprint(*parallel));
+  ExpectIdenticalAlignment(serial->alignment(), parallel->alignment());
 }
 
 INSTANTIATE_TEST_SUITE_P(Sketches, ParallelEquivalence,
