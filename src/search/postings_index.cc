@@ -1,6 +1,7 @@
 #include "search/postings_index.h"
 
 #include <algorithm>
+#include <cctype>
 
 #include "util/logging.h"
 
@@ -110,6 +111,23 @@ std::vector<std::pair<std::string, size_t>> PostingsIndex::EventTypes()
   // The HAMT iterates in hash order; enumeration promises lexicographic.
   std::sort(out.begin(), out.end());
   return out;
+}
+
+const std::string* PostingsIndex::EventTypeIgnoringCase(
+    std::string_view lowered) const {
+  auto folds_to = [](char c, char lower) {
+    return std::tolower(static_cast<unsigned char>(c)) ==
+           static_cast<unsigned char>(lower);
+  };
+  const std::string* best = nullptr;
+  event_postings_.ForEach([&](const std::string& type, const PostingList&) {
+    if (std::equal(type.begin(), type.end(), lowered.begin(), lowered.end(),
+                   folds_to) &&
+        (best == nullptr || type < *best)) {
+      best = &type;
+    }
+  });
+  return best;
 }
 
 size_t PostingsIndex::DocumentFrequency(Field field,

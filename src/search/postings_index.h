@@ -83,6 +83,14 @@ class PostingsIndex {
   [[nodiscard]] std::vector<std::pair<std::string, size_t>> EventTypes()
       const;
 
+  /// The lexicographically smallest posted event type whose ASCII-lower-
+  /// cased form equals `lowered`, or nullptr. Walks the posted types
+  /// without allocating: they are few and change on every post/unpost,
+  /// so a folded map would not pay for itself. The pointer is valid until
+  /// the next AddSnippet/RemoveSnippet.
+  [[nodiscard]] const std::string* EventTypeIgnoringCase(
+      std::string_view lowered) const;
+
   /// Number of snippets containing the term (postings-list length).
   [[nodiscard]] size_t DocumentFrequency(Field field,
                                          text::TermId term) const;

@@ -5,33 +5,28 @@
 #include "text/porter_stemmer.h"
 #include "text/stopwords.h"
 #include "text/tokenizer.h"
-#include "util/strings.h"
 
 namespace storypivot::search {
 
 namespace {
 
-/// Case-insensitive entity-vocabulary match; lowest id wins.
+/// Entity-vocabulary match for a (lower-case) token: an exact match
+/// wins, otherwise the lowest id that folds to the token.
 text::TermId EntityTermOfToken(const text::Vocabulary& vocabulary,
                                const std::string& token) {
   text::TermId exact = vocabulary.Lookup(token);
   if (exact != text::kInvalidTermId) return exact;
-  for (text::TermId id = 0; id < vocabulary.size(); ++id) {
-    if (ToLower(vocabulary.TermOf(id)) == token) return id;
-  }
-  return text::kInvalidTermId;
+  return vocabulary.LookupIgnoringCase(token);
 }
 
-/// Case-insensitive event-type match against the types the index has
-/// seen; lexicographically smallest canonical form wins (EventTypes()
-/// enumerates in order).
+/// Event-type match against the types the index has posted: an exact
+/// match wins, otherwise the lexicographically smallest type that folds
+/// to the token.
 std::string EventTypeOfToken(const PostingsIndex& index,
                              const std::string& token) {
   if (index.EventTypePostings(token) != nullptr) return token;
-  for (const auto& [type, df] : index.EventTypes()) {
-    if (ToLower(type) == token) return type;
-  }
-  return {};
+  const std::string* folded = index.EventTypeIgnoringCase(token);
+  return folded == nullptr ? std::string() : *folded;
 }
 
 }  // namespace

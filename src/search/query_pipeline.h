@@ -40,10 +40,13 @@ struct ParsedQuery {
 ///   1. tokenize (lowercasing, like AnnotationPipeline);
 ///   2. gazetteer alias mentions become entity terms ("MH17" resolves to
 ///      its canonical entity), consuming their tokens;
-///   3. each remaining token is tried as an entity name
-///      (case-insensitive), then — stopwords excluded — as a keyword via
-///      Porter stemming, then as an event type known to `index`
-///      (case-insensitive);
+///   3. each remaining token is tried as an entity name (an exact match
+///      wins, otherwise the lowest id whose lower-cased form equals the
+///      token — one Vocabulary::LookupIgnoringCase, not a vocabulary
+///      scan), then — stopwords excluded — as a keyword via Porter
+///      stemming, then as an event type posted in `index` (an exact match
+///      wins, otherwise the lexicographically smallest type that folds to
+///      the token);
 ///   4. anything left lands in `unmatched`.
 ///
 /// Duplicate resolutions collapse to one term. The text state is the

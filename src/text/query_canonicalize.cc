@@ -32,12 +32,8 @@ TermId CanonicalizeEntityQuery(const Gazetteer& gazetteer,
     return best->entity;
   }
 
-  // Case-insensitive scan, lowest id wins so the result is deterministic.
-  std::string lowered = ToLower(query);
-  for (TermId id = 0; id < vocabulary.size(); ++id) {
-    if (ToLower(vocabulary.TermOf(id)) == lowered) return id;
-  }
-  return kInvalidTermId;
+  // Case-insensitive match, lowest id wins so the result is deterministic.
+  return vocabulary.LookupIgnoringCase(ToLower(query));
 }
 
 TermId CanonicalizeKeywordQuery(const Vocabulary& vocabulary,

@@ -17,8 +17,9 @@ namespace storypivot::text {
 ///   1. exact vocabulary match (canonical names typed verbatim);
 ///   2. gazetteer alias match over the tokenized query ("MH17" finds the
 ///      entity whose alias list contains mh17), longest mention wins;
-///   3. case-insensitive vocabulary scan ("ukraine" -> "Ukraine"; linear
-///      in the vocabulary, acceptable at query rates).
+///   3. case-insensitive vocabulary match ("ukraine" -> "Ukraine"): the
+///      lowest id among all terms whose lower-cased form equals the
+///      lower-cased query, one Vocabulary::LookupIgnoringCase.
 ///
 /// Returns kInvalidTermId when nothing matches.
 [[nodiscard]] TermId CanonicalizeEntityQuery(const Gazetteer& gazetteer,

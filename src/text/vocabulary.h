@@ -35,6 +35,11 @@ class Vocabulary {
   /// Returns the id for `term`, or kInvalidTermId if it was never interned.
   TermId Lookup(std::string_view term) const;
 
+  /// Returns the lowest id whose ASCII-lower-cased form equals `lowered`
+  /// (which must itself be lower-case), or kInvalidTermId. O(1): one
+  /// exact lookup plus one lookup in the case-folded index.
+  TermId LookupIgnoringCase(std::string_view lowered) const;
+
   /// Returns the string for an id. Requires a valid id from this vocabulary.
   const std::string& TermOf(TermId id) const;
 
@@ -43,6 +48,10 @@ class Vocabulary {
 
  private:
   std::unordered_map<std::string, TermId> index_;
+  /// Lower-cased form -> lowest id, for terms that are not lower-case
+  /// already (a lower-case term is found through index_), so vocabularies
+  /// of lower-case keyword stems add no entries.
+  std::unordered_map<std::string, TermId> folded_;
   std::vector<std::string> terms_;
 };
 

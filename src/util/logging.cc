@@ -61,7 +61,11 @@ LogMessage::~LogMessage() {
   std::fwrite(line.data(), 1, line.size(), stderr);
 }
 
-void AbortAfterCheckFailure() { std::abort(); }
+void AbortAfterCheckFailure() {
+  // A bench or report that fails a check keeps the stdout it buffered.
+  std::fflush(nullptr);
+  std::abort();
+}
 
 }  // namespace internal_logging
 }  // namespace storypivot

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <memory>
 #include <string>
 #include <utility>
@@ -10,14 +11,23 @@
 #include "datagen/corpus.h"
 #include "datagen/mh17.h"
 #include "persist/durable_engine.h"
+#include "search/query_pipeline.h"
 #include "search/ranker.h"
 #include "search/search_engine.h"
+#include "serve/read_snapshot.h"
+#include "text/porter_stemmer.h"
+#include "text/query_canonicalize.h"
+#include "text/stopwords.h"
+#include "text/tokenizer.h"
 #include "util/fs.h"
 #include "util/logging.h"
+#include "util/rng.h"
+#include "util/strings.h"
 
 namespace storypivot {
 namespace {
 
+using search::ParsedQuery;
 using search::SearchEngine;
 using search::SearchOptions;
 using search::StoryHit;
@@ -349,6 +359,277 @@ TEST(QueryDurableRecovery, RecoveredIndexMatchesLiveOne) {
   }
   ExpectIndexMatchesScan(recovered.value()->engine(), recovered_search);
   SP_CHECK_OK(recovered.value()->Close());
+}
+
+// ------------------ Case-folded lookups vs the scan oracle ------------------
+
+// Reference implementations: linear scans over every vocabulary term and
+// over the sorted event types. They define what the O(1) case-folded
+// lookups in ParseQuery and CanonicalizeEntityQuery must reproduce.
+
+/// Lowest id whose lower-cased form equals `lowered`.
+text::TermId ScanIgnoringCase(const text::Vocabulary& vocabulary,
+                              const std::string& lowered) {
+  for (text::TermId id = 0; id < vocabulary.size(); ++id) {
+    if (ToLower(vocabulary.TermOf(id)) == lowered) return id;
+  }
+  return text::kInvalidTermId;
+}
+
+/// CanonicalizeEntityQuery with the scan as its last step.
+text::TermId OracleCanonicalizeEntityQuery(const text::Gazetteer& gazetteer,
+                                           const text::Vocabulary& vocabulary,
+                                           std::string_view query) {
+  text::TermId exact = vocabulary.Lookup(query);
+  if (exact != text::kInvalidTermId) return exact;
+  std::vector<text::Token> tokens = text::Tokenizer().Tokenize(query);
+  if (tokens.empty()) return text::kInvalidTermId;
+  std::vector<text::EntityMention> mentions = gazetteer.FindMentions(tokens);
+  if (!mentions.empty()) {
+    const text::EntityMention* best = &mentions.front();
+    for (const text::EntityMention& mention : mentions) {
+      if (mention.token_end - mention.token_begin >
+          best->token_end - best->token_begin) {
+        best = &mention;
+      }
+    }
+    return best->entity;
+  }
+  return ScanIgnoringCase(vocabulary, ToLower(query));
+}
+
+/// ParseQuery with the entity scan and the sorted event-type scan.
+ParsedQuery OracleParseQuery(const text::Gazetteer& gazetteer,
+                             const text::Vocabulary& entities,
+                             const text::Vocabulary& keywords,
+                             const search::PostingsIndex& index,
+                             std::string_view query) {
+  using search::Field;
+  using search::QueryTerm;
+  ParsedQuery out;
+  std::vector<text::Token> tokens = text::Tokenizer().Tokenize(query);
+  auto add_term = [&out](QueryTerm term) {
+    for (const QueryTerm& existing : out.terms) {
+      if (existing.field != term.field) continue;
+      if (term.field == Field::kEventType
+              ? existing.event_type == term.event_type
+              : existing.term == term.term) {
+        return;
+      }
+    }
+    out.terms.push_back(std::move(term));
+  };
+  std::vector<bool> consumed(tokens.size(), false);
+  for (const text::EntityMention& mention : gazetteer.FindMentions(tokens)) {
+    QueryTerm term;
+    term.field = Field::kEntity;
+    term.term = mention.entity;
+    for (size_t i = mention.token_begin; i < mention.token_end; ++i) {
+      if (!term.surface.empty()) term.surface += ' ';
+      term.surface += tokens[i].text;
+      consumed[i] = true;
+    }
+    add_term(std::move(term));
+  }
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    if (consumed[i]) continue;
+    const std::string& word = tokens[i].text;
+    text::TermId entity = entities.Lookup(word);
+    if (entity == text::kInvalidTermId) {
+      entity = ScanIgnoringCase(entities, word);
+    }
+    if (entity != text::kInvalidTermId) {
+      add_term({Field::kEntity, entity, {}, word});
+      continue;
+    }
+    if (text::IsStopword(word)) continue;
+    text::TermId keyword = keywords.Lookup(word);
+    if (keyword == text::kInvalidTermId) {
+      keyword = keywords.Lookup(text::PorterStem(word));
+    }
+    if (keyword != text::kInvalidTermId) {
+      add_term({Field::kKeyword, keyword, {}, word});
+      continue;
+    }
+    std::string event_type;
+    if (index.EventTypePostings(word) != nullptr) {
+      event_type = word;
+    } else {
+      for (const auto& [type, df] : index.EventTypes()) {
+        if (ToLower(type) == word) {
+          event_type = type;
+          break;
+        }
+      }
+    }
+    if (!event_type.empty()) {
+      add_term({Field::kEventType, text::kInvalidTermId,
+                std::move(event_type), word});
+      continue;
+    }
+    out.unmatched.push_back(word);
+  }
+  return out;
+}
+
+/// Every field of a parse, so two parses compare with one EXPECT_EQ.
+std::string Describe(const ParsedQuery& parsed) {
+  std::string out;
+  for (const search::QueryTerm& term : parsed.terms) {
+    out += StrFormat("[%d %u %s '%s'] ", static_cast<int>(term.field),
+                     term.term, term.event_type.c_str(),
+                     term.surface.c_str());
+  }
+  out += "unmatched:";
+  for (const std::string& word : parsed.unmatched) out += " " + word;
+  return out;
+}
+
+/// `text` in lower, UPPER, Title and aLtErNaTiNg case.
+std::vector<std::string> CaseVariants(const std::string& text) {
+  std::string upper = text;
+  std::string title = ToLower(text);
+  std::string alternating = text;
+  for (size_t i = 0; i < text.size(); ++i) {
+    auto byte = static_cast<unsigned char>(text[i]);
+    upper[i] = static_cast<char>(std::toupper(byte));
+    if (i == 0 || text[i - 1] == ' ') title[i] = upper[i];
+    alternating[i] = static_cast<char>(i % 2 == 0 ? std::tolower(byte)
+                                                  : std::toupper(byte));
+  }
+  return {ToLower(text), upper, title, alternating};
+}
+
+TEST(QueryCaseFolding, GdeltEntityVocabularyResolvesLikeTheScan) {
+  datagen::CorpusConfig config = datagen::GdeltScalePreset();
+  config.target_num_snippets = 600;  // The 500-entity vocabulary matters.
+  datagen::Corpus corpus = datagen::CorpusGenerator(config).Generate();
+  std::unique_ptr<StoryPivotEngine> engine = BuildFromCorpus(corpus);
+  const StoryPivotEngine& live = *engine;
+  SearchEngine searcher(engine.get());
+  std::unique_ptr<serve::ReadSnapshot> snapshot =
+      serve::ReadSnapshot::Capture(live, searcher.index());
+  StoryQuery stories(engine.get());
+
+  const text::Vocabulary& entities = live.entity_vocabulary();
+  ASSERT_EQ(entities.size(), 500u);
+  size_t found = 0;
+  for (text::TermId id = 0; id < entities.size(); ++id) {
+    const std::string& name = entities.TermOf(id);
+    EXPECT_EQ(entities.LookupIgnoringCase(ToLower(name)),
+              ScanIgnoringCase(entities, ToLower(name)))
+        << name;
+    for (const std::string& variant : CaseVariants(name)) {
+      const ParsedQuery oracle =
+          OracleParseQuery(live.gazetteer(), entities,
+                           live.keyword_vocabulary(), searcher.index(),
+                           variant);
+      EXPECT_EQ(Describe(searcher.Parse(variant)), Describe(oracle))
+          << variant;
+      EXPECT_EQ(Describe(snapshot->Parse(variant)), Describe(oracle))
+          << variant;
+      const text::TermId canonical =
+          OracleCanonicalizeEntityQuery(live.gazetteer(), entities, variant);
+      EXPECT_EQ(text::CanonicalizeEntityQuery(live.gazetteer(), entities,
+                                              variant),
+                canonical)
+          << variant;
+      std::vector<StoryId> want;
+      if (canonical != text::kInvalidTermId) {
+        want = IdsOf(stories.FindByEntity(entities.TermOf(canonical)));
+      }
+      EXPECT_EQ(IdsOf(stories.FindByEntity(variant)), want) << variant;
+      if (!want.empty()) ++found;
+    }
+  }
+  EXPECT_GT(found, 0u);
+}
+
+/// `text` in a random one of lower, UPPER, Title case or per-byte noise.
+std::string MixCase(const std::string& text, Pcg32& rng) {
+  const uint32_t style = rng.NextBounded(5);
+  if (style < 3) return CaseVariants(text)[style];
+  std::string out = text;
+  for (char& c : out) {
+    auto byte = static_cast<unsigned char>(c);
+    c = static_cast<char>(rng.NextBounded(2) == 0 ? std::tolower(byte)
+                                                  : std::toupper(byte));
+  }
+  return out;
+}
+
+TEST(QueryCaseFoldingProperty, ParsesAndHitsMatchTheScanOracle) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    datagen::CorpusConfig config;
+    config.seed = seed;
+    config.target_num_snippets = 150;
+    config.num_sources = 4;
+    config.num_stories = 12;
+    config.num_entities = 60;
+    datagen::Corpus corpus = datagen::CorpusGenerator(config).Generate();
+    std::unique_ptr<StoryPivotEngine> engine = BuildFromCorpus(corpus);
+    Pcg32 rng(seed, /*stream=*/5);
+
+    // Fold collisions the corpus lacks: case variants of entity names
+    // interned after them (no postings), and snippets re-posted under
+    // case variants of their event type.
+    text::Vocabulary& entity_vocab = *engine->entity_vocabulary();
+    const auto corpus_entities = static_cast<uint32_t>(entity_vocab.size());
+    for (int i = 0; i < 8; ++i) {
+      entity_vocab.Intern(
+          MixCase(entity_vocab.TermOf(rng.NextBounded(corpus_entities)), rng));
+    }
+    for (int i = 0; i < 6; ++i) {
+      Snippet copy = corpus.snippets[rng.NextBounded(
+          static_cast<uint32_t>(corpus.snippets.size()))];
+      copy.id = kInvalidSnippetId;
+      copy.event_type = MixCase(copy.event_type, rng);
+      SP_CHECK_OK(engine->AddSnippet(std::move(copy)));
+    }
+    const StoryPivotEngine& live = *engine;
+    SearchEngine searcher(engine.get());
+    std::unique_ptr<serve::ReadSnapshot> snapshot =
+        serve::ReadSnapshot::Capture(live, searcher.index());
+
+    std::vector<std::string> words = {"the", "us", "zzznope"};
+    for (text::TermId id = 0; id < entity_vocab.size(); ++id) {
+      words.push_back(entity_vocab.TermOf(id));
+    }
+    const text::Vocabulary& keywords = live.keyword_vocabulary();
+    for (text::TermId id = 0; id < keywords.size(); id += 3) {
+      words.push_back(keywords.TermOf(id));
+    }
+    for (const auto& [type, df] : searcher.index().EventTypes()) {
+      words.push_back(type);
+    }
+
+    for (int q = 0; q < 60; ++q) {
+      std::string query;
+      for (uint32_t n = 1 + rng.NextBounded(4); n > 0; --n) {
+        query += MixCase(
+            words[rng.NextBounded(static_cast<uint32_t>(words.size()))],
+            rng);
+        query += ' ';
+      }
+      const ParsedQuery oracle =
+          OracleParseQuery(live.gazetteer(), entity_vocab, keywords,
+                           searcher.index(), query);
+      const ParsedQuery parsed = searcher.Parse(query);
+      const ParsedQuery frozen = snapshot->Parse(query);
+      EXPECT_EQ(Describe(parsed), Describe(oracle)) << query;
+      EXPECT_EQ(Describe(frozen), Describe(oracle)) << query;
+
+      SearchOptions options;
+      options.mode = q % 2 == 0 ? search::MatchMode::kAny
+                                : search::MatchMode::kAll;
+      const std::vector<StoryHit> want = searcher.Search(oracle, options);
+      EXPECT_EQ(searcher.Search(parsed, options), want) << query;
+      EXPECT_EQ(snapshot->Search(frozen, options), want) << query;
+    }
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "case folding diverged from the scan at seed " << seed;
+    }
+  }
 }
 
 }  // namespace

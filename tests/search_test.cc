@@ -11,6 +11,7 @@
 #include "search/query_pipeline.h"
 #include "search/ranker.h"
 #include "search/search_engine.h"
+#include "text/query_canonicalize.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -371,6 +372,96 @@ TEST_F(ParseFixture, MultiTokenAliasResolvesThroughGazetteer) {
 TEST_F(ParseFixture, DuplicateResolutionsCollapse) {
   ParsedQuery parsed = searcher_->Parse("crash crashes crashing");
   EXPECT_EQ(parsed.terms.size(), 1u);
+}
+
+TEST(ParseCaseFolding, ExactMatchWinsInParseLowestFoldInCanonicalize) {
+  // Case variants interned out of order: "US" at id 2, "us" at id 7.
+  text::Vocabulary entities;
+  for (const char* name : {"Ukraine", "Russia", "US", "Kiev", "NATO",
+                           "Malaysia Airlines", "EU", "us"}) {
+    entities.Intern(name);
+  }
+  ASSERT_EQ(entities.Lookup("US"), 2u);
+  ASSERT_EQ(entities.Lookup("us"), 7u);
+  text::Vocabulary keywords;
+  text::Gazetteer gazetteer(&entities);
+  PostingsIndex index;
+  auto entity_of = [&](std::string_view query) {
+    ParsedQuery parsed =
+        search::ParseQuery(gazetteer, entities, keywords, index, query);
+    SP_CHECK(parsed.terms.size() == 1);
+    SP_CHECK(parsed.terms[0].field == Field::kEntity);
+    return parsed.terms[0].term;
+  };
+
+  // ParseQuery: the token "us" matches id 7 exactly, which beats the
+  // lower fold at id 2; a token with no exact match takes its fold.
+  EXPECT_EQ(entity_of("us"), 7u);
+  EXPECT_EQ(entity_of("US"), 7u);  // Tokenized to "us".
+  EXPECT_EQ(entity_of("kIEV"), 3u);
+  EXPECT_EQ(entity_of("nato"), 4u);
+
+  // CanonicalizeEntityQuery: the lowest id among every term that folds
+  // to the lower-cased query, the lower-case term included.
+  EXPECT_EQ(text::CanonicalizeEntityQuery(gazetteer, entities, "uS"), 2u);
+  EXPECT_EQ(text::CanonicalizeEntityQuery(gazetteer, entities, "us"), 7u);
+  EXPECT_EQ(text::CanonicalizeEntityQuery(gazetteer, entities, "kiev"), 3u);
+  EXPECT_EQ(text::CanonicalizeEntityQuery(gazetteer, entities, "Minsk"),
+            text::kInvalidTermId);
+}
+
+TEST(ParseCaseFolding, EventTypeFoldsToTheSmallestPostedType) {
+  text::Vocabulary entities;
+  text::Vocabulary keywords;
+  text::Gazetteer gazetteer(&entities);
+  PostingsIndex index;
+  auto type_of = [&](std::string_view query) -> std::string {
+    ParsedQuery parsed =
+        search::ParseQuery(gazetteer, entities, keywords, index, query);
+    return parsed.terms.empty() ? "<none>" : parsed.terms[0].event_type;
+  };
+  const Snippet protest = MakeSnippet(1, 0, 10, {}, {}, "Protest");
+  const Snippet shout_a = MakeSnippet(2, 0, 20, {}, {}, "PROTEST");
+  const Snippet shout_b = MakeSnippet(3, 0, 30, {}, {}, "PROTEST");
+  index.AddSnippet(protest);
+  index.AddSnippet(shout_a);
+  index.AddSnippet(shout_b);
+  // ASCII upper case sorts first: "PROTEST" < "Protest".
+  EXPECT_EQ(type_of("protest"), "PROTEST");
+  index.RemoveSnippet(shout_a);
+  EXPECT_EQ(type_of("protest"), "PROTEST");  // One snippet still posts it.
+  index.RemoveSnippet(shout_b);
+  EXPECT_EQ(type_of("protest"), "Protest");
+
+  // More variants: the smallest posted fold wins at every step.
+  const Snippet mixed = MakeSnippet(4, 0, 40, {}, {}, "ProTest");
+  const Snippet inverted = MakeSnippet(5, 0, 50, {}, {}, "pROTEST");
+  const Snippet tail = MakeSnippet(6, 0, 60, {}, {}, "PROTESt");
+  for (const Snippet* snippet : {&inverted, &mixed, &tail, &shout_a}) {
+    index.AddSnippet(*snippet);
+  }
+  EXPECT_EQ(type_of("PROTEST"), "PROTEST");
+  index.RemoveSnippet(shout_a);
+  EXPECT_EQ(type_of("protest"), "PROTESt");
+  index.RemoveSnippet(tail);
+  EXPECT_EQ(type_of("protest"), "ProTest");
+  index.RemoveSnippet(mixed);
+  EXPECT_EQ(type_of("protest"), "Protest");
+  index.RemoveSnippet(protest);
+  EXPECT_EQ(type_of("protest"), "pROTEST");
+
+  // An exact posting wins although "PROTEST" sorts before it.
+  const Snippet exact = MakeSnippet(7, 0, 70, {}, {}, "protest");
+  index.AddSnippet(exact);
+  index.AddSnippet(shout_a);
+  EXPECT_EQ(type_of("protest"), "protest");
+
+  // A type whose last snippet is removed stops matching.
+  for (const Snippet* snippet : {&exact, &shout_a, &inverted}) {
+    index.RemoveSnippet(*snippet);
+  }
+  EXPECT_EQ(type_of("protest"), "<none>");
+  EXPECT_EQ(index.EventTypeIgnoringCase("protest"), nullptr);
 }
 
 // -------------------- Incremental maintenance vs rebuild -------------------

@@ -237,6 +237,23 @@ TEST(VocabularyTest, TermOfRoundTrip) {
   EXPECT_EQ(vocab.TermOf(id), "ukraine");
 }
 
+TEST(VocabularyTest, LookupIgnoringCaseReturnsTheLowestFoldingId) {
+  Vocabulary vocab;
+  EXPECT_EQ(vocab.Intern("uk"), 0u);
+  EXPECT_EQ(vocab.Intern("UK"), 1u);
+  EXPECT_EQ(vocab.Intern("Kiev"), 2u);
+  EXPECT_EQ(vocab.Intern("KIEV"), 3u);
+  EXPECT_EQ(vocab.Intern("US"), 4u);
+  EXPECT_EQ(vocab.Intern("us"), 5u);
+  EXPECT_EQ(vocab.LookupIgnoringCase("uk"), 0u);    // Lower-case term first.
+  EXPECT_EQ(vocab.LookupIgnoringCase("kiev"), 2u);  // First of two folds.
+  EXPECT_EQ(vocab.LookupIgnoringCase("us"), 4u);    // Fold beats exact.
+  EXPECT_EQ(vocab.LookupIgnoringCase("crash"), kInvalidTermId);
+  // A moved vocabulary keeps its fold.
+  Vocabulary moved = std::move(vocab);
+  EXPECT_EQ(moved.LookupIgnoringCase("kiev"), 2u);
+}
+
 // ------------------------------- TermVector --------------------------------
 
 TEST(TermVectorTest, FromEntriesSortsAndDeduplicates) {

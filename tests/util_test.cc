@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cmath>
 #include <cstdio>
 #include <set>
@@ -13,6 +18,7 @@
 #include "util/failpoint.h"
 #include "util/fs.h"
 #include "util/hash.h"
+#include "util/logging.h"
 #include "util/retry.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -97,6 +103,37 @@ TEST(ResultDeathTest, CheckOkAbortsWithFileAndLine) {
   EXPECT_DEATH(SP_CHECK_OK(Status::Internal("bad invariant")),
                "util_test\\.cc.*SP_CHECK_OK failed: Internal: "
                "bad invariant");
+}
+
+TEST(CheckFailureTest, FlushesBufferedStdoutBeforeAborting) {
+  // stdout into a file is fully buffered: without a flush on the abort
+  // path, a bench that fails a check loses the report it had printed.
+  const std::string path = ::testing::TempDir() + "/sp_check_flush.txt";
+  std::fflush(nullptr);  // The child must not inherit pending output.
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    const int fd = open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd < 0 || dup2(fd, STDOUT_FILENO) < 0 ||
+        dup2(fd, STDERR_FILENO) < 0) {
+      _exit(2);
+    }
+    std::printf("report line with no newline");
+    SP_CHECK(path.empty());
+    _exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFSIGNALED(status)) << "child exit status " << status;
+  EXPECT_EQ(WTERMSIG(status), SIGABRT);
+  Result<std::string> written = ReadFileToString(path);
+  ASSERT_TRUE(written.ok()) << written.status().ToString();
+  EXPECT_NE(written.value().find("report line with no newline"),
+            std::string::npos)
+      << written.value();
+  EXPECT_NE(written.value().find("SP_CHECK failed: path.empty()"),
+            std::string::npos)
+      << written.value();
 }
 
 // ------------------------- status macros -----------------------------------

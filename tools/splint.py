@@ -33,6 +33,12 @@ examples/ (and tools/ headers if any appear):
                     MutexLock / CondVar wrappers so Clang's thread-safety
                     analysis and tools/lockcheck.py see every lock
                     (DESIGN.md §13).
+  lexicon-scan      no case-insensitive lexicon scans in src/: ToLower()
+                    over a TermOf() result (a pass over the vocabulary per
+                    lookup; use Vocabulary::LookupIgnoringCase) and no
+                    range-for over EventTypes() (it copies and sorts every
+                    posted type; use PostingsIndex::EventTypeIgnoringCase).
+                    Tests are exempt: the scans live on there as oracles.
 
 A finding can be suppressed on its line with:  // splint: allow(<rule>)
 
@@ -217,8 +223,32 @@ def check_full_scan(relpath, lines):
                 " is required")
 
 
+LEXICON_SCAN_RES = [
+    (re.compile(r"\bToLower\s*\([^;]*\bTermOf\s*\("),
+     "ToLower() over TermOf() scans the vocabulary; use "
+     "Vocabulary::LookupIgnoringCase"),
+    (re.compile(r"\bfor\s*\([^;]*:[^;]*\bEventTypes\s*\(\s*\)"),
+     "range-for over EventTypes() copies and sorts every posted type; use "
+     "PostingsIndex::EventTypeIgnoringCase"),
+]
+
+
+def check_lexicon_scan(relpath, lines):
+    """Case-insensitive lookups fold the query once and ask an index
+    (DESIGN.md §11.3); a per-lookup pass over the lexicon is what made
+    query parsing linear in the vocabulary."""
+    if not relpath.startswith("src/"):
+        return
+    for number, line in enumerate(lines, start=1):
+        if LINE_COMMENT_RE.match(line) or line_allows(line, "lexicon-scan"):
+            continue
+        for pattern, message in LEXICON_SCAN_RES:
+            if pattern.search(line):
+                yield number, "lexicon-scan", message
+
+
 FILE_CHECKS = [check_banned, check_include_guard, check_using_namespace,
-               check_full_scan, check_raw_sync]
+               check_full_scan, check_raw_sync, check_lexicon_scan]
 
 
 def check_build_artifacts(root):
