@@ -10,6 +10,9 @@
 // size and over an entity-vocabulary sweep (500 / 5,000 / 50,000 names)
 // whose full run gates parse p50 at the largest vocabulary at no more
 // than 2x the smallest's (case-insensitive lookups are O(1), §11.3).
+// Every timing is taken over kPasses passes and recorded as its median
+// and quartiles, so one noisy pass does not move a row; the gate compares
+// medians.
 //
 // Writes BENCH_search.json. Run with --smoke for the CI-sized variant
 // (one small corpus, few repetitions, no 50,000-name vocabulary, same
@@ -34,26 +37,35 @@
 namespace storypivot::bench {
 namespace {
 
+/// Timed passes per measurement.
+constexpr int kPasses = 5;
+
 using search::Field;
 using search::ParsedQuery;
 using search::QueryTerm;
 using search::SearchOptions;
 using search::StoryHit;
 
+/// `{"q1":..,"median":..,"q3":..}` with `digits` decimals.
+std::string QuartilesJson(const Quartiles& q, int digits) {
+  return StrFormat("{\"q1\":%.*f,\"median\":%.*f,\"q3\":%.*f}", digits,
+                   q.q1, digits, q.median, digits, q.q3);
+}
+
 struct SweepResult {
   int snippets = 0;
   size_t stories = 0;
   size_t queries = 0;
-  double indexed_ms_per_query = 0.0;
-  double scan_ms_per_query = 0.0;
-  double speedup = 0.0;
-  double parse_us_per_query = 0.0;
+  Quartiles indexed_ms_per_query;
+  Quartiles scan_ms_per_query;
+  Quartiles speedup;
+  Quartiles parse_us_per_query;
 };
 
 struct VocabularyResult {
   size_t entities = 0;
   size_t queries = 0;
-  double parse_us_p50 = 0.0;
+  Quartiles parse_us_p50;
   double unmatched_per_query = 0.0;
 };
 
@@ -189,28 +201,34 @@ SweepResult RunSweep(int target_snippets, int repetitions,
     SP_CHECK(indexed == scanned);
   }
 
+  std::vector<double> indexed, scan, speedup, parse;
   WallTimer timer;
-  for (int rep = 0; rep < repetitions; ++rep) {
+  for (int pass = 0; pass < kPasses; ++pass) {
+    timer.Restart();
+    for (int rep = 0; rep < repetitions; ++rep) {
+      for (const ParsedQuery& query : queries.parsed) {
+        std::vector<StoryHit> hits = searcher.Search(query, options);
+        SP_CHECK(hits.size() <= options.k);
+      }
+    }
+    indexed.push_back(timer.ElapsedMillis() /
+                      static_cast<double>(repetitions * num_queries));
+
+    timer.Restart();
     for (const ParsedQuery& query : queries.parsed) {
-      std::vector<StoryHit> hits = searcher.Search(query, options);
+      std::vector<StoryHit> hits =
+          search::RankStoriesScan(engine, query, options);
       SP_CHECK(hits.size() <= options.k);
     }
+    scan.push_back(timer.ElapsedMillis() / static_cast<double>(num_queries));
+    speedup.push_back(scan.back() / indexed.back());
+    parse.push_back(
+        TimeParses(searcher, queries.texts, repetitions).us_per_query);
   }
-  result.indexed_ms_per_query =
-      timer.ElapsedMillis() / static_cast<double>(repetitions * num_queries);
-
-  timer.Restart();
-  for (const ParsedQuery& query : queries.parsed) {
-    std::vector<StoryHit> hits =
-        search::RankStoriesScan(engine, query, options);
-    SP_CHECK(hits.size() <= options.k);
-  }
-  result.scan_ms_per_query =
-      timer.ElapsedMillis() / static_cast<double>(num_queries);
-  result.speedup = result.scan_ms_per_query / result.indexed_ms_per_query;
-  result.parse_us_per_query =
-      TimeParses(searcher, queries.texts, repetitions).us_per_query;
-
+  result.indexed_ms_per_query = Summarize(indexed);
+  result.scan_ms_per_query = Summarize(scan);
+  result.speedup = Summarize(speedup);
+  result.parse_us_per_query = Summarize(parse);
   return result;
 }
 
@@ -228,9 +246,13 @@ VocabularyResult RunVocabularySweep(int num_entities, int repetitions,
   result.entities = engine->entity_vocabulary()->size();
   result.queries = num_queries;
   QuerySet queries = MakeQueries(*engine, searcher, num_queries);
-  ParseTimes times = TimeParses(searcher, queries.texts, repetitions);
-  result.parse_us_p50 = times.us_p50;
-  result.unmatched_per_query = times.unmatched_per_query;
+  std::vector<double> p50s;
+  for (int pass = 0; pass < kPasses; ++pass) {
+    ParseTimes times = TimeParses(searcher, queries.texts, repetitions);
+    p50s.push_back(times.us_p50);
+    result.unmatched_per_query = times.unmatched_per_query;
+  }
+  result.parse_us_p50 = Summarize(p50s);
   return result;
 }
 
@@ -250,51 +272,58 @@ int Main(int argc, char** argv) {
 
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("Ranked search: BM25 top-10, indexed vs full scan "
-              "(hardware threads=%u)\n", hw);
-  std::printf("%9s %8s %8s %12s %12s %8s %10s\n", "snippets", "stories",
+              "(hardware threads=%u; medians [q1, q3] of %d passes)\n",
+              hw, kPasses);
+  std::printf("%9s %8s %8s %12s %12s %22s %10s\n", "snippets", "stories",
               "queries", "indexed ms", "scan ms", "speedup", "parse us");
   std::vector<SweepResult> sweeps;
   for (int size : sizes) {
     SweepResult r = RunSweep(size, repetitions, num_queries);
-    std::printf("%9d %8zu %8zu %12.4f %12.4f %7.1fx %10.2f\n", r.snippets,
-                r.stories, r.queries, r.indexed_ms_per_query,
-                r.scan_ms_per_query, r.speedup, r.parse_us_per_query);
+    std::printf("%9d %8zu %8zu %12.4f %12.4f %7.1fx [%5.1f, %5.1f] %10.2f\n",
+                r.snippets, r.stories, r.queries,
+                r.indexed_ms_per_query.median, r.scan_ms_per_query.median,
+                r.speedup.median, r.speedup.q1, r.speedup.q3,
+                r.parse_us_per_query.median);
     sweeps.push_back(r);
   }
 
   std::printf("\nQuery parse vs entity-vocabulary size (2,000 snippets)\n");
-  std::printf("%9s %8s %12s %14s\n", "entities", "queries", "parse p50 us",
+  std::printf("%9s %8s %26s %14s\n", "entities", "queries", "parse p50 us",
               "unmatched/query");
   std::vector<VocabularyResult> vocab_sweeps;
   for (int entities : vocabularies) {
     VocabularyResult r =
         RunVocabularySweep(entities, repetitions, parse_queries);
-    std::printf("%9zu %8zu %12.2f %14.2f\n", r.entities, r.queries,
-                r.parse_us_p50, r.unmatched_per_query);
+    std::printf("%9zu %8zu %10.2f [%5.2f, %5.2f] %14.2f\n", r.entities,
+                r.queries, r.parse_us_p50.median, r.parse_us_p50.q1,
+                r.parse_us_p50.q3, r.unmatched_per_query);
     vocab_sweeps.push_back(r);
   }
 
   std::string json = StrFormat(
       "{\"bench\":\"search\",\"smoke\":%s,\"hardware_threads\":%u,"
-      "\"k\":10,\"sweeps\":[",
-      smoke ? "true" : "false", hw);
+      "\"k\":10,\"passes\":%d,\"sweeps\":[",
+      smoke ? "true" : "false", hw, kPasses);
   for (size_t i = 0; i < sweeps.size(); ++i) {
     const SweepResult& r = sweeps[i];
     json += StrFormat(
         "%s{\"snippets\":%d,\"stories\":%zu,\"queries\":%zu,"
-        "\"indexed_ms_per_query\":%.4f,\"scan_ms_per_query\":%.4f,"
-        "\"speedup\":%.1f,\"parse_us_per_query\":%.2f}",
+        "\"indexed_ms_per_query\":%s,\"scan_ms_per_query\":%s,"
+        "\"speedup\":%s,\"parse_us_per_query\":%s}",
         i == 0 ? "" : ",", r.snippets, r.stories, r.queries,
-        r.indexed_ms_per_query, r.scan_ms_per_query, r.speedup,
-        r.parse_us_per_query);
+        QuartilesJson(r.indexed_ms_per_query, 4).c_str(),
+        QuartilesJson(r.scan_ms_per_query, 4).c_str(),
+        QuartilesJson(r.speedup, 1).c_str(),
+        QuartilesJson(r.parse_us_per_query, 2).c_str());
   }
   json += "],\"vocabulary_sweep\":[";
   for (size_t i = 0; i < vocab_sweeps.size(); ++i) {
     const VocabularyResult& r = vocab_sweeps[i];
     json += StrFormat(
-        "%s{\"entities\":%zu,\"queries\":%zu,\"parse_us_p50\":%.2f,"
+        "%s{\"entities\":%zu,\"queries\":%zu,\"parse_us_p50\":%s,"
         "\"unmatched_per_query\":%.2f}",
-        i == 0 ? "" : ",", r.entities, r.queries, r.parse_us_p50,
+        i == 0 ? "" : ",", r.entities, r.queries,
+        QuartilesJson(r.parse_us_p50, 2).c_str(),
         r.unmatched_per_query);
   }
   json += "]}\n";
@@ -304,11 +333,13 @@ int Main(int argc, char** argv) {
   // Gate: parsing does not grow with the entity vocabulary.
   const VocabularyResult& small = vocab_sweeps.front();
   const VocabularyResult& large = vocab_sweeps.back();
-  const bool ok = large.parse_us_p50 <= 2.0 * small.parse_us_p50;
-  std::printf("gate: parse p50 %.2f us at %zu entities %s 2 x %.2f us at "
-              "%zu: %s\n",
-              large.parse_us_p50, large.entities, ok ? "<=" : ">",
-              small.parse_us_p50, small.entities, ok ? "ok" : "FAILED");
+  const bool ok =
+      large.parse_us_p50.median <= 2.0 * small.parse_us_p50.median;
+  std::printf("gate: median parse p50 %.2f us at %zu entities %s 2 x %.2f "
+              "us at %zu: %s\n",
+              large.parse_us_p50.median, large.entities, ok ? "<=" : ">",
+              small.parse_us_p50.median, small.entities,
+              ok ? "ok" : "FAILED");
   return ok ? 0 : 1;
 }
 

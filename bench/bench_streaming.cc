@@ -130,43 +130,32 @@ void Run() {
                 batched.TotalStories());
   }
 
-  // ---- Incremental vs batch re-alignment cadence (§2.4): align after
-  // every batch of 200 arrivals, with and without the maintained
-  // alignment graph.
-  std::printf("\n-- periodic re-alignment: batch vs incremental --\n");
-  for (bool incremental : {false, true}) {
-    EngineConfig config;
-    config.incremental_alignment = incremental;
-    StoryPivotEngine periodic(config);
-    SP_CHECK(periodic
-                 .ImportVocabularies(*corpus.entity_vocabulary,
-                                     *corpus.keyword_vocabulary)
-                 .ok());
-    for (const SourceInfo& s : corpus.sources) {
-      periodic.RegisterSource(s.name);
+  // ---- Periodic re-alignment cadence (§2.4): align after every batch
+  // of 200 arrivals.
+  std::printf("\n-- periodic re-alignment: every 200 arrivals --\n");
+  StoryPivotEngine periodic;
+  SP_CHECK(periodic
+               .ImportVocabularies(*corpus.entity_vocabulary,
+                                   *corpus.keyword_vocabulary)
+               .ok());
+  for (const SourceInfo& s : corpus.sources) periodic.RegisterSource(s.name);
+  double align_ms = 0.0;
+  size_t aligns = 0;
+  for (size_t i = 0; i < corpus.snippets.size(); ++i) {
+    Snippet copy = corpus.snippets[i];
+    copy.id = kInvalidSnippetId;
+    SP_CHECK_OK(periodic.AddSnippet(std::move(copy)));
+    if ((i + 1) % 200 == 0) {
+      WallTimer t;
+      periodic.Align();
+      align_ms += t.ElapsedMillis();
+      ++aligns;
     }
-    WallTimer align_total;
-    double align_ms = 0.0;
-    size_t aligns = 0;
-    for (size_t i = 0; i < corpus.snippets.size(); ++i) {
-      Snippet copy = corpus.snippets[i];
-      copy.id = kInvalidSnippetId;
-      SP_CHECK_OK(periodic.AddSnippet(std::move(copy)));
-      if ((i + 1) % 200 == 0) {
-        WallTimer t;
-        periodic.Align();
-        align_ms += t.ElapsedMillis();
-        ++aligns;
-      }
-    }
-    periodic.Align();
-    eval::QualityScores q = eval::ScoreEngine(periodic);
-    std::printf(
-        "  %-12s %4zu aligns, %8.1f ms total (%6.2f ms/align), "
-        "SA-F1=%.3f\n",
-        incremental ? "incremental" : "batch", aligns, align_ms,
-        align_ms / aligns, q.sa_pairwise.f1);
   }
+  periodic.Align();
+  eval::QualityScores q = eval::ScoreEngine(periodic);
+  std::printf("  %4zu aligns, %8.1f ms total (%6.2f ms/align), SA-F1=%.3f\n",
+              aligns, align_ms, align_ms / aligns, q.sa_pairwise.f1);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #ifndef STORYPIVOT_BENCH_BENCH_UTIL_H_
 #define STORYPIVOT_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -42,6 +43,27 @@ inline void PrintDatasetCard(const datagen::CorpusConfig& config,
   std::printf("  # Snippets  %d (target)\n", config.target_num_snippets);
   std::printf("  Start Date  %s\n", FormatDate(config.start_time).c_str());
   std::printf("  End Date    %s\n\n", FormatDate(config.end_time).c_str());
+}
+
+/// Median and quartiles of one measurement over repeated passes.
+struct Quartiles {
+  double q1 = 0.0;
+  double median = 0.0;
+  double q3 = 0.0;
+};
+
+/// Linear-interpolation quartiles of `values` (non-empty).
+inline Quartiles Summarize(std::vector<double> values) {
+  SP_CHECK(!values.empty());
+  std::sort(values.begin(), values.end());
+  auto at = [&values](double q) {
+    const double pos = q * static_cast<double>(values.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, values.size() - 1);
+    return values[lo] +
+           (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
+  };
+  return {at(0.25), at(0.5), at(0.75)};
 }
 
 /// Emits a bench's JSON. A full run writes `path`, the committed BENCH

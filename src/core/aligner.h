@@ -53,12 +53,6 @@ struct AlignmentConfig {
   bool allow_same_source_merge = false;
   /// MinHash size for story sketches.
   size_t sketch_hashes = 64;
-  /// Incremental alignment only: story-pair scores depend on corpus IDF,
-  /// which drifts as documents arrive. When the document count has moved
-  /// by more than this fraction since the last full rebuild, the
-  /// incremental aligner rebuilds its whole graph so stale decisions are
-  /// re-taken under current statistics.
-  double idf_drift_rebuild = 0.10;
 };
 
 /// The role a snippet plays inside an integrated story (§2.3): it either
@@ -89,9 +83,9 @@ struct AlignmentResult {
   /// Story pairs actually scored (work indicator for the benches).
   uint64_t num_pairs_scored = 0;
   /// The snippet counterpart graph the roles came from, kept for the
-  /// Refine() that follows. Null when the incremental aligner produced
-  /// this result. Valid only while the snippet set and DF are unchanged;
-  /// the engine drops it at the next snippet mutation.
+  /// Refine() that follows. Align() always sets it. Valid only while the
+  /// snippet set and DF are unchanged; the engine drops it at the next
+  /// snippet mutation.
   std::shared_ptr<const CounterpartGraph> graph;
 
   /// Integrated story containing per-source story (source, id), or
@@ -109,9 +103,8 @@ void ClassifySnippetRoles(const CounterpartGraph& graph,
 
 /// Classifies a single integrated story's snippets into `roles` /
 /// `counterpart` by scanning its snippet pairs in (timestamp, id) order;
-/// the answer equals ClassifySnippetRoles' for that story. The
-/// incremental aligner uses it to re-classify only the clusters that
-/// changed, and tests use it as the graph's reference.
+/// the answer equals ClassifySnippetRoles' for that story. A test oracle:
+/// nothing in the engine calls it, and tests check the graph against it.
 void ClassifyIntegratedStory(const SimilarityModel& model,
                              const AlignmentConfig& config,
                              const SnippetStore& store,
@@ -148,7 +141,8 @@ class StoryAligner {
   const AlignmentConfig& config() const { return config_; }
 
   /// Combined story-pair score: content similarity gated by temporal
-  /// affinity of the story spans.
+  /// affinity of the story spans. Uncached; a test oracle for the cached
+  /// overload below, which is the one Align() calls.
   double StoryPairScore(const Story& a, const Story& b) const;
 
   /// StoryPairScore(a, b) through SimilarityModel's cached story kernel,

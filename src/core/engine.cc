@@ -28,17 +28,12 @@ StoryPivotEngine::StoryPivotEngine(EngineConfig config)
       identifier_(MakeIdentifier(config_.mode, &similarity_,
                                  config_.identifier)),
       aligner_(&similarity_, config_.alignment),
-      incremental_aligner_(&similarity_, config_.alignment),
       refiner_(&similarity_, config_.refinement) {
   // Counterpart candidates come only from snippet pairs sharing a term;
   // pairs sharing none score exactly 0, which only a positive threshold
   // excludes.
   SP_CHECK(config_.alignment.pair_threshold > 0.0 &&
            "counterpart candidate pruning needs pair_threshold > 0");
-  if (config_.identifier.use_sketch_candidates) {
-    // Sketch-based candidate generation needs maintained sketches.
-    config_.use_sketches = true;
-  }
   if (config_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(config_.num_threads);
   }
@@ -49,9 +44,6 @@ SourceId StoryPivotEngine::RegisterSource(const std::string& name) {
   SourceId id = next_source_id_++;
   sources_.push_back({id, name});
   partitions_.emplace(id, StorySet(id));
-  if (config_.use_sketches) {
-    sketches_.emplace(id, SnippetSketchIndex(config_.sketch_hashes));
-  }
   stale_ = true;
   return id;
 }
@@ -66,9 +58,6 @@ Status StoryPivotEngine::AdoptSource(SourceId id, const std::string& name) {
   }
   sources_.push_back({id, name});
   partitions_.emplace(id, StorySet(id));
-  if (config_.use_sketches) {
-    sketches_.emplace(id, SnippetSketchIndex(config_.sketch_hashes));
-  }
   next_source_id_ = std::max(next_source_id_, id + 1);
   stale_ = true;
   return Status::OK();
@@ -114,17 +103,6 @@ Status StoryPivotEngine::RemoveSource(SourceId source) {
     ++stats_.snippets_removed;
   }
   partitions_.erase(it);
-  sketches_.erase(source);
-  // Purge the erased source's dirty-story entries: they would dangle into
-  // the next incremental Align() as {source, story} pairs whose partition
-  // no longer exists. The incremental aligner discovers the vanished and
-  // orphaned nodes itself by diffing against the partitions (and its IDF
-  // drift check forces a full rebuild when the removal shifted corpus
-  // statistics), so no blanket invalidation is needed.
-  std::erase_if(dirty_stories_,
-                [source](const std::pair<SourceId, StoryId>& dirty) {
-                  return dirty.first == source;
-                });
   std::erase_if(sources_,
                 [source](const SourceInfo& s) { return s.id == source; });
   DropCounterpartGraph();
@@ -223,29 +201,11 @@ Result<SnippetId> StoryPivotEngine::AddSnippet(Snippet snippet) {
 
   df_.AddDocument(stored->keywords);
 
-  SnippetSketchIndex* sketch_index = nullptr;
-  if (config_.use_sketches) {
-    auto it = sketches_.find(stored->source);
-    SP_CHECK(it != sketches_.end());
-    sketch_index = &it->second;
-  }
-
   WallTimer timer;
   StoryId cursor = next_story_id_.load(std::memory_order_relaxed);
-  StoryId assigned = identifier_->Identify(*stored, partition, store_,
-                                           sketch_index, &cursor);
+  identifier_->Identify(*stored, partition, store_, &cursor);
   next_story_id_.store(cursor, std::memory_order_relaxed);
   stats_.identify_time_ms += timer.ElapsedMillis();
-  if (config_.incremental_alignment) {
-    dirty_stories_.push_back({stored->source, assigned});
-  }
-
-  if (sketch_index != nullptr) {
-    MinHashSignature sig = MinHashSignature::FromContent(
-        stored->entities, stored->keywords, sketch_index->num_hashes);
-    sketch_index->lsh.Insert(id, sig);
-    sketch_index->signatures.emplace(id, std::move(sig));
-  }
   ++stats_.snippets_ingested;
   DropCounterpartGraph();
   stale_ = true;
@@ -282,7 +242,8 @@ Result<std::vector<SnippetId>> StoryPivotEngine::AddSnippets(
         df_.RemoveDocument(undo->keywords);
         SP_CHECK_OK(store_.Remove(*it));
       }
-      DropCounterpartGraph();
+      // The store and DF are back to their pre-batch state, so the last
+      // alignment and its counterpart graph still hold.
       return inserted.status();
     }
     ids.push_back(inserted.value());
@@ -293,10 +254,10 @@ Result<std::vector<SnippetId>> StoryPivotEngine::AddSnippets(
   }
 
   // Phase 2 — shard by source (ascending source id) and identify shards
-  // concurrently. Each shard owns its partition, its sketch index, and a
-  // private story-id block, so shards share no mutable state; block
-  // layout depends only on the batch contents, keeping story ids
-  // deterministic across thread counts.
+  // concurrently. Each shard owns its partition and a private story-id
+  // block, so shards share no mutable state; block layout depends only on
+  // the batch contents, keeping story ids deterministic across thread
+  // counts.
   std::vector<IngestShard> shards;
   std::unordered_map<SourceId, size_t> shard_of;
   for (const Snippet* snippet : stored) {
@@ -306,11 +267,6 @@ Result<std::vector<SnippetId>> StoryPivotEngine::AddSnippets(
       shard.source = snippet->source;
       shard.partition = MutablePartition(snippet->source);
       SP_CHECK(shard.partition != nullptr);
-      if (config_.use_sketches) {
-        auto sketch_it = sketches_.find(snippet->source);
-        SP_CHECK(sketch_it != sketches_.end());
-        shard.sketches = &sketch_it->second;
-      }
       shards.push_back(std::move(shard));
     }
     shards[it->second].snippets.push_back(snippet);
@@ -337,11 +293,6 @@ Result<std::vector<SnippetId>> StoryPivotEngine::AddSnippets(
   double identify_ms = 0.0;
   for (size_t i = 0; i < shards.size(); ++i) {
     identify_ms += results[i].identify_time_ms;
-    if (config_.incremental_alignment) {
-      for (StoryId assigned : results[i].assigned) {
-        dirty_stories_.push_back({shards[i].source, assigned});
-      }
-    }
   }
   // Report the larger of summed per-shard time and batch wall time: with
   // one thread they coincide; with several, the sum is the work done.
@@ -377,18 +328,6 @@ Result<SnippetId> StoryPivotEngine::AdoptAssignment(Snippet snippet,
   next_story_id_.store(
       std::max(next_story_id_.load(std::memory_order_relaxed), story + 1),
       std::memory_order_relaxed);
-
-  if (config_.use_sketches) {
-    auto it = sketches_.find(stored->source);
-    SP_CHECK(it != sketches_.end());
-    MinHashSignature sig = MinHashSignature::FromContent(
-        stored->entities, stored->keywords, it->second.num_hashes);
-    it->second.lsh.Insert(id, sig);
-    it->second.signatures.emplace(id, std::move(sig));
-  }
-  if (config_.incremental_alignment) {
-    dirty_stories_.push_back({stored->source, story});
-  }
   ++stats_.snippets_ingested;
   DropCounterpartGraph();
   stale_ = true;
@@ -402,17 +341,7 @@ void StoryPivotEngine::RemoveSnippetInternal(const Snippet& snippet,
   SP_CHECK(partition != nullptr);
   StoryId story_id = partition->StoryOf(snippet.id);
   df_.RemoveDocument(snippet.keywords);
-  if (config_.use_sketches) {
-    auto it = sketches_.find(snippet.source);
-    if (it != sketches_.end()) {
-      it->second.lsh.Remove(snippet.id);
-      it->second.signatures.erase(snippet.id);
-    }
-  }
   partition->RemoveSnippet(snippet, store_);
-  if (config_.incremental_alignment && story_id != kInvalidStoryId) {
-    dirty_stories_.push_back({snippet.source, story_id});
-  }
   SnippetId id = snippet.id;
   SP_CHECK(store_.Remove(id).ok());
   NotifyRemoved(snippet);
@@ -460,14 +389,8 @@ const AlignmentResult& StoryPivotEngine::AlignWith(
   WallTimer timer;
   DropCounterpartGraph();  // At most one graph alive while building.
   StoryId cursor = next_story_id_.load(std::memory_order_relaxed);
-  if (config_.incremental_alignment) {
-    alignment_ = incremental_aligner_.Update(partitions(), store_,
-                                             dirty_stories_, &cursor);
-    dirty_stories_.clear();
-  } else {
-    alignment_ = aligner_.Align(partitions(), store_, &cursor, pool_.get(),
-                                std::move(graph));
-  }
+  alignment_ = aligner_.Align(partitions(), store_, &cursor, pool_.get(),
+                              std::move(graph));
   next_story_id_.store(cursor, std::memory_order_relaxed);
   stats_.align_time_ms += timer.ElapsedMillis();
   ++stats_.alignments_run;
@@ -490,19 +413,15 @@ RefinementStats StoryPivotEngine::Refine() {
   for (SourceId source : order) {
     mutable_partitions.push_back(&partitions_.at(source));
   }
+  // Every Align() leaves the counterpart graph the pass reads.
+  SP_CHECK(alignment_->graph != nullptr);
   WallTimer timer;
-  if (alignment_->graph == nullptr) {  // The incremental aligner's result.
-    alignment_->graph = CounterpartGraph::Build(
-        partitions(), store_, similarity_, config_.alignment.pair_threshold,
-        config_.alignment.pair_tolerance, pool_.get());
-  }
   StoryId cursor = next_story_id_.load(std::memory_order_relaxed);
   RefinementStats stats = refiner_.Refine(mutable_partitions, *alignment_,
                                           store_, &cursor);
   next_story_id_.store(cursor, std::memory_order_relaxed);
   stats_.refine_time_ms += timer.ElapsedMillis();
   ++stats_.refinements_run;
-  if (config_.incremental_alignment) incremental_aligner_.Invalidate();
   stale_ = true;
   // Refinement moved snippets between stories but changed neither the
   // snippet set nor DF, so the graph still holds.

@@ -10,7 +10,6 @@
 
 #include "core/aligner.h"
 #include "core/identifier.h"
-#include "core/incremental.h"
 #include "core/refiner.h"
 #include "core/similarity.h"
 #include "core/story_set.h"
@@ -35,15 +34,6 @@ struct EngineConfig {
   SimilarityConfig similarity;
   AlignmentConfig alignment;
   RefinementConfig refinement;
-  /// Maintain the cross-source alignment incrementally: Align() after a
-  /// mutation only re-scores the stories that changed (§2.4 dynamics)
-  /// instead of recomputing all story pairs.
-  bool incremental_alignment = false;
-  /// Maintain per-source snippet MinHash sketches + LSH (needed when
-  /// identifier.use_sketch_candidates is set; also usable on its own for
-  /// duplicate probing).
-  bool use_sketches = false;
-  size_t sketch_hashes = 64;
   /// Worker threads for the engine-internal parallel paths: batch
   /// ingestion (AddSnippets) and alignment pair scoring. 1 keeps the
   /// engine fully serial (no pool is created); results are bit-identical
@@ -257,13 +247,6 @@ class StoryPivotEngine {
   /// Total stories across all per-source partitions.
   size_t TotalStories() const;
 
-  /// Stories touched since the last alignment (incremental mode only;
-  /// empty otherwise). Exposed for diagnostics and tests.
-  const std::vector<std::pair<SourceId, StoryId>>& dirty_stories() const {
-    serial_.AssertInSection();  // Single-writer read (DESIGN.md §13).
-    return dirty_stories_;
-  }
-
   /// Attaches (or, with nullptr, detaches) the single snippet-mutation
   /// observer. The observer sees every snippet already in the engine via
   /// no replay — attach before ingesting, or rebuild from store() first
@@ -347,7 +330,6 @@ class StoryPivotEngine {
   SimilarityModel similarity_;
   std::unique_ptr<StoryIdentifier> identifier_;
   StoryAligner aligner_;
-  IncrementalAligner incremental_aligner_;
   StoryRefiner refiner_;
   /// Like df_: serial writes, concurrent phase-2 reads (snippets are
   /// immutable once stored; the map is not resized during phase 2).
@@ -357,7 +339,6 @@ class StoryPivotEngine {
   /// StorySet through its private IngestShard::partition pointer, and
   /// shards are disjoint by source.
   std::unordered_map<SourceId, StorySet> partitions_;
-  std::unordered_map<SourceId, SnippetSketchIndex> sketches_;
   /// Next unassigned story id. Atomic so the parallel paths may read it
   /// concurrently; all stores happen in serial sections (relaxed order).
   std::atomic<StoryId> next_story_id_ = 0;
@@ -365,9 +346,6 @@ class StoryPivotEngine {
   /// Workers for AddSnippets / Align; null when num_threads <= 1.
   std::unique_ptr<ThreadPool> pool_;
   std::optional<AlignmentResult> alignment_;
-  /// Stories touched since the last alignment (incremental mode).
-  std::vector<std::pair<SourceId, StoryId>> dirty_stories_
-      SP_GUARDED_BY(serial_);
   bool stale_ SP_GUARDED_BY(serial_) = true;
   EngineStats stats_ SP_GUARDED_BY(serial_);
   /// Snippet-mutation observer; nullptr when nothing is attached.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <unordered_map>
 
 #include "util/logging.h"
 
@@ -73,9 +74,7 @@ StoryId StoryIdentifier::PlaceWithCandidates(
 StoryId CompleteIdentifier::Identify(const Snippet& snippet,
                                      StorySet* stories,
                                      const SnippetStore& store,
-                                     const SnippetSketchIndex* sketches,
                                      StoryId* next_story_id) {
-  (void)sketches;
   std::vector<SnippetId> candidates;
   if (config_.prune_with_entities) {
     candidates = stories->entity_index().Candidates(snippet.entities);
@@ -91,24 +90,12 @@ StoryId CompleteIdentifier::Identify(const Snippet& snippet,
 StoryId TemporalIdentifier::Identify(const Snippet& snippet,
                                      StorySet* stories,
                                      const SnippetStore& store,
-                                     const SnippetSketchIndex* sketches,
                                      StoryId* next_story_id) {
   const Timestamp lo = snippet.timestamp - config_.window;
   const Timestamp hi = snippet.timestamp + config_.window;
   std::vector<SnippetId> candidates;
 
-  if (config_.use_sketch_candidates && sketches != nullptr) {
-    // LSH candidates filtered down to the window.
-    MinHashSignature probe = MinHashSignature::FromContent(
-        snippet.entities, snippet.keywords, sketches->num_hashes);
-    for (uint64_t raw : sketches->lsh.Query(probe)) {
-      SnippetId cid = static_cast<SnippetId>(raw);
-      const Snippet* c = store.Find(cid);
-      if (c == nullptr) continue;
-      if (c->timestamp < lo || c->timestamp > hi) continue;
-      candidates.push_back(cid);
-    }
-  } else if (config_.prune_with_entities) {
+  if (config_.prune_with_entities) {
     std::vector<SnippetId> window_ids =
         stories->snippet_times().IdsInWindow(lo, hi);
     std::vector<SnippetId> entity_ids =

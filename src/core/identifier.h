@@ -2,14 +2,11 @@
 #define STORYPIVOT_CORE_IDENTIFIER_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/similarity.h"
 #include "core/story_set.h"
 #include "model/snippet.h"
-#include "sketch/lsh_index.h"
-#include "sketch/minhash.h"
 #include "storage/snippet_store.h"
 
 namespace storypivot {
@@ -22,18 +19,6 @@ enum class IdentificationMode {
   kTemporal,
 };
 
-/// Per-source MinHash/LSH accelerator over snippet sketches (§2.4).
-/// Owned by the engine; identifiers only read it.
-struct SnippetSketchIndex {
-  explicit SnippetSketchIndex(size_t num_hashes = 64,
-                              size_t bands = 16, size_t rows = 4)
-      : num_hashes(num_hashes), lsh(bands, rows) {}
-
-  size_t num_hashes;
-  LshIndex lsh;
-  std::unordered_map<SnippetId, MinHashSignature> signatures;
-};
-
 /// Mode-independent identification knobs.
 struct IdentifierConfig {
   /// Half-width w of the temporal window, in seconds.
@@ -41,9 +26,6 @@ struct IdentifierConfig {
   /// Restrict candidates to snippets sharing at least one entity with the
   /// probe (uses the partition's inverted index).
   bool prune_with_entities = false;
-  /// Use the per-source snippet LSH index for candidate generation instead
-  /// of scanning the window (requires the engine to maintain sketches).
-  bool use_sketch_candidates = false;
 };
 
 /// Base class for incremental story identification. For every arriving
@@ -60,10 +42,8 @@ class StoryIdentifier {
   StoryIdentifier& operator=(const StoryIdentifier&) = delete;
 
   /// Places `snippet` into `stories`; returns the story id it ended up in.
-  /// `sketches` may be nullptr when sketch candidates are disabled.
   virtual StoryId Identify(const Snippet& snippet, StorySet* stories,
                            const SnippetStore& store,
-                           const SnippetSketchIndex* sketches,
                            StoryId* next_story_id) = 0;
 
   const IdentifierConfig& config() const { return config_; }
@@ -90,13 +70,12 @@ class CompleteIdentifier : public StoryIdentifier {
 
   StoryId Identify(const Snippet& snippet, StorySet* stories,
                    const SnippetStore& store,
-                   const SnippetSketchIndex* sketches,
                    StoryId* next_story_id) override;
 };
 
 /// Temporal story identification (Fig. 2b): compares only against
 /// snippets whose timestamp lies within [t - w, t + w], optionally pruned
-/// further via the entity inverted index or snippet sketches.
+/// further via the entity inverted index.
 class TemporalIdentifier : public StoryIdentifier {
  public:
   TemporalIdentifier(const SimilarityModel* model, IdentifierConfig config)
@@ -104,7 +83,6 @@ class TemporalIdentifier : public StoryIdentifier {
 
   StoryId Identify(const Snippet& snippet, StorySet* stories,
                    const SnippetStore& store,
-                   const SnippetSketchIndex* sketches,
                    StoryId* next_story_id) override;
 };
 

@@ -1,6 +1,5 @@
 #include "core/parallel_ingest.h"
 
-#include "sketch/minhash.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -13,21 +12,10 @@ void ParallelIngestor::RunShard(const IngestShard& shard,
   WallTimer timer;
   StoryId cursor = shard.story_id_begin;
   const StoryId block_end = shard.story_id_begin + shard.snippets.size();
-  result->assigned.reserve(shard.snippets.size());
   for (const Snippet* snippet : shard.snippets) {
     SP_CHECK(snippet != nullptr);
-    StoryId assigned = identifier_->Identify(*snippet, shard.partition, store,
-                                             shard.sketches, &cursor);
+    identifier_->Identify(*snippet, shard.partition, store, &cursor);
     SP_CHECK(cursor <= block_end);
-    result->assigned.push_back(assigned);
-    if (shard.sketches != nullptr) {
-      // Mirrors the serial AddSnippet order: the snippet becomes an LSH
-      // candidate only after its own identification.
-      MinHashSignature sig = MinHashSignature::FromContent(
-          snippet->entities, snippet->keywords, shard.sketches->num_hashes);
-      shard.sketches->lsh.Insert(snippet->id, sig);
-      shard.sketches->signatures.emplace(snippet->id, std::move(sig));
-    }
   }
   result->identify_time_ms = timer.ElapsedMillis();
 }

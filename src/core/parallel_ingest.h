@@ -14,13 +14,11 @@ namespace storypivot {
 
 /// One per-source unit of parallel story identification: the snippets of
 /// one source (already inserted into the snippet store, in arrival
-/// order), the partition and sketch index they mutate, and a private,
-/// pre-reserved block of story ids.
+/// order), the partition they mutate, and a private, pre-reserved block
+/// of story ids.
 struct IngestShard {
   SourceId source = kInvalidSourceId;
   StorySet* partition = nullptr;
-  /// Sketch index of the source; nullptr when sketches are disabled.
-  SnippetSketchIndex* sketches = nullptr;
   /// The shard's snippets in arrival order (pointers into the store).
   std::vector<const Snippet*> snippets;
   /// First id of the shard's story-id block. The block spans
@@ -33,8 +31,6 @@ struct IngestShard {
 
 /// What identifying one shard produced.
 struct IngestShardResult {
-  /// Story each snippet landed in, parallel to IngestShard::snippets.
-  std::vector<StoryId> assigned;
   /// Wall-clock this shard spent in identification. Accumulated
   /// per-shard (per-thread) and summed into EngineStats serially.
   double identify_time_ms = 0.0;
@@ -46,8 +42,8 @@ struct IngestShardResult {
 /// sequentially — identification order within a source is part of the
 /// algorithm — while distinct sources proceed concurrently.
 ///
-/// Shards own disjoint mutable state (their partition, sketch index and
-/// story-id block); the snippet store and document-frequency table are
+/// Shards own disjoint mutable state (their partition and story-id
+/// block); the snippet store and document-frequency table are
 /// frozen for the duration of the run (all writes happen in the engine's
 /// serial ingest prologue). The identifier must be re-entrant: it may
 /// not keep per-call mutable state (both built-in identifiers qualify).

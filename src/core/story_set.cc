@@ -45,7 +45,7 @@ void StorySet::RemoveSnippet(const Snippet& snippet,
   story_of_.Erase(snippet.id);
   // The snippet was assigned, so the temporal index must know it.
   SP_CHECK(snippet_times_.Erase(snippet.timestamp, snippet.id));
-  entity_index_.Remove(snippet.id);
+  entity_index_.Remove(snippet.id, snippet.entities);
   if (story_empty) stories_.Erase(story_id);
 }
 

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -11,17 +10,11 @@
 
 namespace storypivot::cow {
 
-/// Container-aware byte estimates for the copy counters (the generic
+/// Container-aware byte estimate for the copy counters (the generic
 /// default in stats.h is the shallow sizeof).
 template <typename T>
 size_t CowApproxBytes(const std::vector<T>& v) {
   return sizeof(v) + v.capacity() * sizeof(T);
-}
-
-template <typename T, typename H, typename E, typename A>
-size_t CowApproxBytes(const std::unordered_set<T, H, E, A>& s) {
-  // Element + bucket-node overhead, roughly.
-  return sizeof(s) + s.size() * (sizeof(T) + 2 * sizeof(void*));
 }
 
 /// A copy-on-write box around a single value (DESIGN.md §15).
@@ -32,9 +25,9 @@ size_t CowApproxBytes(const std::unordered_set<T, H, E, A>& s) {
 /// writes in place, so an unshared box costs the same as a plain value.
 ///
 /// This is the freeze primitive for rarely-mutated blobs (posting
-/// lists, tombstone sets, vocabular state): a snapshot copies the box,
-/// the writer's next mutation clones the payload, and the snapshot
-/// keeps the old payload alive for as long as it needs it.
+/// lists, vocabulary state): a snapshot copies the box, the writer's
+/// next mutation clones the payload, and the snapshot keeps the old
+/// payload alive for as long as it needs it.
 ///
 /// Sharing/threading contract (same as the rest of the cow layer): all
 /// mutations happen on the single writer thread; frozen copies may be

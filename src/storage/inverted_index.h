@@ -1,7 +1,6 @@
 #ifndef STORYPIVOT_STORAGE_INVERTED_INDEX_H_
 #define STORYPIVOT_STORAGE_INVERTED_INDEX_H_
 
-#include <unordered_set>
 #include <vector>
 
 #include "cow/cow_box.h"
@@ -13,9 +12,9 @@
 namespace storypivot {
 
 /// Term -> snippet-id posting lists, used to generate candidate snippets
-/// that share at least one entity or keyword with a probe. Deletions are
-/// lazy (tombstoned) and reclaimed by Compact(), which callers or the
-/// engine trigger when the tombstone ratio grows.
+/// that share at least one entity or keyword with a probe. Removal is
+/// eager: the id leaves every list it was posted to, and a list that
+/// empties is dropped, so the index holds exactly the live postings.
 ///
 /// Posting lists live in CowBox'd vectors hung off a persistent (HAMT)
 /// map, so Freeze() is an O(1) structural share and a mutation after a
@@ -33,34 +32,25 @@ class InvertedIndex {
   /// Adds `id` to the posting list of every term in `terms`.
   void Add(SnippetId id, const text::TermVector& terms);
 
-  /// Tombstones `id` everywhere it was added.
-  void Remove(SnippetId id);
+  /// Removes `id` from the posting list of every term in `terms`, which
+  /// must be the vector `id` was added with.
+  void Remove(SnippetId id, const text::TermVector& terms);
 
-  /// Appends the live ids posted under `term` to `out` (may contain ids
-  /// posted under several probe terms more than once; callers dedupe).
-  void AppendPostings(text::TermId term, std::vector<SnippetId>* out) const;
-
-  /// Collects the distinct live candidate ids sharing >= 1 term with
-  /// `probe`.
+  /// Collects the distinct candidate ids sharing >= 1 term with `probe`.
   std::vector<SnippetId> Candidates(const text::TermVector& probe) const;
-
-  /// Physically removes tombstoned entries.
-  void Compact();
 
   /// O(1) frozen copy sharing every posting list with this index; the
   /// copy is immune to later writes (copy-on-write). Copying is still
   /// disallowed so large-index copies stay deliberate.
   [[nodiscard]] InvertedIndex Freeze() const;
 
-  /// Live postings count (approximate cost indicator).
+  /// Postings count (approximate cost indicator).
   size_t num_postings() const { return num_postings_; }
-  size_t num_tombstones() const { return tombstones_.read().size(); }
 
  private:
   using PostingList = cow::CowBox<std::vector<SnippetId>>;
 
   cow::PersistentMap<text::TermId, PostingList> postings_;
-  cow::CowBox<std::unordered_set<SnippetId>> tombstones_;
   size_t num_postings_ = 0;
 };
 

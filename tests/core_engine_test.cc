@@ -157,38 +157,46 @@ TEST(EngineTest, RemoveSourceDropsEverything) {
   EXPECT_EQ(engine.alignment().stories.size(), 1u);
 }
 
-TEST(EngineTest, RemoveSourcePurgesDirtyStoriesOfThatSource) {
-  // Regression: RemoveSource used to leave `dirty_stories_` entries that
-  // referenced the erased source's partition, so the next incremental
-  // Align() touched stories that no longer existed.
-  EngineConfig config;
-  config.incremental_alignment = true;
-  StoryPivotEngine engine(config);
+TEST(EngineTest, RemoveSourceLeavesNoTraceInAlignOrRefine) {
+  // After RemoveSource, neither the next Align() nor a Refine() may name a
+  // story, snippet or counterpart of the removed source.
+  StoryPivotEngine engine;
   SourceId a = engine.RegisterSource("a");
   SourceId b = engine.RegisterSource("b");
-  SP_CHECK_OK(engine.AddSnippet(MakeSnippet(a, 0, {{0, 1.0}}, {{5, 1.0}})));
-  SP_CHECK_OK(engine.AddSnippet(MakeSnippet(b, 0, {{0, 1.0}}, {{5, 1.0}})));
-  engine.Align();  // Clears the dirty list.
-  // New mutations dirty stories in both sources.
-  SP_CHECK_OK(engine.AddSnippet(MakeSnippet(a, 10, {{0, 1.0}}, {{5, 1.0}})));
-  SP_CHECK_OK(engine.AddSnippet(MakeSnippet(b, 10, {{0, 1.0}}, {{5, 1.0}})));
-  bool saw_a = false;
-  for (const auto& [source, story] : engine.dirty_stories()) {
-    saw_a = saw_a || source == a;
-  }
-  ASSERT_TRUE(saw_a) << "test precondition: source a must be dirty";
-  ASSERT_TRUE(engine.RemoveSource(a).ok());
-  for (const auto& [source, story] : engine.dirty_stories()) {
-    EXPECT_NE(source, a) << "stale dirty entry for removed source";
-  }
-  // Source b's pending work survives and the next alignment is sound.
-  EXPECT_FALSE(engine.dirty_stories().empty());
-  const AlignmentResult& aligned = engine.Align();
-  for (const IntegratedStory& story : aligned.stories) {
-    for (const auto& [member_source, member_story] : story.members) {
-      EXPECT_NE(member_source, a);
+  SourceId c = engine.RegisterSource("c");
+  for (Timestamp ts : {0, 10, 20}) {
+    for (SourceId source : {a, b, c}) {
+      SP_CHECK_OK(
+          engine.AddSnippet(MakeSnippet(source, ts, {{0, 1.0}}, {{5, 1.0}})));
     }
   }
+  ASSERT_FALSE(engine.Align().counterpart.empty())
+      << "test precondition: the sources must align";
+  SP_CHECK_OK(engine.AddSnippet(MakeSnippet(a, 30, {{0, 1.0}}, {{5, 1.0}})));
+  ASSERT_TRUE(engine.RemoveSource(a).ok());
+
+  auto expect_no_member_of_a = [&](const AlignmentResult& aligned) {
+    for (const IntegratedStory& story : aligned.stories) {
+      for (const auto& [member_source, member_story] : story.members) {
+        EXPECT_NE(member_source, a);
+      }
+    }
+    auto expect_live = [&](SnippetId id) {
+      const Snippet* snippet = engine.store().Find(id);
+      ASSERT_NE(snippet, nullptr) << "snippet " << id;
+      EXPECT_NE(snippet->source, a) << "snippet " << id;
+    };
+    for (const auto& [sid, index] : aligned.integrated_of) expect_live(sid);
+    for (const auto& [sid, role] : aligned.roles) expect_live(sid);
+    for (const auto& [sid, other] : aligned.counterpart) {
+      expect_live(sid);
+      expect_live(other);
+    }
+    EXPECT_EQ(aligned.roles.size(), engine.store().size());
+  };
+  expect_no_member_of_a(engine.Align());
+  engine.Refine();
+  expect_no_member_of_a(engine.alignment());
 }
 
 TEST(EngineTest, AddDocumentIsAllOrNothing) {
@@ -416,10 +424,10 @@ TEST_F(QueryFixture, SnippetViewsAreTimeOrdered) {
 }
 
 // Determinism: the same ingest sequence yields identical clustering, for
-// every identification mode and sketch setting.
+// every identification mode, with and without entity pruning.
 struct ModeParam {
   IdentificationMode mode;
-  bool sketches;
+  bool prune_with_entities;
 };
 
 class EngineDeterminism : public ::testing::TestWithParam<ModeParam> {};
@@ -436,7 +444,7 @@ TEST_P(EngineDeterminism, SameInputSameStories) {
   auto run = [&]() {
     EngineConfig config;
     config.mode = GetParam().mode;
-    config.use_sketches = GetParam().sketches;
+    config.identifier.prune_with_entities = GetParam().prune_with_entities;
     auto engine = std::make_unique<StoryPivotEngine>(config);
     SP_CHECK(engine
                  ->ImportVocabularies(*corpus.entity_vocabulary,
@@ -466,7 +474,8 @@ INSTANTIATE_TEST_SUITE_P(
     Modes, EngineDeterminism,
     ::testing::Values(ModeParam{IdentificationMode::kTemporal, false},
                       ModeParam{IdentificationMode::kTemporal, true},
-                      ModeParam{IdentificationMode::kComplete, false}));
+                      ModeParam{IdentificationMode::kComplete, false},
+                      ModeParam{IdentificationMode::kComplete, true}));
 
 }  // namespace
 }  // namespace storypivot

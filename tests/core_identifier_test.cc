@@ -27,8 +27,7 @@ class IdentifierFixture : public ::testing::Test {
   }
 
   StoryId Identify(StoryIdentifier& identifier, const Snippet& snippet) {
-    return identifier.Identify(snippet, &stories_, store_, nullptr,
-                               &next_story_id_);
+    return identifier.Identify(snippet, &stories_, store_, &next_story_id_);
   }
 
   SnippetStore store_;
@@ -53,6 +52,7 @@ TEST_F(IdentifierFixture, StorySetCreateAddRemove) {
   EXPECT_EQ(stories_.StoryOf(a.id), kInvalidStoryId);
   EXPECT_EQ(stories_.FindStory(7), nullptr);  // Empty stories are deleted.
   EXPECT_TRUE(stories_.snippet_times().empty());
+  EXPECT_EQ(stories_.entity_index().num_postings(), 0u);
 }
 
 TEST_F(IdentifierFixture, StorySetMerge) {
@@ -163,16 +163,14 @@ TEST_F(IdentifierFixture, BridgingSnippetMergesStories) {
 
   const Snippet& a = Put(0, {{0, 1.0}, {1, 1.0}}, {{5, 1.0}});
   const Snippet& b = Put(kSecondsPerDay, {{2, 1.0}, {3, 1.0}}, {{6, 1.0}});
-  StoryId sa = identifier.Identify(a, &stories_, store_, nullptr,
-                                   &next_story_id_);
-  StoryId sb = identifier.Identify(b, &stories_, store_, nullptr,
-                                   &next_story_id_);
+  StoryId sa = identifier.Identify(a, &stories_, store_, &next_story_id_);
+  StoryId sb = identifier.Identify(b, &stories_, store_, &next_story_id_);
   ASSERT_NE(sa, sb);
   // The bridge mentions all four entities and both keywords.
   const Snippet& bridge =
       Put(2 * kSecondsPerDay, {{0, 1.0}, {1, 1.0}, {2, 1.0}, {3, 1.0}},
           {{5, 1.0}, {6, 1.0}});
-  StoryId merged = identifier.Identify(bridge, &stories_, store_, nullptr,
+  StoryId merged = identifier.Identify(bridge, &stories_, store_,
                                        &next_story_id_);
   EXPECT_EQ(stories_.stories().size(), 1u);
   EXPECT_EQ(stories_.StoryOf(a.id), merged);
@@ -188,28 +186,6 @@ TEST_F(IdentifierFixture, EntityPruningFindsSameStories) {
   EXPECT_EQ(Identify(identifier, a), Identify(identifier, b));
 }
 
-TEST_F(IdentifierFixture, SketchCandidatesFindSimilarSnippets) {
-  IdentifierConfig config;
-  config.use_sketch_candidates = true;
-  TemporalIdentifier identifier(&model_, config);
-  SnippetSketchIndex sketches(64);
-
-  auto ingest = [&](const Snippet& s) {
-    StoryId id = identifier.Identify(s, &stories_, store_, &sketches,
-                                     &next_story_id_);
-    MinHashSignature sig = MinHashSignature::FromContent(
-        s.entities, s.keywords, sketches.num_hashes);
-    sketches.lsh.Insert(s.id, sig);
-    sketches.signatures.emplace(s.id, std::move(sig));
-    return id;
-  };
-  const Snippet& a =
-      Put(0, {{0, 1.0}, {1, 1.0}, {2, 1.0}}, {{5, 1.0}, {6, 1.0}});
-  const Snippet& b =
-      Put(kSecondsPerDay, {{0, 1.0}, {1, 1.0}, {2, 1.0}}, {{5, 1.0}, {6, 1.0}});
-  EXPECT_EQ(ingest(a), ingest(b));
-}
-
 TEST_F(IdentifierFixture, FactorySelectsMode) {
   // Behavioural check (RTTI is disabled): the complete identifier links
   // identical snippets across any gap, the temporal one does not.
@@ -223,17 +199,13 @@ TEST_F(IdentifierFixture, FactorySelectsMode) {
   const Snippet& b =
       Put(100 * kSecondsPerDay, {{0, 1.0}, {1, 1.0}}, {{5, 1.0}});
 
-  StoryId ca = complete->Identify(a, &stories_, store_, nullptr,
-                                  &next_story_id_);
-  StoryId cb = complete->Identify(b, &stories_, store_, nullptr,
-                                  &next_story_id_);
+  StoryId ca = complete->Identify(a, &stories_, store_, &next_story_id_);
+  StoryId cb = complete->Identify(b, &stories_, store_, &next_story_id_);
   EXPECT_EQ(ca, cb);
 
   StorySet fresh(0);
-  StoryId ta = temporal->Identify(a, &fresh, store_, nullptr,
-                                  &next_story_id_);
-  StoryId tb = temporal->Identify(b, &fresh, store_, nullptr,
-                                  &next_story_id_);
+  StoryId ta = temporal->Identify(a, &fresh, store_, &next_story_id_);
+  StoryId tb = temporal->Identify(b, &fresh, store_, &next_story_id_);
   EXPECT_NE(ta, tb);
 }
 

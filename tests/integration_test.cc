@@ -245,26 +245,6 @@ TEST(StreamingIntegration, OutOfOrderArrivalCostsLittleQuality) {
       << "out-of-order ingestion must not collapse quality";
 }
 
-TEST(StreamingIntegration, SketchCandidatesPreserveQuality) {
-  eval::ExperimentConfig exact;
-  exact.corpus.seed = 31;
-  exact.corpus.num_sources = 6;
-  exact.corpus.num_stories = 20;
-  exact.corpus.target_num_snippets = 1500;
-  exact.run_refinement = false;
-
-  eval::ExperimentConfig sketched = exact;
-  sketched.engine.identifier.use_sketch_candidates = true;
-  sketched.engine.use_sketches = true;
-
-  eval::ExperimentRow exact_row = eval::RunExperiment(exact);
-  eval::ExperimentRow sketch_row = eval::RunExperiment(sketched);
-  EXPECT_GT(sketch_row.sa_pairwise.f1, exact_row.sa_pairwise.f1 - 0.08)
-      << "LSH candidate generation must not cost much quality";
-  EXPECT_LT(sketch_row.comparisons, exact_row.comparisons)
-      << "...while doing less similarity work";
-}
-
 TEST(RefinementIntegration, RefinementDoesNotHurtAlignmentQuality) {
   for (uint64_t seed : {41u, 42u}) {
     eval::ExperimentConfig base;

@@ -41,10 +41,10 @@ datagen::Corpus TestCorpus() {
 
 std::unique_ptr<StoryPivotEngine> MakeEngine(const datagen::Corpus& corpus,
                                              size_t num_threads,
-                                             bool sketches) {
+                                             bool prune_with_entities) {
   EngineConfig config;
   config.num_threads = num_threads;
-  config.use_sketches = sketches;
+  config.identifier.prune_with_entities = prune_with_entities;
   auto engine = std::make_unique<StoryPivotEngine>(config);
   SP_CHECK_OK(engine->ImportVocabularies(*corpus.entity_vocabulary,
                                          *corpus.keyword_vocabulary));
@@ -97,13 +97,15 @@ void ExpectIdenticalAlignment(const AlignmentResult& a,
   EXPECT_EQ(a.num_pairs_scored, b.num_pairs_scored);
 }
 
+/// Parameterised over the identification candidate generator: the
+/// window scan (default) or entity pruning.
 class ParallelEquivalence : public ::testing::TestWithParam<bool> {};
 
 TEST_P(ParallelEquivalence, BatchIngestIsThreadCountInvariant) {
-  const bool sketches = GetParam();
+  const bool prune_with_entities = GetParam();
   datagen::Corpus corpus = TestCorpus();
-  auto serial = MakeEngine(corpus, /*num_threads=*/1, sketches);
-  auto parallel = MakeEngine(corpus, /*num_threads=*/4, sketches);
+  auto serial = MakeEngine(corpus, /*num_threads=*/1, prune_with_entities);
+  auto parallel = MakeEngine(corpus, /*num_threads=*/4, prune_with_entities);
   FeedBatched(serial.get(), corpus, /*batch_size=*/128);
   FeedBatched(parallel.get(), corpus, /*batch_size=*/128);
 
@@ -131,18 +133,20 @@ TEST_P(ParallelEquivalence, BatchIngestIsThreadCountInvariant) {
   ExpectIdenticalAlignment(serial->alignment(), parallel->alignment());
 }
 
-INSTANTIATE_TEST_SUITE_P(Sketches, ParallelEquivalence,
+INSTANTIATE_TEST_SUITE_P(Candidates, ParallelEquivalence,
                          ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "WithSketches" : "Plain";
+                           return info.param ? "EntityPruning" : "WindowScan";
                          });
 
 TEST(ParallelAlignTest, MatchesSerialOnIdenticalState) {
   // Both engines ingest identically (one snippet at a time); only the
   // alignment pass differs in thread count.
   datagen::Corpus corpus = TestCorpus();
-  auto serial = MakeEngine(corpus, /*num_threads=*/1, /*sketches=*/false);
-  auto parallel = MakeEngine(corpus, /*num_threads=*/4, /*sketches=*/false);
+  auto serial =
+      MakeEngine(corpus, /*num_threads=*/1, /*prune_with_entities=*/false);
+  auto parallel =
+      MakeEngine(corpus, /*num_threads=*/4, /*prune_with_entities=*/false);
   for (const Snippet& snippet : corpus.snippets) {
     Snippet copy = snippet;
     SP_CHECK_OK(serial->AddSnippet(std::move(copy)));
@@ -211,6 +215,28 @@ TEST(AddSnippetsTest, MidBatchFailureRollsBackEverything) {
   // The engine remains fully usable after the rollback.
   SP_CHECK_OK(engine.AddSnippet(MakeSnippet(src, 40, {{0, 1.0}}, {{5, 1.0}})));
   EXPECT_EQ(engine.store().size(), 2u);
+}
+
+TEST(AddSnippetsTest, FailedBatchKeepsTheAlignmentAndItsGraph) {
+  // A rolled-back batch restores the snippet set and DF, so the last
+  // alignment stays current and Refine() runs on its counterpart graph.
+  StoryPivotEngine engine;
+  SourceId a = engine.RegisterSource("a");
+  SourceId b = engine.RegisterSource("b");
+  SP_CHECK_OK(engine.AddSnippet(MakeSnippet(a, 0, {{0, 1.0}}, {{5, 1.0}})));
+  SP_CHECK_OK(engine.AddSnippet(MakeSnippet(b, 0, {{0, 1.0}}, {{5, 1.0}})));
+  const size_t integrated = engine.Align().stories.size();
+
+  std::vector<Snippet> batch;
+  batch.push_back(MakeSnippet(a, 10, {{1, 1.0}}, {{6, 1.0}}));
+  batch.back().id = 500;
+  batch.push_back(MakeSnippet(b, 10, {{1, 1.0}}, {{6, 1.0}}));
+  batch.back().id = 500;  // Collides with the first batch member.
+  EXPECT_FALSE(engine.AddSnippets(std::move(batch)).ok());
+  ASSERT_TRUE(engine.has_alignment());
+  ASSERT_NE(engine.alignment().graph, nullptr);
+  engine.Refine();
+  EXPECT_EQ(engine.alignment().stories.size(), integrated);
 }
 
 }  // namespace

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "core/engine.h"
 #include "datagen/corpus.h"
@@ -62,14 +64,30 @@ void CheckEngineInvariants(const StoryPivotEngine& engine) {
       EXPECT_EQ(story.start_time(), begin);
       EXPECT_EQ(story.end_time(), end);
     }
-    // (4) The temporal index covers exactly the assigned snippets.
+    // (4) The temporal index covers exactly the assigned snippets, and
+    // the entity index posts exactly their entities: every assigned
+    // snippet is a candidate for its own entities, and no removed or
+    // moved snippet leaves a posting behind.
     EXPECT_EQ(partition->snippet_times().size(), snippets_in_stories);
+    size_t entity_postings = 0;
     for (const auto& [ts, sid] : partition->snippet_times().entries()) {
       const Snippet* snippet = engine.store().Find(sid);
       ASSERT_NE(snippet, nullptr);
       EXPECT_EQ(snippet->timestamp, ts);
       EXPECT_NE(partition->StoryOf(sid), kInvalidStoryId);
+      size_t posted = 0;
+      for (const auto& [term, weight] : snippet->entities.entries()) {
+        if (weight > 0.0) ++posted;
+      }
+      entity_postings += posted;
+      if (posted == 0) continue;
+      const std::vector<SnippetId> candidates =
+          partition->entity_index().Candidates(snippet->entities);
+      EXPECT_TRUE(std::binary_search(candidates.begin(), candidates.end(),
+                                     sid))
+          << "snippet " << sid << " missing from the entity index";
     }
+    EXPECT_EQ(partition->entity_index().num_postings(), entity_postings);
     snippets_in_partitions += snippets_in_stories;
   }
   // (5) Every stored snippet is assigned in exactly one partition.
@@ -132,7 +150,6 @@ void CheckAlignmentInvariants(const StoryPivotEngine& engine) {
 
 struct PropertyParam {
   uint64_t seed;
-  bool incremental_alignment;
   IdentificationMode mode;
 };
 
@@ -150,7 +167,6 @@ TEST_P(EngineProperty, RandomOpSequencePreservesInvariants) {
 
   EngineConfig config;
   config.mode = param.mode;
-  config.incremental_alignment = param.incremental_alignment;
   StoryPivotEngine engine(config);
   SP_CHECK(engine
                .ImportVocabularies(*corpus.entity_vocabulary,
@@ -201,12 +217,12 @@ TEST_P(EngineProperty, RandomOpSequencePreservesInvariants) {
 INSTANTIATE_TEST_SUITE_P(
     Sequences, EngineProperty,
     ::testing::Values(
-        PropertyParam{1, false, IdentificationMode::kTemporal},
-        PropertyParam{2, false, IdentificationMode::kTemporal},
-        PropertyParam{3, true, IdentificationMode::kTemporal},
-        PropertyParam{4, true, IdentificationMode::kTemporal},
-        PropertyParam{5, false, IdentificationMode::kComplete},
-        PropertyParam{6, true, IdentificationMode::kComplete}));
+        PropertyParam{1, IdentificationMode::kTemporal},
+        PropertyParam{2, IdentificationMode::kTemporal},
+        PropertyParam{3, IdentificationMode::kTemporal},
+        PropertyParam{4, IdentificationMode::kTemporal},
+        PropertyParam{5, IdentificationMode::kComplete},
+        PropertyParam{6, IdentificationMode::kComplete}));
 
 }  // namespace
 }  // namespace storypivot

@@ -251,20 +251,54 @@ TEST(InvertedIndexTest, CandidatesDeduplicated) {
   EXPECT_EQ(candidates, (std::vector<SnippetId>{1}));
 }
 
-TEST(InvertedIndexTest, LazyRemoveHidesAndCompactReclaims) {
+TEST(InvertedIndexTest, RemoveErasesPostingsEagerly) {
   InvertedIndex index;
-  index.Add(1, text::TermVector::FromEntries({{10, 1.0}}));
-  index.Add(2, text::TermVector::FromEntries({{10, 1.0}}));
-  index.Remove(1);
-  auto candidates =
-      index.Candidates(text::TermVector::FromEntries({{10, 1.0}}));
-  EXPECT_EQ(candidates, (std::vector<SnippetId>{2}));
-  EXPECT_EQ(index.num_tombstones(), 1u);
-  index.Compact();
-  EXPECT_EQ(index.num_tombstones(), 0u);
+  const text::TermVector shared = text::TermVector::FromEntries({{10, 1.0}});
+  const text::TermVector both =
+      text::TermVector::FromEntries({{10, 1.0}, {11, 1.0}});
+  index.Add(1, both);
+  index.Add(2, shared);
+  index.Add(3, both);
+  EXPECT_EQ(index.num_postings(), 5u);
+  index.Remove(1, both);
+  EXPECT_EQ(index.Candidates(shared), (std::vector<SnippetId>{2, 3}));
+  // The postings count is the live count: nothing waits for a compaction.
+  EXPECT_EQ(index.num_postings(), 3u);
+  index.Remove(3, both);
   EXPECT_EQ(index.num_postings(), 1u);
-  candidates = index.Candidates(text::TermVector::FromEntries({{10, 1.0}}));
-  EXPECT_EQ(candidates, (std::vector<SnippetId>{2}));
+  // Term 11's list emptied and is gone.
+  EXPECT_TRUE(
+      index.Candidates(text::TermVector::FromEntries({{11, 1.0}})).empty());
+  index.Remove(2, shared);
+  EXPECT_EQ(index.num_postings(), 0u);
+  EXPECT_TRUE(index.Candidates(both).empty());
+}
+
+TEST(InvertedIndexTest, RemovedThenReaddedIdIsACandidate) {
+  // Refinement moves a snippet between stories of a partition as a
+  // remove followed by an add of the same id.
+  InvertedIndex index;
+  const text::TermVector terms = text::TermVector::FromEntries({{10, 1.0}});
+  index.Add(1, terms);
+  index.Add(2, terms);
+  index.Remove(1, terms);
+  index.Add(1, terms);
+  EXPECT_EQ(index.Candidates(terms), (std::vector<SnippetId>{1, 2}));
+  EXPECT_EQ(index.num_postings(), 2u);
+}
+
+TEST(InvertedIndexTest, FrozenCopyKeepsRemovedId) {
+  InvertedIndex index;
+  const text::TermVector terms =
+      text::TermVector::FromEntries({{10, 1.0}, {11, 1.0}});
+  index.Add(1, terms);
+  index.Add(2, terms);
+  const InvertedIndex frozen = index.Freeze();
+  index.Remove(1, terms);
+  EXPECT_EQ(index.Candidates(terms), (std::vector<SnippetId>{2}));
+  EXPECT_EQ(frozen.Candidates(terms), (std::vector<SnippetId>{1, 2}));
+  EXPECT_EQ(frozen.num_postings(), 4u);
+  EXPECT_EQ(index.num_postings(), 2u);
 }
 
 TEST(InvertedIndexTest, ZeroWeightTermsIgnored) {
