@@ -26,14 +26,13 @@ text::TermVector RandomVector(Pcg32& rng, size_t terms, uint32_t universe) {
 }
 
 void BM_Tokenize(benchmark::State& state) {
-  text::Tokenizer tokenizer;
   std::string input =
       "Officials leading the criminal investigation into the crash of "
       "Malaysia Airlines Flight 17 said Friday that the plane's wreckage "
       "had been tampered with, and Ukraine asked the United Nations civil "
       "aviation authority to help secure the crash site.";
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tokenizer.Tokenize(input));
+    benchmark::DoNotOptimize(text::Tokenize(input));
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(input.size()));

@@ -42,7 +42,6 @@
 //   storypivot_cli search /tmp/news.tsv "MH17 crash" --topk 5
 
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <string>
 
@@ -59,6 +58,7 @@
 #include "util/retry.h"
 #include "util/strings.h"
 #include "eval/diagnostics.h"
+#include "examples/flags.h"
 #include "viz/ascii.h"
 #include "viz/json_export.h"
 
@@ -83,60 +83,48 @@ int Usage() {
   return 2;
 }
 
-bool ParseFlag(int argc, char** argv, const char* name, std::string* out) {
-  for (int i = 0; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      *out = argv[i + 1];
-      return true;
-    }
-  }
-  return false;
-}
-
-bool HasFlag(int argc, char** argv, const char* name) {
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
-}
-
-int64_t FlagInt(int argc, char** argv, const char* name, int64_t def) {
-  std::string value;
-  if (!ParseFlag(argc, argv, name, &value)) return def;
-  int64_t out = def;
-  if (!ParseInt64(value, &out)) {
-    std::fprintf(stderr, "bad integer for %s: %s\n", name, value.c_str());
-  }
-  return out;
+/// Prints a bad flag value and the usage lines; exit status 2.
+int BadFlag(const Status& status) {
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  return Usage();
 }
 
 // Time bounds for `search --from/--to`: either a raw Timestamp (epoch
-// seconds) or a YYYY-MM-DD date.
-Timestamp FlagTime(int argc, char** argv, const char* name, Timestamp def) {
+// seconds) or a YYYY-MM-DD date. False on a malformed value.
+bool FlagTime(const Flags& flags, const char* name, Timestamp def,
+              Timestamp* out) {
   std::string value;
-  if (!ParseFlag(argc, argv, name, &value)) return def;
+  *out = def;
+  if (!flags.Get(name, &value)) return true;
   int year = 0, month = 0, day = 0;
   if (std::sscanf(value.c_str(), "%d-%d-%d", &year, &month, &day) == 3) {
-    return MakeTimestamp(year, month, day);
+    *out = MakeTimestamp(year, month, day);
+    return true;
   }
-  int64_t out = 0;
-  if (ParseInt64(value, &out)) return static_cast<Timestamp>(out);
+  int64_t seconds = 0;
+  if (ParseInt64(value, &seconds)) {
+    *out = static_cast<Timestamp>(seconds);
+    return true;
+  }
   std::fprintf(stderr, "bad time for %s: %s (want YYYY-MM-DD or epoch)\n",
                name, value.c_str());
-  return def;
+  return false;
 }
 
 int CmdGenerate(int argc, char** argv) {
   if (argc < 1) return Usage();
   std::string out_path = argv[0];
+  Flags flags(argc, argv);
   datagen::CorpusConfig config;
   config.target_num_snippets =
-      static_cast<int>(FlagInt(argc, argv, "--snippets", 5000));
+      static_cast<int>(flags.Int("--snippets", 5000, 1, 100'000'000));
   config.num_sources =
-      static_cast<int>(FlagInt(argc, argv, "--sources", 10));
+      static_cast<int>(flags.Int("--sources", 10, 1, 10'000));
   config.num_stories =
-      static_cast<int>(FlagInt(argc, argv, "--stories", 40));
-  config.seed = static_cast<uint64_t>(FlagInt(argc, argv, "--seed", 42));
+      static_cast<int>(flags.Int("--stories", 40, 1, 1'000'000));
+  config.seed = static_cast<uint64_t>(
+      flags.Int("--seed", 42, 0, std::numeric_limits<int64_t>::max()));
+  if (!flags.status().ok()) return BadFlag(flags.status());
   datagen::Corpus corpus = datagen::CorpusGenerator(config).Generate();
   Status status = datagen::ExportTsvToFile(corpus, out_path);
   if (!status.ok()) {
@@ -303,16 +291,18 @@ void PrintEngineSummary(StoryPivotEngine& engine) {
 
 int CmdDetect(int argc, char** argv) {
   if (argc < 1) return Usage();
+  Flags flags(argc, argv);
   EngineConfig config;
   std::string mode;
-  if (ParseFlag(argc, argv, "--mode", &mode) && mode == "complete") {
+  if (flags.Get("--mode", &mode) && mode == "complete") {
     config.mode = IdentificationMode::kComplete;
   }
   config.identifier.window =
-      FlagInt(argc, argv, "--window-days", 7) * kSecondsPerDay;
+      flags.Int("--window-days", 7, 0, 3650) * kSecondsPerDay;
+  if (!flags.status().ok()) return BadFlag(flags.status());
 
   Result<datagen::ImportedCorpus> imported =
-      LoadCorpus(argv[0], HasFlag(argc, argv, "--strict"));
+      LoadCorpus(argv[0], flags.Has("--strict"));
   if (!imported.ok()) {
     std::fprintf(stderr, "%s\n", imported.status().ToString().c_str());
     return 1;
@@ -324,7 +314,7 @@ int CmdDetect(int argc, char** argv) {
   std::unique_ptr<persist::DurableEngine> durable;
   std::unique_ptr<StoryPivotEngine> plain;
   std::string wal_dir;
-  if (ParseFlag(argc, argv, "--wal-dir", &wal_dir)) {
+  if (flags.Get("--wal-dir", &wal_dir)) {
     if (RefuseShardedDir("detect --wal-dir", wal_dir)) return 1;
     Result<std::unique_ptr<persist::DurableEngine>> opened =
         DetectDurable(imported.value(), config, wal_dir);
@@ -343,7 +333,7 @@ int CmdDetect(int argc, char** argv) {
   }
   StoryPivotEngine* engine = durable ? &durable->engine() : plain.get();
 
-  if (HasFlag(argc, argv, "--refine")) {
+  if (flags.Has("--refine")) {
     RefinementStats stats;
     if (durable) {
       Result<RefinementStats> refined = durable->Refine();
@@ -368,12 +358,12 @@ int CmdDetect(int argc, char** argv) {
     }
   }
   PrintEngineSummary(*engine);
-  if (HasFlag(argc, argv, "--diagnose")) {
+  if (flags.Has("--diagnose")) {
     std::printf("\n%s",
                 eval::DiagnoseAlignment(*engine).ToString().c_str());
   }
   std::string json_path;
-  if (ParseFlag(argc, argv, "--json", &json_path)) {
+  if (flags.Get("--json", &json_path)) {
     Status written = WriteStringToFile(
         json_path, viz::ExportEngineJson(*engine));
     if (!written.ok()) {
@@ -384,7 +374,7 @@ int CmdDetect(int argc, char** argv) {
   }
 
   std::string snapshot_path;
-  if (ParseFlag(argc, argv, "--snapshot", &snapshot_path)) {
+  if (flags.Get("--snapshot", &snapshot_path)) {
     Status saved = SaveSnapshotToFile(*engine, snapshot_path);
     if (!saved.ok()) {
       std::fprintf(stderr, "%s\n", saved.ToString().c_str());
@@ -441,7 +431,7 @@ int CmdRecover(int argc, char** argv) {
     return 1;
   }
   PrintEngineSummary(durable.engine());
-  if (HasFlag(argc, argv, "--checkpoint")) {
+  if (Flags(argc, argv).Has("--checkpoint")) {
     Status compacted = durable.Checkpoint();
     if (!compacted.ok()) {
       std::fprintf(stderr, "%s\n", compacted.ToString().c_str());
@@ -473,7 +463,7 @@ int CmdLoad(int argc, char** argv) {
 Result<std::unique_ptr<StoryPivotEngine>> DetectFromTsv(int argc,
                                                         char** argv) {
   Result<datagen::ImportedCorpus> imported =
-      LoadCorpus(argv[0], HasFlag(argc, argv, "--strict"));
+      LoadCorpus(argv[0], Flags(argc, argv).Has("--strict"));
   if (!imported.ok()) return imported.status();
   return DetectFromCorpus(imported.value(), EngineConfig{});
 }
@@ -497,28 +487,22 @@ int CmdQuery(int argc, char** argv) {
 
 int CmdSearch(int argc, char** argv) {
   if (argc < 2) return Usage();
-  Result<std::unique_ptr<StoryPivotEngine>> engine =
-      DetectFromTsv(argc, argv);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
-    return 1;
-  }
-  engine.value()->Align();
-  search::SearchEngine searcher(engine.value().get());
-
+  Flags flags(argc, argv);
   search::SearchOptions options;
-  options.k = static_cast<size_t>(FlagInt(argc, argv, "--topk", 10));
+  options.k = static_cast<size_t>(flags.Int("--topk", 10, 1, 1000));
+  if (!flags.status().ok()) return BadFlag(flags.status());
   std::string mode;
-  if (ParseFlag(argc, argv, "--mode", &mode) && mode == "and") {
+  if (flags.Get("--mode", &mode) && mode == "and") {
     options.mode = search::MatchMode::kAll;
   }
   std::string bound;
-  if (ParseFlag(argc, argv, "--from", &bound) ||
-      ParseFlag(argc, argv, "--to", &bound)) {
+  if (flags.Get("--from", &bound) || flags.Get("--to", &bound)) {
     options.filter_time = true;
-    options.from = FlagTime(argc, argv, "--from", 0);
-    options.to = FlagTime(argc, argv, "--to",
-                          std::numeric_limits<Timestamp>::max());
+    if (!FlagTime(flags, "--from", 0, &options.from) ||
+        !FlagTime(flags, "--to", std::numeric_limits<Timestamp>::max(),
+                  &options.to)) {
+      return Usage();
+    }
   }
   // An inverted --from/--to window is a typed error, not an empty
   // result (DESIGN.md §11 — silence is indistinguishable from "no
@@ -527,6 +511,15 @@ int CmdSearch(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", valid.ToString().c_str());
     return 1;
   }
+
+  Result<std::unique_ptr<StoryPivotEngine>> engine =
+      DetectFromTsv(argc, argv);
+  if (!engine.ok()) {
+    std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
+    return 1;
+  }
+  engine.value()->Align();
+  search::SearchEngine searcher(engine.value().get());
 
   search::ParsedQuery parsed = searcher.Parse(argv[1]);
   for (const search::QueryTerm& term : parsed.terms) {

@@ -18,15 +18,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "datagen/gdelt_export.h"
+#include "examples/flags.h"
 #include "serve/serving_engine.h"
 #include "util/fs.h"
-#include "util/strings.h"
 #include "util/timer.h"
 
 namespace {
@@ -43,25 +42,8 @@ int Usage() {
   return 2;
 }
 
-bool ParseFlag(int argc, char** argv, const char* name, std::string* out) {
-  for (int i = 0; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      *out = argv[i + 1];
-      return true;
-    }
-  }
-  return false;
-}
-
-int64_t FlagInt(int argc, char** argv, const char* name, int64_t def) {
-  std::string value;
-  if (!ParseFlag(argc, argv, name, &value)) return def;
-  int64_t out = def;
-  if (!ParseInt64(value, &out)) {
-    std::fprintf(stderr, "bad integer for %s: %s\n", name, value.c_str());
-  }
-  return out;
-}
+/// Upper bound of --readers and --threads: each starts that many threads.
+constexpr int64_t kMaxThreads = 64;
 
 struct ReaderTally {
   uint64_t ok = 0;
@@ -89,22 +71,28 @@ int main(int argc, char** argv) {
   const std::string tsv_path = argv[1];
   const std::string wal_dir = argv[2];
   const std::string query_text = argv[3];
-  int sub_argc = argc - 4;
-  char** sub_argv = argv + 4;
+  // Every flag is checked before anything is read, opened or started.
+  Flags flags(argc - 4, argv + 4);
   const size_t readers =
-      static_cast<size_t>(FlagInt(sub_argc, sub_argv, "--readers", 4));
-  const double seconds = static_cast<double>(
-      FlagInt(sub_argc, sub_argv, "--seconds", 5));
+      static_cast<size_t>(flags.Int("--readers", 4, 1, kMaxThreads));
+  const double seconds =
+      static_cast<double>(flags.Int("--seconds", 5, 0, 86400));
   const size_t batch =
-      static_cast<size_t>(FlagInt(sub_argc, sub_argv, "--batch", 64));
-
+      static_cast<size_t>(flags.Int("--batch", 64, 1, 1 << 20));
   serve::ServerOptions server_options;
   server_options.num_threads =
-      static_cast<size_t>(FlagInt(sub_argc, sub_argv, "--threads", 4));
+      static_cast<size_t>(flags.Int("--threads", 4, 1, kMaxThreads));
   server_options.max_queued =
-      static_cast<size_t>(FlagInt(sub_argc, sub_argv, "--queue", 64));
-  server_options.default_deadline_ms = static_cast<uint64_t>(
-      FlagInt(sub_argc, sub_argv, "--deadline-ms", 0));
+      static_cast<size_t>(flags.Int("--queue", 64, 1, 1 << 20));
+  server_options.default_deadline_ms =
+      static_cast<uint64_t>(flags.Int("--deadline-ms", 0, 0, 3600 * 1000));
+  serve::QueryRequest request;
+  request.query = query_text;
+  request.options.k = static_cast<size_t>(flags.Int("--topk", 10, 1, 1000));
+  if (!flags.status().ok()) {
+    std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
+    return Usage();
+  }
 
   Result<std::string> contents = ReadFileToString(tsv_path);
   if (!contents.ok()) {
@@ -177,11 +165,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     serving.durable().next_lsn()));
   }
-
-  serve::QueryRequest request;
-  request.query = query_text;
-  request.options.k =
-      static_cast<size_t>(FlagInt(sub_argc, sub_argv, "--topk", 10));
 
   // Closed-loop readers: each issues the next query the moment the
   // previous one returns, for `seconds` of wall clock.

@@ -41,6 +41,11 @@ struct StoryNode {
   const Story* ptr = nullptr;
 };
 
+/// Story-sketch LSH shape: 16 bands of 4 rows over a 64-slot MinHash
+/// signature, the LshIndex default (steep S-curve around Jaccard 0.5).
+constexpr size_t kLshBands = 16;
+constexpr size_t kLshRowsPerBand = 4;
+
 /// Below this many nodes the parallel fan-out costs more than it saves.
 constexpr size_t kMinParallelNodes = 64;
 
@@ -60,7 +65,7 @@ size_t AlignmentResult::IndexOfMember(SourceId source, StoryId id) const {
 double StoryAligner::StoryPairScore(const Story& a, const Story& b) const {
   double affinity = SimilarityModel::TemporalAffinity(
       a.start_time(), a.end_time(), b.start_time(), b.end_time(),
-      config_.temporal_tolerance);
+      kTemporalTolerance);
   if (affinity <= 0.0) return 0.0;
   return affinity * model_->StorySimilarity(a, b);
 }
@@ -70,7 +75,7 @@ double StoryAligner::StoryPairScore(const Story& a, double a_norm,
                                     const IdfTable& idf) const {
   double affinity = SimilarityModel::TemporalAffinity(
       a.start_time(), a.end_time(), b.start_time(), b.end_time(),
-      config_.temporal_tolerance);
+      kTemporalTolerance);
   if (affinity <= 0.0) return 0.0;
   return affinity * model_->StorySimilarity(a, a_norm, b, b_norm, idf);
 }
@@ -94,12 +99,12 @@ AlignmentResult StoryAligner::Align(
   const size_t n = nodes.size();
   UnionFind uf(n);
 
-  // Candidate pair generation: all cross-source pairs for small inputs,
-  // LSH over story sketches otherwise. Either way candidates of row i are
-  // the pairs (i, j) with j > i, so rows can be scored independently.
-  const bool lsh_mode = (config_.use_lsh && n > config_.lsh_min_stories) ||
-                        n > config_.all_pairs_limit;
-  LshIndex lsh(16, 4);
+  // Candidate pair generation: all cross-source pairs up to
+  // kLshMinStories stories, LSH over story sketches above. Either way
+  // candidates of row i are the pairs (i, j) with j > i, so rows can be
+  // scored independently.
+  const bool lsh_mode = n > kLshMinStories;
+  LshIndex lsh(kLshBands, kLshRowsPerBand);
   std::vector<MinHashSignature> sigs;
   const bool parallel =
       pool != nullptr && pool->num_threads() > 1 && n >= kMinParallelNodes;
@@ -116,7 +121,7 @@ AlignmentResult StoryAligner::Align(
       if (lsh_mode) {
         sigs[i] = MinHashSignature::FromContent(nodes[i].ptr->entities(),
                                                 nodes[i].ptr->keywords(),
-                                                config_.sketch_hashes);
+                                                kLshBands * kLshRowsPerBand);
       }
     }
   };
@@ -135,11 +140,7 @@ AlignmentResult StoryAligner::Align(
                         std::vector<std::pair<size_t, size_t>>* edges,
                         uint64_t* scored) {
     auto consider = [&](size_t i, size_t j) {
-      if (i == j) return;
-      if (!config_.allow_same_source_merge &&
-          nodes[i].source == nodes[j].source) {
-        return;
-      }
+      if (nodes[i].source == nodes[j].source) return;
       ++*scored;
       if (StoryPairScore(*nodes[i].ptr, keyword_norms[i], *nodes[j].ptr,
                          keyword_norms[j], idf) >= config_.align_threshold) {
@@ -209,8 +210,8 @@ AlignmentResult StoryAligner::Align(
 
   if (graph == nullptr) {
     graph = CounterpartGraph::Build(partitions, store, *model_,
-                                    config_.pair_threshold,
-                                    config_.pair_tolerance, pool);
+                                    config_.pair_threshold, kPairTolerance,
+                                    pool);
   }
   ClassifySnippetRoles(*graph, &result);
   result.graph = std::move(graph);
@@ -250,7 +251,7 @@ void ClassifyIntegratedStory(
     std::unordered_map<SnippetId, SnippetRole>* roles,
     std::unordered_map<SnippetId, SnippetId>* counterpart) {
   // A snippet is aligning when a counterpart from another source exists
-  // inside the same integrated story, within pair_tolerance and above
+  // inside the same integrated story, within kPairTolerance and above
   // pair_threshold. Snippets are walked in time order so only a bounded
   // window of predecessors is compared.
   struct TimedSnippet {
@@ -276,7 +277,7 @@ void ClassifyIntegratedStory(
     const Snippet& a = *members[i].snippet;
     for (size_t j = i + 1; j < members.size(); ++j) {
       const Snippet& b = *members[j].snippet;
-      if (b.timestamp - a.timestamp > config.pair_tolerance) break;
+      if (b.timestamp - a.timestamp > kPairTolerance) break;
       if (a.source == b.source) continue;
       double s = model.SnippetSimilarity(a, b);
       if (s < config.pair_threshold) continue;

@@ -17,42 +17,33 @@ namespace storypivot {
 
 class ThreadPool;
 
-/// Knobs of the story-alignment phase (§2.3).
+/// Temporal tolerance between story spans, in seconds. Larger than the
+/// identification window ("more tolerance in the temporal alignment of
+/// stories", §4.1).
+inline constexpr Timestamp kTemporalTolerance = 14 * kSecondsPerDay;
+/// Two snippets from different sources are counterparts only when their
+/// event timestamps are within this many seconds.
+inline constexpr Timestamp kPairTolerance = 3 * kSecondsPerDay;
+/// Above this many stories, Align() takes its candidate story pairs from
+/// story-sketch LSH instead of comparing all cross-source pairs. For small
+/// inputs all-pairs is cheap and exact, and LSH recall is poor for pairs
+/// whose set-Jaccard sits below its S-curve even when the blended
+/// similarity clears the threshold.
+inline constexpr size_t kLshMinStories = 500;
+
+/// Thresholds of the story-alignment phase (§2.3).
 struct AlignmentConfig {
   /// Two stories align when content-similarity x temporal-affinity
   /// reaches this. Alignment is transitive (union-find), so the threshold
   /// is deliberately higher than the identification assign threshold —
   /// a low value lets one mixed story chain unrelated clusters together.
   double align_threshold = 0.40;
-  /// Temporal tolerance between story spans, in seconds. Larger than the
-  /// identification window ("more tolerance in the temporal alignment of
-  /// stories", §4.1).
-  Timestamp temporal_tolerance = 14 * kSecondsPerDay;
   /// Two snippets from different sources are counterparts (the snippet
-  /// "aligns" the stories) when their similarity reaches this...
-  /// Refinement searches counterparts with the same two values. Must be
-  /// positive: counterpart candidates come only from snippet pairs that
-  /// share a term (CounterpartGraph).
+  /// "aligns" the stories) when their similarity reaches this, within
+  /// kPairTolerance. Refinement searches counterparts with the same two
+  /// values. Must be positive: counterpart candidates come only from
+  /// snippet pairs that share a term (CounterpartGraph).
   double pair_threshold = 0.45;
-  /// ...and their event timestamps are within this many seconds.
-  Timestamp pair_tolerance = 3 * kSecondsPerDay;
-  /// Allow story-sketch LSH to generate candidate story pairs instead of
-  /// comparing all cross-source pairs. LSH only activates above
-  /// `lsh_min_stories` — for small inputs all-pairs is cheap and exact,
-  /// and LSH recall is poor for pairs whose set-Jaccard sits below its
-  /// S-curve even when the blended similarity clears the threshold.
-  bool use_lsh = true;
-  /// Minimum story count before the LSH path activates.
-  size_t lsh_min_stories = 500;
-  /// Above this many stories, all-pairs comparison is refused and LSH is
-  /// used regardless of `use_lsh`.
-  size_t all_pairs_limit = 4000;
-  /// Allow two stories of the same source to land in one integrated
-  /// story. The paper keeps same-source stories separate (refinement, not
-  /// alignment, fixes same-source mistakes), so this defaults to false.
-  bool allow_same_source_merge = false;
-  /// MinHash size for story sketches.
-  size_t sketch_hashes = 64;
 };
 
 /// The role a snippet plays inside an integrated story (§2.3): it either
@@ -114,9 +105,10 @@ void ClassifyIntegratedStory(const SimilarityModel& model,
                                  counterpart);
 
 /// Aligns the per-source story sets across sources into integrated
-/// stories. Stories that align nowhere survive as singleton integrated
-/// stories ("even if a story cannot be aligned ... it is still going to be
-/// present in the result set", §2.3).
+/// stories. Only stories of different sources align: refinement, not
+/// alignment, fixes same-source mistakes. Stories that align nowhere
+/// survive as singleton integrated stories ("even if a story cannot be
+/// aligned ... it is still going to be present in the result set", §2.3).
 class StoryAligner {
  public:
   StoryAligner(const SimilarityModel* model, AlignmentConfig config)

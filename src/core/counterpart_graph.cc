@@ -113,8 +113,6 @@ std::shared_ptr<const CounterpartGraph> CounterpartGraph::Build(
   const Postings entity_postings(snippets, &Snippet::entities);
   const Postings keyword_postings(snippets, &Snippet::keywords);
 
-  const double entity_weight = model.config().entity_weight;
-  const double keyword_weight = model.config().keyword_weight;
   // SnippetSimilarity, with IdfCosine's dot product over cached weights.
   auto score = [&](size_t i, size_t j) {
     const Snippet& a = *snippets[i];
@@ -137,7 +135,7 @@ std::shared_ptr<const CounterpartGraph> CounterpartGraph::Build(
     }
     const double keyword_sim =
         CosineFromNorms(dot, keyword_norm[i], keyword_norm[j]);
-    return entity_weight * entity_sim + keyword_weight * keyword_sim;
+    return kEntityWeight * entity_sim + kKeywordWeight * keyword_sim;
   };
 
   size_t num_chunks = (n + kRowsPerChunk - 1) / kRowsPerChunk;

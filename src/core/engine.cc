@@ -28,7 +28,7 @@ StoryPivotEngine::StoryPivotEngine(EngineConfig config)
       identifier_(MakeIdentifier(config_.mode, &similarity_,
                                  config_.identifier)),
       aligner_(&similarity_, config_.alignment),
-      refiner_(&similarity_, config_.refinement) {
+      refiner_(&similarity_) {
   // Counterpart candidates come only from snippet pairs sharing a term;
   // pairs sharing none score exactly 0, which only a positive threshold
   // excludes.
@@ -182,7 +182,7 @@ void StoryPivotEngine::RollbackIngested(const std::vector<SnippetId>& ids) {
     const Snippet* snippet = store_.Find(*it);
     SP_CHECK(snippet != nullptr);
     Snippet copy = *snippet;  // RemoveSnippetInternal invalidates the ptr.
-    RemoveSnippetInternal(copy, /*split_check=*/true);
+    RemoveSnippetInternal(copy);
   }
 }
 
@@ -335,8 +335,7 @@ Result<SnippetId> StoryPivotEngine::AdoptAssignment(Snippet snippet,
   return id;
 }
 
-void StoryPivotEngine::RemoveSnippetInternal(const Snippet& snippet,
-                                             bool split_check) {
+void StoryPivotEngine::RemoveSnippetInternal(const Snippet& snippet) {
   StorySet* partition = MutablePartition(snippet.source);
   SP_CHECK(partition != nullptr);
   StoryId story_id = partition->StoryOf(snippet.id);
@@ -346,7 +345,7 @@ void StoryPivotEngine::RemoveSnippetInternal(const Snippet& snippet,
   SP_CHECK(store_.Remove(id).ok());
   NotifyRemoved(snippet);
   ++stats_.snippets_removed;
-  if (split_check && story_id != kInvalidStoryId &&
+  if (story_id != kInvalidStoryId &&
       partition->FindStory(story_id) != nullptr) {
     StoryId cursor = next_story_id_.load(std::memory_order_relaxed);
     refiner_.SplitIfDisconnected(partition, story_id, store_, &cursor);
@@ -364,7 +363,7 @@ Status StoryPivotEngine::RemoveDocument(const std::string& url) {
     const Snippet* snippet = store_.Find(id);
     SP_CHECK(snippet != nullptr);
     Snippet copy = *snippet;  // RemoveSnippetInternal invalidates the ptr.
-    RemoveSnippetInternal(copy, /*split_check=*/true);
+    RemoveSnippetInternal(copy);
   }
   return Status::OK();
 }
@@ -377,7 +376,7 @@ Status StoryPivotEngine::RemoveSnippet(SnippetId id) {
         StrFormat("snippet %llu", static_cast<unsigned long long>(id)));
   }
   Snippet copy = *snippet;
-  RemoveSnippetInternal(copy, /*split_check=*/true);
+  RemoveSnippetInternal(copy);
   return Status::OK();
 }
 

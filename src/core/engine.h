@@ -33,7 +33,6 @@ struct EngineConfig {
   IdentifierConfig identifier;
   SimilarityConfig similarity;
   AlignmentConfig alignment;
-  RefinementConfig refinement;
   /// Worker threads for the engine-internal parallel paths: batch
   /// ingestion (AddSnippets) and alignment pair scoring. 1 keeps the
   /// engine fully serial (no pool is created); results are bit-identical
@@ -279,8 +278,8 @@ class StoryPivotEngine {
 
  private:
   StorySet* MutablePartition(SourceId source);
-  void RemoveSnippetInternal(const Snippet& snippet, bool split_check)
-      SP_REQUIRES(serial_);
+  /// Removes `snippet` and split-checks the story it leaves.
+  void RemoveSnippetInternal(const Snippet& snippet) SP_REQUIRES(serial_);
 
   /// Align() with `graph` (when non-null) in place of a fresh counterpart
   /// graph; it must cover the current snippets under the current DF.

@@ -7,6 +7,13 @@
 #include "util/logging.h"
 
 namespace storypivot {
+namespace {
+
+/// Blend between the best member-snippet score (1 - blend) and the
+/// story-centroid score (blend) when scoring a snippet against a story.
+constexpr double kCentroidBlend = 0.3;
+
+}  // namespace
 
 StoryId StoryIdentifier::PlaceWithCandidates(
     const Snippet& snippet, const std::vector<SnippetId>& candidates,
@@ -36,12 +43,9 @@ StoryId StoryIdentifier::PlaceWithCandidates(
   for (const auto& [story_id, member_score] : best_member) {
     const Story* story = stories->FindStory(story_id);
     SP_CHECK(story != nullptr);
-    double centroid_score = sim.centroid_blend > 0.0
-                                ? model_->SnippetStorySimilarity(snippet,
-                                                                 *story)
-                                : 0.0;
-    double score = (1.0 - sim.centroid_blend) * member_score +
-                   sim.centroid_blend * centroid_score;
+    double centroid_score = model_->SnippetStorySimilarity(snippet, *story);
+    double score = (1.0 - kCentroidBlend) * member_score +
+                   kCentroidBlend * centroid_score;
     if (score > best_score ||
         (score == best_score && story_id < best_story)) {
       best_score = score;

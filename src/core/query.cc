@@ -113,33 +113,6 @@ std::vector<StoryOverview> StoryQuery::FindByKeyword(
       top_k, max_results);
 }
 
-std::vector<StoryOverview> StoryQuery::FindByEventType(
-    std::string_view event_type, size_t top_k, size_t max_results) const {
-  // Event types live on snippets, not on story aggregates; scan the
-  // stories' members.
-  return CollectStories(
-      [&](const Story& story) {
-        for (SnippetId sid : story.snippets()) {
-          const Snippet* snippet = engine_->store().Find(sid);
-          if (snippet != nullptr && snippet->event_type == event_type) {
-            return true;
-          }
-        }
-        return false;
-      },
-      top_k, max_results);
-}
-
-std::vector<StoryOverview> StoryQuery::FindInTimeRange(
-    Timestamp begin, Timestamp end, size_t top_k,
-    size_t max_results) const {
-  return CollectStories(
-      [begin, end](const Story& story) {
-        return story.start_time() <= end && story.end_time() >= begin;
-      },
-      top_k, max_results);
-}
-
 std::vector<SnippetView> StoryQuery::Snippets(const Story& story) const {
   std::vector<SnippetView> out;
   out.reserve(story.size());

@@ -59,8 +59,7 @@ struct EntityContext {
 inline constexpr size_t kDefaultMaxResults = 20;
 
 /// Read-only query layer over an engine: the lookups behind the demo's
-/// exploration modules, plus entity/keyword/time-range search
-/// ("queries will consist of enquiries about specified real-world events
+/// exploration modules, plus entity and keyword search ("queries will consist of enquiries about specified real-world events
 /// or entities", §4.2).
 ///
 /// The Find* lookups scan every story of every partition.
@@ -94,19 +93,6 @@ class StoryQuery {
   /// surface forms ("bombing") match the stored stem ("bomb").
   std::vector<StoryOverview> FindByKeyword(
       std::string_view keyword, size_t top_k = 5,
-      size_t max_results = kDefaultMaxResults) const;
-
-  /// Stories containing at least one snippet of the given event type
-  /// (e.g. "Accident" — the paper's tuple type field), largest first (at
-  /// most max_results).
-  std::vector<StoryOverview> FindByEventType(
-      std::string_view event_type, size_t top_k = 5,
-      size_t max_results = kDefaultMaxResults) const;
-
-  /// Stories whose span intersects [begin, end], largest first (at most
-  /// max_results).
-  std::vector<StoryOverview> FindInTimeRange(
-      Timestamp begin, Timestamp end, size_t top_k = 5,
       size_t max_results = kDefaultMaxResults) const;
 
   /// Overview card for one per-source story.

@@ -7,6 +7,18 @@
 #include "util/logging.h"
 
 namespace storypivot {
+namespace {
+
+/// A snippet is relocated when the target story scores at least this much
+/// higher than its current story.
+constexpr double kMargin = 0.05;
+/// A story that lost snippets is split into its connected components, two
+/// members being connected when they score at least kSplitEdgeThreshold
+/// within kSplitEdgeWindow of each other.
+constexpr double kSplitEdgeThreshold = 0.25;
+constexpr Timestamp kSplitEdgeWindow = 14 * kSecondsPerDay;
+
+}  // namespace
 
 RefinementStats StoryRefiner::Refine(const std::vector<StorySet*>& partitions,
                                      const AlignmentResult& alignment,
@@ -45,9 +57,8 @@ RefinementStats StoryRefiner::Refine(const std::vector<StorySet*>& partitions,
     }
     text::TermVector scaled;
     scaled.Merge(ents, 1.0 / denom);
-    const SimilarityConfig& sim = model_->config();
-    return sim.entity_weight * v.entities.WeightedJaccard(scaled) +
-           sim.keyword_weight * model_->IdfCosine(v.keywords, kws);
+    return kEntityWeight * v.entities.WeightedJaccard(scaled) +
+           kKeywordWeight * model_->IdfCosine(v.keywords, kws);
   };
 
   // Decide all relocations against the *original* assignment, then apply.
@@ -102,7 +113,7 @@ RefinementStats StoryRefiner::Refine(const std::vector<StorySet*>& partitions,
     }
 
     if (best_target != kInvalidStoryId &&
-        target_score > current_score + config_.margin) {
+        target_score > current_score + kMargin) {
       moves.push_back({v.id, partition_index, current_id, best_target});
     } else if (best_target == kInvalidStoryId && current->size() > 1) {
       // No same-source story exists over there. If the snippet fits its
@@ -111,7 +122,7 @@ RefinementStats StoryRefiner::Refine(const std::vector<StorySet*>& partitions,
       // to the right cluster.
       double cluster_score =
           affinity(v, target_cluster.merged, /*member=*/false);
-      if (cluster_score > current_score + config_.margin) {
+      if (cluster_score > current_score + kMargin) {
         moves.push_back({v.id, partition_index, current_id, kInvalidStoryId});
       }
     }
@@ -145,15 +156,13 @@ RefinementStats StoryRefiner::Refine(const std::vector<StorySet*>& partitions,
   }
 
   // Split-check stories that lost members.
-  if (config_.split_check) {
-    for (const auto& [p, story_id] : dirty_stories) {
-      if (partitions[p]->FindStory(story_id) == nullptr) continue;
-      int created =
-          SplitIfDisconnected(partitions[p], story_id, store, next_story_id);
-      if (created > 0) {
-        ++stats.stories_split;
-        stats.stories_created += created;
-      }
+  for (const auto& [p, story_id] : dirty_stories) {
+    if (partitions[p]->FindStory(story_id) == nullptr) continue;
+    int created =
+        SplitIfDisconnected(partitions[p], story_id, store, next_story_id);
+    if (created > 0) {
+      ++stats.stories_split;
+      stats.stories_created += created;
     }
   }
   return stats;
@@ -193,13 +202,12 @@ int StoryRefiner::SplitIfDisconnected(StorySet* partition, StoryId story_id,
   };
   for (size_t i = 0; i < members.size(); ++i) {
     for (size_t j = i + 1; j < members.size(); ++j) {
-      if (members[j]->timestamp - members[i]->timestamp >
-          config_.split_edge_window) {
+      if (members[j]->timestamp - members[i]->timestamp > kSplitEdgeWindow) {
         break;
       }
       if (find(i) == find(j)) continue;
       if (model_->SnippetSimilarity(*members[i], *members[j]) >=
-          config_.split_edge_threshold) {
+          kSplitEdgeThreshold) {
         parent[find(i)] = find(j);
       }
     }

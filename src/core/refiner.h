@@ -11,21 +11,6 @@
 
 namespace storypivot {
 
-/// Knobs of the story-refinement step (Fig. 1d).
-struct RefinementConfig {
-  /// A snippet is relocated when the target story scores at least this
-  /// much higher than its current story.
-  double margin = 0.05;
-  /// After relocations, stories that lost snippets are checked for
-  /// connectivity and split into connected components when they fall
-  /// apart.
-  bool split_check = true;
-  /// Connectivity edges require at least this similarity...
-  double split_edge_threshold = 0.25;
-  /// ...within this time distance.
-  Timestamp split_edge_window = 14 * kSecondsPerDay;
-};
-
 /// What a refinement pass did.
 struct RefinementStats {
   int snippets_moved = 0;
@@ -44,8 +29,7 @@ struct RefinementStats {
 /// sets (§2.3).
 class StoryRefiner {
  public:
-  StoryRefiner(const SimilarityModel* model, RefinementConfig config)
-      : model_(model), config_(config) {}
+  explicit StoryRefiner(const SimilarityModel* model) : model_(model) {}
 
   StoryRefiner(const StoryRefiner&) = delete;
   StoryRefiner& operator=(const StoryRefiner&) = delete;
@@ -62,18 +46,16 @@ class StoryRefiner {
                          const SnippetStore& store,
                          StoryId* next_story_id) const;
 
-  /// Splits `story_id` into connected components under the configured
-  /// edge threshold/window if it is no longer connected. Returns the
-  /// number of additional stories created (0 when still connected).
+  /// Splits `story_id` into its connected components (members linked by
+  /// similarity within a time window) if it is no longer connected.
+  /// Returns the number of additional stories created (0 when still
+  /// connected).
   int SplitIfDisconnected(StorySet* partition, StoryId story_id,
                           const SnippetStore& store,
                           StoryId* next_story_id) const;
 
-  const RefinementConfig& config() const { return config_; }
-
  private:
   const SimilarityModel* model_;
-  RefinementConfig config_;
 };
 
 }  // namespace storypivot

@@ -43,7 +43,7 @@ double CosineFromNorms(double dot, double a_norm, double b_norm) {
 }
 
 IdfTable::IdfTable(const SimilarityModel& model)
-    : df_(model.config().use_idf ? model.document_frequency() : nullptr) {
+    : df_(model.document_frequency()) {
   if (df_ == nullptr) return;
   idf_.resize(df_->num_terms());
   for (text::TermId term = 0; term < idf_.size(); ++term) {
@@ -93,10 +93,9 @@ SimilarityModel::SimilarityModel(const SimilarityConfig& config,
 
 double SimilarityModel::IdfCosine(const text::TermVector& a,
                                   const text::TermVector& b) const {
-  const bool idf = config_.use_idf && df_ != nullptr;
   auto weight = [&](text::TermId term, double count) {
     double w = SublinearTf(count);
-    if (idf) w *= df_->Idf(term);
+    if (df_ != nullptr) w *= df_->Idf(term);
     return w;
   };
   double dot = 0.0, norm_a = 0.0, norm_b = 0.0;
@@ -130,8 +129,7 @@ double SimilarityModel::SnippetSimilarity(const Snippet& a,
   num_comparisons_.fetch_add(1, std::memory_order_relaxed);
   double entity_sim = a.entities.WeightedJaccard(b.entities);
   double keyword_sim = IdfCosine(a.keywords, b.keywords);
-  return config_.entity_weight * entity_sim +
-         config_.keyword_weight * keyword_sim;
+  return kEntityWeight * entity_sim + kKeywordWeight * keyword_sim;
 }
 
 double SimilarityModel::SnippetStorySimilarity(const Snippet& snippet,
@@ -147,8 +145,7 @@ double SimilarityModel::SnippetStorySimilarity(const Snippet& snippet,
   scaled.Merge(story.entities(), scale);
   double entity_sim = snippet.entities.WeightedJaccard(scaled);
   double keyword_sim = IdfCosine(snippet.keywords, story.keywords());
-  return config_.entity_weight * entity_sim +
-         config_.keyword_weight * keyword_sim;
+  return kEntityWeight * entity_sim + kKeywordWeight * keyword_sim;
 }
 
 double SimilarityModel::StorySimilarity(const Story& a,
@@ -163,8 +160,7 @@ double SimilarityModel::StorySimilarity(const Story& a,
   eb.Merge(b.entities(), scale_b);
   double entity_sim = ea.WeightedJaccard(eb);
   double keyword_sim = IdfCosine(a.keywords(), b.keywords());
-  return config_.entity_weight * entity_sim +
-         config_.keyword_weight * keyword_sim;
+  return kEntityWeight * entity_sim + kKeywordWeight * keyword_sim;
 }
 
 double SimilarityModel::StorySimilarity(const Story& a, double a_norm,
@@ -176,8 +172,7 @@ double SimilarityModel::StorySimilarity(const Story& a, double a_norm,
   double entity_sim =
       ScaledWeightedJaccard(a.entities(), scale_a, b.entities(), scale_b);
   double keyword_sim = idf.Cosine(a.keywords(), a_norm, b.keywords(), b_norm);
-  return config_.entity_weight * entity_sim +
-         config_.keyword_weight * keyword_sim;
+  return kEntityWeight * entity_sim + kKeywordWeight * keyword_sim;
 }
 
 double SimilarityModel::TemporalAffinity(Timestamp a_begin, Timestamp a_end,

@@ -14,42 +14,37 @@ namespace storypivot {
 
 class IdfTable;
 
-/// Weights and thresholds of the snippet/story similarity model shared by
-/// story identification, alignment and refinement.
+/// Weight of entity overlap (weighted Jaccard over entity histograms) in
+/// every snippet and story score.
+inline constexpr double kEntityWeight = 0.55;
+/// Weight of keyword similarity (IDF-weighted cosine).
+inline constexpr double kKeywordWeight = 0.45;
+
+/// Identification thresholds of the snippet/story similarity model.
 struct SimilarityConfig {
-  /// Weight of entity overlap (weighted Jaccard over entity histograms).
-  double entity_weight = 0.55;
-  /// Weight of keyword similarity (IDF-weighted cosine).
-  double keyword_weight = 0.45;
-  /// Use corpus IDF statistics to weigh keywords; when false, plain
-  /// sublinear-TF cosine is used.
-  bool use_idf = true;
   /// A snippet joins its best story when the blended score reaches this.
   double assign_threshold = 0.30;
   /// Two existing stories bridged by one snippet merge when both score at
   /// least this (incremental merge, §2.2 / incremental record linkage).
   double merge_threshold = 0.55;
-  /// Blend between the best member-snippet score (1 - blend) and the
-  /// story-centroid score (blend) when scoring a snippet against a story.
-  double centroid_blend = 0.3;
 };
 
-/// Stateless scoring functions over snippets and stories, parameterised by
-/// a SimilarityConfig and backed by streaming document-frequency
-/// statistics. Counts every pairwise comparison so benches can report the
-/// work done by each identification mode.
+/// Stateless scoring functions over snippets and stories, backed by
+/// streaming document-frequency statistics. Counts every pairwise
+/// comparison so benches can report the work done by each
+/// identification mode.
 class SimilarityModel {
  public:
-  /// `df` may be nullptr, in which case IDF weighting is disabled
-  /// regardless of the config.
+  /// `df` may be nullptr, in which case keywords are weighed by plain
+  /// sublinear TF, without IDF.
   SimilarityModel(const SimilarityConfig& config,
                   const text::DocumentFrequency* df);
 
   const SimilarityConfig& config() const { return config_; }
 
   /// Content similarity of two snippets in [0, 1]:
-  /// entity_weight * WeightedJaccard(entities) +
-  /// keyword_weight * IdfCosine(keywords).
+  /// kEntityWeight * WeightedJaccard(entities) +
+  /// kKeywordWeight * IdfCosine(keywords).
   double SnippetSimilarity(const Snippet& a, const Snippet& b) const;
 
   /// Content similarity between a snippet and a story's aggregate
@@ -80,7 +75,7 @@ class SimilarityModel {
                                  Timestamp tolerance);
 
   /// The document-frequency statistics backing IDF weighting (may be
-  /// nullptr). Exposed so incremental consumers can detect IDF drift.
+  /// nullptr); IdfTable freezes them for one phase.
   const text::DocumentFrequency* document_frequency() const { return df_; }
 
   /// Number of pairwise similarity evaluations since construction. The
@@ -122,7 +117,7 @@ class IdfTable {
   explicit IdfTable(const SimilarityModel& model);
 
   /// IdfCosine's weight of one keyword: (1 + ln count) · idf(term), or
-  /// the sublinear TF alone when the model does not use IDF.
+  /// the sublinear TF alone when the model has no DF.
   double Weight(text::TermId term, double count) const;
 
   /// IdfCosine's norm accumulator: Σ Weight² over `v` in term order.
@@ -133,7 +128,7 @@ class IdfTable {
                 const text::TermVector& b, double b_norm) const;
 
  private:
-  /// Null when the model weighs keywords without IDF.
+  /// Null when the model has no DF.
   const text::DocumentFrequency* df_;
   /// idf(term) for every term `df_` has seen; later terms fall back to it.
   std::vector<double> idf_;

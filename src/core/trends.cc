@@ -5,6 +5,15 @@
 #include "util/logging.h"
 
 namespace storypivot {
+namespace {
+
+/// DetectTrendingStories' burst test (see trends.h).
+constexpr Timestamp kBucketWidth = kSecondsPerDay;
+constexpr int kRecentBuckets = 7;
+constexpr double kBurstFactor = 2.0;
+constexpr int kMinRecent = 3;
+
+}  // namespace
 
 int ActivitySeries::Total() const {
   int total = 0;
@@ -48,12 +57,10 @@ ActivitySeries BuildActivitySeries(const StoryPivotEngine& engine,
 }
 
 std::vector<TrendingStory> DetectTrendingStories(
-    const StoryPivotEngine& engine, Timestamp now,
-    const TrendConfig& config) {
+    const StoryPivotEngine& engine, Timestamp now) {
   SP_CHECK(engine.has_alignment());
-  SP_CHECK(config.recent_buckets > 0);
   std::vector<TrendingStory> out;
-  const Timestamp window = config.recent_buckets * config.bucket_width;
+  const Timestamp window = kRecentBuckets * kBucketWidth;
   const Timestamp recent_begin = now - window;
 
   for (const IntegratedStory& integrated : engine.alignment().stories) {
@@ -72,11 +79,11 @@ std::vector<TrendingStory> DetectTrendingStories(
         ++baseline_count;
       }
     }
-    if (recent < config.min_recent) continue;
+    if (recent < kMinRecent) continue;
 
     // Rates per bucket: recent window vs everything before it.
     double recent_rate =
-        static_cast<double>(recent) / config.recent_buckets;
+        static_cast<double>(recent) / kRecentBuckets;
     Timestamp baseline_span = recent_begin - story.start_time();
     double burst_ratio;
     bool emerging = baseline_span <= 0 || baseline_count == 0;
@@ -84,13 +91,13 @@ std::vector<TrendingStory> DetectTrendingStories(
       burst_ratio = 1000.0;  // Fresh story: infinite burst, clamped.
     } else {
       double baseline_buckets = std::max<double>(
-          1.0, static_cast<double>(baseline_span) / config.bucket_width);
+          1.0, static_cast<double>(baseline_span) / kBucketWidth);
       double baseline_rate = baseline_count / baseline_buckets;
       burst_ratio = baseline_rate <= 0 ? 1000.0
                                        : std::min(1000.0, recent_rate /
                                                               baseline_rate);
     }
-    if (burst_ratio < config.burst_factor) continue;
+    if (burst_ratio < kBurstFactor) continue;
 
     TrendingStory trending;
     trending.story = integrated.id;

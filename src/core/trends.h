@@ -24,17 +24,6 @@ struct ActivitySeries {
   int CountAt(Timestamp ts) const;
 };
 
-/// Trend-detection knobs.
-struct TrendConfig {
-  Timestamp bucket_width = kSecondsPerDay;
-  /// A story is bursting when its rate over the last `recent_buckets`
-  /// exceeds `burst_factor` x its long-run rate (and has at least
-  /// `min_recent` snippets in the recent window).
-  int recent_buckets = 7;
-  double burst_factor = 2.0;
-  int min_recent = 3;
-};
-
 /// One trending story at evaluation time.
 struct TrendingStory {
   StoryId story = kInvalidStoryId;
@@ -55,10 +44,11 @@ ActivitySeries BuildActivitySeries(const StoryPivotEngine& engine,
 
 /// Finds integrated stories bursting at time `now` (typically the latest
 /// arrival), ordered by burst ratio (descending, ties by recent count).
-/// Requires a fresh alignment.
+/// A story is bursting when its daily rate over the last 7 days is at
+/// least twice its rate before them, with at least 3 snippets in those 7
+/// days. Requires a fresh alignment.
 std::vector<TrendingStory> DetectTrendingStories(
-    const StoryPivotEngine& engine, Timestamp now,
-    const TrendConfig& config = {});
+    const StoryPivotEngine& engine, Timestamp now);
 
 }  // namespace storypivot
 

@@ -54,7 +54,7 @@ struct CorpusConfig {
   /// Probability that a source runs *syndicated wire copy* of an event —
   /// an exact duplicate of the first report's content — instead of
   /// independently paraphrasing it. Models agency copy shared across
-  /// outlets; detected downstream by core/dedup.
+  /// outlets.
   double syndication_rate = 0.0;
 
   /// Also render raw document text for every snippet (slower; exercises

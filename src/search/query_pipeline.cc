@@ -36,8 +36,7 @@ ParsedQuery ParseQuery(const text::Gazetteer& gazetteer,
                        const text::Vocabulary& keywords,
                        const PostingsIndex& index, std::string_view query) {
   ParsedQuery out;
-  text::Tokenizer tokenizer;
-  std::vector<text::Token> tokens = tokenizer.Tokenize(query);
+  std::vector<text::Token> tokens = text::Tokenize(query);
   if (tokens.empty()) return out;
 
   auto add_term = [&out](QueryTerm term) {

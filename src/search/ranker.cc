@@ -19,12 +19,10 @@ namespace {
 /// The shared scoring kernel. Both evaluation paths call exactly this
 /// function with exactly the same operand values, which is what makes
 /// their scores bit-identical.
-double Bm25(double tf, double dl, double avgdl, double idf,
-            const Bm25Params& params) {
+double Bm25(double tf, double dl, double avgdl, double idf) {
   const double norm =
-      params.k1 *
-      (1.0 - params.b + params.b * (avgdl > 0.0 ? dl / avgdl : 0.0));
-  return idf * (tf * (params.k1 + 1.0)) / (tf + norm);
+      kBm25K1 * (1.0 - kBm25B + kBm25B * (avgdl > 0.0 ? dl / avgdl : 0.0));
+  return idf * (tf * (kBm25K1 + 1.0)) / (tf + norm);
 }
 
 /// A query term prepared for scoring: idf resolved, upper bound computed.
@@ -45,7 +43,7 @@ struct ScoredTerm {
 /// total, so both evaluation paths order identical inputs identically.
 std::vector<ScoredTerm> PrepareTerms(const ParsedQuery& query,
                                      const std::vector<size_t>& df, size_t n,
-                                     const Bm25Params& params, bool* dropped) {
+                                     bool* dropped) {
   *dropped = false;
   std::vector<ScoredTerm> terms;
   terms.reserve(query.terms.size());
@@ -60,7 +58,7 @@ std::vector<ScoredTerm> PrepareTerms(const ParsedQuery& query,
     term.event_type = query.terms[i].event_type;
     term.idf = std::log(1.0 + (static_cast<double>(n - df[i]) + 0.5) /
                                   (static_cast<double>(df[i]) + 0.5));
-    term.ub = term.idf * (params.k1 + 1.0);
+    term.ub = term.idf * (kBm25K1 + 1.0);
     terms.push_back(std::move(term));
   }
   std::sort(terms.begin(), terms.end(),
@@ -130,7 +128,7 @@ std::vector<StoryHit> RankStories(const PostingsIndex& index,
 
   bool dropped = false;
   std::vector<ScoredTerm> terms =
-      PrepareTerms(query, df, index.num_documents(), options.bm25, &dropped);
+      PrepareTerms(query, df, index.num_documents(), &dropped);
   if (terms.empty()) return {};
   if (options.mode == MatchMode::kAll && dropped) return {};
 
@@ -207,7 +205,7 @@ std::vector<StoryHit> RankStories(const PostingsIndex& index,
         candidate.dl = StoryLength(*story);
       }
       candidate.score +=
-          Bm25(candidate.tf, candidate.dl, avgdl, term.idf, options.bm25);
+          Bm25(candidate.tf, candidate.dl, avgdl, term.idf);
       ++candidate.matched;
     }
     remaining_ub -= term.ub;
@@ -280,7 +278,7 @@ std::vector<StoryHit> RankStoriesScan(const StoryPivotEngine& engine,
 
   bool dropped = false;
   std::vector<ScoredTerm> terms =
-      PrepareTerms(query, df, num_documents, options.bm25, &dropped);
+      PrepareTerms(query, df, num_documents, &dropped);
   if (terms.empty()) return {};
   if (options.mode == MatchMode::kAll && dropped) return {};
 
@@ -334,7 +332,7 @@ std::vector<StoryHit> RankStoriesScan(const StoryPivotEngine& engine,
       for (const ScoredTerm& term : terms) {
         const double tf = story_tf(story, term);
         if (tf <= 0.0) continue;
-        score += Bm25(tf, dl, avgdl, term.idf, options.bm25);
+        score += Bm25(tf, dl, avgdl, term.idf);
         ++matched;
       }
       if (matched == 0) continue;

@@ -14,11 +14,10 @@
 
 namespace storypivot::search {
 
-/// Okapi BM25 parameters (the standard defaults).
-struct Bm25Params {
-  double k1 = 1.2;
-  double b = 0.75;
-};
+/// Okapi BM25 parameters (the standard defaults): term-frequency
+/// saturation k1 and length normalisation b.
+inline constexpr double kBm25K1 = 1.2;
+inline constexpr double kBm25B = 0.75;
 
 /// How multi-term queries combine.
 enum class MatchMode : uint8_t {
@@ -40,7 +39,6 @@ struct SearchOptions {
   bool filter_time = false;
   Timestamp from = 0;
   Timestamp to = 0;
-  Bm25Params bm25;
 };
 
 /// One ranked story.

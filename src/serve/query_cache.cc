@@ -26,14 +26,13 @@ std::string QueryCache::Key(uint64_t epoch,
     key += term.event_type;
     key += ';';
   }
-  // Every option that affects ranking; %.17g round-trips doubles.
-  key += StrFormat("|k=%llu m=%u ft=%d f=%lld t=%lld k1=%.17g b=%.17g",
+  // Every option that affects ranking.
+  key += StrFormat("|k=%llu m=%u ft=%d f=%lld t=%lld",
                    static_cast<unsigned long long>(options.k),
                    static_cast<unsigned>(options.mode),
                    options.filter_time ? 1 : 0,
                    static_cast<long long>(options.from),
-                   static_cast<long long>(options.to), options.bm25.k1,
-                   options.bm25.b);
+                   static_cast<long long>(options.to));
   return key;
 }
 

@@ -29,24 +29,10 @@ std::vector<uint64_t> LshIndex::BandKeys(
 }
 
 void LshIndex::Insert(uint64_t id, const MinHashSignature& signature) {
-  Remove(id);
-  std::vector<uint64_t> keys = BandKeys(signature);
+  const std::vector<uint64_t> keys = BandKeys(signature);
   for (size_t b = 0; b < bands_; ++b) {
     buckets_[b][keys[b]].push_back(id);
   }
-  keys_by_id_.emplace(id, std::move(keys));
-}
-
-void LshIndex::Remove(uint64_t id) {
-  auto it = keys_by_id_.find(id);
-  if (it == keys_by_id_.end()) return;
-  for (size_t b = 0; b < bands_; ++b) {
-    auto bucket_it = buckets_[b].find(it->second[b]);
-    if (bucket_it == buckets_[b].end()) continue;
-    std::erase(bucket_it->second, id);
-    if (bucket_it->second.empty()) buckets_[b].erase(bucket_it);
-  }
-  keys_by_id_.erase(it);
 }
 
 std::vector<uint64_t> LshIndex::Query(

@@ -27,21 +27,13 @@ class LshIndex {
   LshIndex(LshIndex&&) = default;
   LshIndex& operator=(LshIndex&&) = default;
 
-  /// Inserts an item. Re-inserting an id (e.g. after its signature
-  /// changed) first removes the old version.
+  /// Inserts an item. Each id may be inserted at most once.
   void Insert(uint64_t id, const MinHashSignature& signature);
-
-  /// Removes an item; no-op if absent.
-  void Remove(uint64_t id);
 
   /// Distinct ids sharing at least one band bucket with `signature`
   /// (possibly including ids whose true similarity is low — callers
   /// verify). The probe itself is included if it was inserted.
   std::vector<uint64_t> Query(const MinHashSignature& signature) const;
-
-  size_t size() const { return keys_by_id_.size(); }
-  size_t bands() const { return bands_; }
-  size_t rows_per_band() const { return rows_per_band_; }
 
  private:
   std::vector<uint64_t> BandKeys(const MinHashSignature& signature) const;
@@ -50,8 +42,6 @@ class LshIndex {
   size_t rows_per_band_;
   /// Per band: bucket key -> member ids.
   std::vector<std::unordered_map<uint64_t, std::vector<uint64_t>>> buckets_;
-  /// id -> its band keys (for removal).
-  std::unordered_map<uint64_t, std::vector<uint64_t>> keys_by_id_;
 };
 
 }  // namespace storypivot

@@ -17,7 +17,7 @@ AnnotationPipeline::AnnotationPipeline(const Gazetteer* gazetteer,
 
 Annotation AnnotationPipeline::Annotate(std::string_view input) const {
   Annotation out;
-  std::vector<Token> tokens = tokenizer_.Tokenize(input);
+  std::vector<Token> tokens = Tokenize(input);
   out.num_tokens = tokens.size();
 
   std::vector<EntityMention> mentions = gazetteer_->FindMentions(tokens);

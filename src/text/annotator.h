@@ -44,7 +44,6 @@ class AnnotationPipeline {
  private:
   const Gazetteer* gazetteer_;
   Vocabulary* keyword_vocabulary_;
-  Tokenizer tokenizer_;
 };
 
 }  // namespace storypivot::text

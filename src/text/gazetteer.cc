@@ -18,7 +18,7 @@ TermId Gazetteer::AddEntity(std::string_view canonical_name) {
 }
 
 void Gazetteer::AddAlias(TermId entity, std::string_view alias) {
-  std::vector<Token> tokens = tokenizer_.Tokenize(alias);
+  std::vector<Token> tokens = Tokenize(alias);
   if (tokens.empty()) return;
   Phrase phrase;
   phrase.entity = entity;

@@ -71,7 +71,6 @@ class Gazetteer {
   Vocabulary* vocabulary_;
   // First alias token -> candidate phrases, longest first.
   std::unordered_map<std::string, std::vector<Phrase>> index_;
-  Tokenizer tokenizer_;
   size_t num_aliases_ = 0;
   // Registration-order journal of (entity, normalised alias) for
   // serialisation; see aliases().

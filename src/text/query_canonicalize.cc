@@ -14,8 +14,7 @@ TermId CanonicalizeEntityQuery(const Gazetteer& gazetteer,
   TermId exact = vocabulary.Lookup(query);
   if (exact != kInvalidTermId) return exact;
 
-  Tokenizer tokenizer;
-  std::vector<Token> tokens = tokenizer.Tokenize(query);
+  std::vector<Token> tokens = Tokenize(query);
   if (tokens.empty()) return kInvalidTermId;
   std::vector<EntityMention> mentions = gazetteer.FindMentions(tokens);
   if (!mentions.empty()) {

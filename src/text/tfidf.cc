@@ -35,29 +35,4 @@ double DocumentFrequency::Idf(TermId term) const {
   return std::log((n + 1.0) / (df + 1.0)) + 1.0;
 }
 
-TermVector TfIdfWeighted(const TermVector& counts,
-                         const DocumentFrequency& df,
-                         const TfIdfOptions& options) {
-  std::vector<TermVector::Entry> weighted;
-  weighted.reserve(counts.size());
-  for (const auto& [term, count] : counts.entries()) {
-    if (count <= 0.0) continue;
-    double tf = options.sublinear_tf ? 1.0 + std::log(count) : count;
-    weighted.push_back({term, tf * df.Idf(term)});
-  }
-  TermVector out = TermVector::FromEntries(std::move(weighted));
-  if (options.l2_normalize) {
-    double norm = out.Norm();
-    if (norm > 0.0) {
-      std::vector<TermVector::Entry> scaled;
-      scaled.reserve(out.size());
-      for (const auto& [term, w] : out.entries()) {
-        scaled.push_back({term, w / norm});
-      }
-      out = TermVector::FromEntries(std::move(scaled));
-    }
-  }
-  return out;
-}
-
 }  // namespace storypivot::text

@@ -44,19 +44,6 @@ class DocumentFrequency {
   int64_t num_documents_ = 0;
 };
 
-/// Options for TF-IDF weighting.
-struct TfIdfOptions {
-  /// Use 1 + ln(tf) instead of raw tf (sublinear scaling).
-  bool sublinear_tf = true;
-  /// L2-normalise the resulting vector.
-  bool l2_normalize = true;
-};
-
-/// Computes a TF-IDF weighted copy of a raw term-count vector using the
-/// statistics accumulated in `df`.
-TermVector TfIdfWeighted(const TermVector& counts, const DocumentFrequency& df,
-                         const TfIdfOptions& options = {});
-
 }  // namespace storypivot::text
 
 #endif  // STORYPIVOT_TEXT_TFIDF_H_

@@ -10,16 +10,9 @@ bool IsWordChar(char c) {
   return std::isalnum(u) != 0;
 }
 
-bool IsAllDigits(std::string_view s) {
-  for (char c : s) {
-    if (std::isdigit(static_cast<unsigned char>(c)) == 0) return false;
-  }
-  return !s.empty();
-}
-
 }  // namespace
 
-std::vector<Token> Tokenizer::Tokenize(std::string_view input) const {
+std::vector<Token> Tokenize(std::string_view input) {
   std::vector<Token> tokens;
   size_t i = 0;
   while (i < input.size()) {
@@ -55,13 +48,9 @@ std::vector<Token> Tokenizer::Tokenize(std::string_view input) const {
 
     bool capitalized =
         std::isupper(static_cast<unsigned char>(text[0])) != 0;
-    if (options_.lowercase) {
-      for (char& c : text) {
-        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-      }
+    for (char& c : text) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
     }
-    if (options_.drop_numbers && IsAllDigits(text)) continue;
-    if (text.size() < options_.min_length) continue;
 
     Token token;
     token.text = std::move(text);

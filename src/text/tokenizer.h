@@ -9,7 +9,7 @@ namespace storypivot::text {
 
 /// A single token produced by the tokenizer.
 struct Token {
-  /// Normalised token text (lowercased if the tokenizer lowercases).
+  /// Normalised (lower-cased) token text.
   std::string text;
   /// Byte offset of the first character in the original input.
   size_t offset = 0;
@@ -18,33 +18,12 @@ struct Token {
   bool capitalized = false;
 };
 
-/// Options controlling tokenization.
-struct TokenizerOptions {
-  /// Lowercase all token text (original capitalisation is still recorded
-  /// in Token::capitalized).
-  bool lowercase = true;
-  /// Drop tokens consisting only of digits.
-  bool drop_numbers = false;
-  /// Drop tokens shorter than this many characters.
-  size_t min_length = 1;
-};
-
-/// Splits raw text into word tokens. A token is a maximal run of ASCII
-/// letters/digits; apostrophes inside a word are kept together and the
-/// common English possessive suffix ("'s") is stripped, so "Russia's"
-/// tokenizes as "russia".
-class Tokenizer {
- public:
-  explicit Tokenizer(TokenizerOptions options = {}) : options_(options) {}
-
-  /// Tokenizes `input` into tokens in document order.
-  std::vector<Token> Tokenize(std::string_view input) const;
-
-  const TokenizerOptions& options() const { return options_; }
-
- private:
-  TokenizerOptions options_;
-};
+/// Splits raw text into lower-cased word tokens, in document order (the
+/// original capitalisation is recorded in Token::capitalized). A token is
+/// a maximal run of ASCII letters/digits; apostrophes inside a word are
+/// kept together and the common English possessive suffix ("'s") is
+/// stripped, so "Russia's" tokenizes as "russia".
+std::vector<Token> Tokenize(std::string_view input);
 
 }  // namespace storypivot::text
 

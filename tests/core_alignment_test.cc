@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
@@ -104,16 +106,11 @@ TEST_F(AlignmentFixture, TemporallyDistantStoriesDoNotAlign) {
   EXPECT_EQ(result.stories.size(), 2u);
 }
 
-TEST_F(AlignmentFixture, SameSourceStoriesNotMergedByDefault) {
+TEST_F(AlignmentFixture, SameSourceStoriesNeverMerge) {
   Assign(PutX(0, 0), 1);
   Assign(PutX(0, kSecondsPerDay), 2);  // Same source, same content.
   AlignmentResult result = Align();
   EXPECT_EQ(result.stories.size(), 2u);
-
-  AlignmentConfig allow;
-  allow.allow_same_source_merge = true;
-  AlignmentResult merged = Align(allow);
-  EXPECT_EQ(merged.stories.size(), 1u);
 }
 
 TEST_F(AlignmentFixture, CounterpartsMarkedAligning) {
@@ -200,22 +197,102 @@ TEST_F(AlignmentFixture, IntegratedOfCoversEverySnippet) {
   EXPECT_NE(result.integrated_of.at(a.id), result.integrated_of.at(b.id));
 }
 
-TEST_F(AlignmentFixture, LshAndAllPairsAgree) {
-  for (int d = 0; d < 5; ++d) {
-    Assign(PutX(0, d * kSecondsPerDay), 1);
-    Assign(PutX(1, d * kSecondsPerDay), 2);
-    Assign(PutY(0, d * kSecondsPerDay), 3);
-    Assign(PutY(1, d * kSecondsPerDay), 4);
+TEST(LshAlignmentTest, PartitionMatchesAllPairsOracle) {
+  // 4 sources x 130 topics = 520 stories, above kLshMinStories. A topic's
+  // stories share its own entities and keywords (the same sets, with
+  // source-dependent counts) and overlap in time; topics share nothing.
+  constexpr SourceId kSources = 4;
+  constexpr int kTopics = 130;
+  static_assert(kSources * kTopics > kLshMinStories);
+  SnippetStore store;
+  SimilarityModel model({}, nullptr);
+  std::vector<StorySet> partitions;
+  partitions.reserve(kSources);
+  for (SourceId source = 0; source < kSources; ++source) {
+    partitions.emplace_back(source);
   }
-  AlignmentConfig all_pairs;
-  all_pairs.use_lsh = false;
-  AlignmentConfig lsh;
-  lsh.use_lsh = true;
-  AlignmentResult a = Align(all_pairs);
-  AlignmentResult b = Align(lsh);
-  EXPECT_EQ(a.stories.size(), b.stories.size());
-  // LSH scores at most as many pairs as the exhaustive scan.
-  EXPECT_LE(b.num_pairs_scored, a.num_pairs_scored);
+  struct Node {
+    SourceId source;
+    StoryId story;
+  };
+  std::vector<Node> nodes;
+  StoryId next_story_id = 0;
+  for (int topic = 0; topic < kTopics; ++topic) {
+    const text::TermId term = static_cast<text::TermId>(3 * topic);
+    for (SourceId source = 0; source < kSources; ++source) {
+      const StoryId story = next_story_id++;
+      partitions[source].CreateStory(story);
+      nodes.push_back({source, story});
+      for (int k = 0; k < 2; ++k) {
+        Snippet s;
+        s.source = source;
+        s.timestamp = (topic % 20) * kSecondsPerDay +
+                      (source + k) * kSecondsPerHour;
+        const double count = 1.0 + (source + k) % 3;
+        s.entities = text::TermVector::FromEntries(
+            {{term, count}, {term + 1, 1.0}, {term + 2, 1.0}});
+        s.keywords =
+            text::TermVector::FromEntries({{term, 1.0}, {term + 1, count}});
+        SnippetId id = store.Insert(std::move(s)).value();
+        partitions[source].AddSnippetToStory(*store.Find(id), story);
+      }
+    }
+  }
+  std::vector<const StorySet*> views;
+  for (const StorySet& partition : partitions) views.push_back(&partition);
+  const StoryAligner aligner(&model, {});
+  const AlignmentResult result = aligner.Align(views, store, &next_story_id);
+
+  // LSH ran: far fewer pairs were scored than there are cross-source
+  // story pairs.
+  const uint64_t cross_source_pairs =
+      uint64_t{kSources} * (kSources - 1) / 2 * kTopics * kTopics;
+  EXPECT_LT(result.num_pairs_scored, cross_source_pairs / 10);
+
+  // The oracle: union-find over every cross-source pair that the uncached
+  // StoryPairScore puts at or above the threshold.
+  std::vector<size_t> parent(nodes.size());
+  for (size_t i = 0; i < parent.size(); ++i) parent[i] = i;
+  auto find = [&](size_t x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  auto story_of = [&](size_t i) -> const Story& {
+    return *partitions[nodes[i].source].FindStory(nodes[i].story);
+  };
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    for (size_t j = i + 1; j < nodes.size(); ++j) {
+      if (nodes[i].source == nodes[j].source) continue;
+      if (aligner.StoryPairScore(story_of(i), story_of(j)) >=
+          aligner.config().align_threshold) {
+        parent[find(i)] = find(j);
+      }
+    }
+  }
+  std::map<size_t, std::vector<size_t>> oracle_members;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    oracle_members[find(i)].push_back(i);
+  }
+  ASSERT_EQ(oracle_members.size(), static_cast<size_t>(kTopics));
+
+  // Each integrated story lies inside one oracle component...
+  std::vector<std::vector<size_t>> lsh_partition(result.stories.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const size_t index = result.IndexOfMember(nodes[i].source, nodes[i].story);
+    ASSERT_LT(index, lsh_partition.size());
+    lsh_partition[index].push_back(i);
+  }
+  for (const std::vector<size_t>& members : lsh_partition) {
+    for (size_t i : members) EXPECT_EQ(find(i), find(members.front()));
+  }
+  // ...and on this well-separated input the two partitions are equal.
+  std::vector<std::vector<size_t>> oracle_partition;
+  for (auto& [root, members] : oracle_members) {
+    oracle_partition.push_back(std::move(members));
+  }
+  std::sort(lsh_partition.begin(), lsh_partition.end());
+  std::sort(oracle_partition.begin(), oracle_partition.end());
+  EXPECT_EQ(lsh_partition, oracle_partition);
 }
 
 // Property: raising the alignment threshold can only produce more (or the
@@ -259,7 +336,6 @@ TEST_P(AlignmentThresholdMonotonicity, ClusterCountNonDecreasing) {
   for (double threshold : {0.05, 0.15, 0.25, 0.35, 0.5, 0.7, 0.9}) {
     AlignmentConfig config;
     config.align_threshold = threshold;
-    config.use_lsh = false;  // Exact candidates for a clean property.
     StoryAligner aligner(&model, config);
     AlignmentResult result =
         aligner.Align({&s1, &s2}, store, &next_story_id);
@@ -300,7 +376,7 @@ TEST_F(AlignmentFixture, RefinerRecoversFig1Misassignment) {
   // Sanity: v4's counterpart is in a different integrated story.
   ASSERT_TRUE(alignment.integrated_of.contains(v4.id));
 
-  StoryRefiner refiner(&model_, {});
+  StoryRefiner refiner(&model_);
   std::vector<StorySet*> partitions = {&s1_, &s2_};
   RefinementStats stats =
       refiner.Refine(partitions, alignment, store_, &next_story_id_);
@@ -317,7 +393,7 @@ TEST_F(AlignmentFixture, RefinerLeavesConsistentAssignmentsAlone) {
   Assign(x1, 1);
   Assign(x2, 2);
   AlignmentResult alignment = Align();
-  StoryRefiner refiner(&model_, {});
+  StoryRefiner refiner(&model_);
   std::vector<StorySet*> partitions = {&s1_, &s2_};
   RefinementStats stats =
       refiner.Refine(partitions, alignment, store_, &next_story_id_);
@@ -336,7 +412,7 @@ TEST_F(AlignmentFixture, SplitIfDisconnectedSplitsBrokenStory) {
   Assign(a2, 1);
   Assign(b1, 1);
   Assign(b2, 1);
-  StoryRefiner refiner(&model_, {});
+  StoryRefiner refiner(&model_);
   int created =
       refiner.SplitIfDisconnected(&s1_, 1, store_, &next_story_id_);
   EXPECT_EQ(created, 1);
@@ -351,7 +427,7 @@ TEST_F(AlignmentFixture, SplitKeepsConnectedStoryIntact) {
   const Snippet& a2 = PutX(0, kSecondsPerDay);
   Assign(a1, 1);
   Assign(a2, 1);
-  StoryRefiner refiner(&model_, {});
+  StoryRefiner refiner(&model_);
   EXPECT_EQ(refiner.SplitIfDisconnected(&s1_, 1, store_, &next_story_id_),
             0);
   EXPECT_EQ(s1_.stories().size(), 1u);

@@ -372,36 +372,6 @@ TEST_F(QueryFixture, FindByKeyword) {
   EXPECT_TRUE(query.FindByKeyword("unrelated").empty());
 }
 
-TEST_F(QueryFixture, FindByEventType) {
-  // Tag one snippet with a type and find its story through it.
-  Snippet typed = MakeSnippet(src_, MakeTimestamp(2014, 10, 1),
-                              {{ru_, 1.0}}, {{vote_, 1.0}});
-  typed.event_type = "Politics";
-  SP_CHECK_OK(engine_.AddSnippet(std::move(typed)));
-  StoryQuery query(&engine_);
-  auto hits = query.FindByEventType("Politics");
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_TRUE(query.FindByEventType("Sports").empty());
-}
-
-TEST_F(QueryFixture, FindInTimeRange) {
-  StoryQuery query(&engine_);
-  EXPECT_EQ(query
-                .FindInTimeRange(MakeTimestamp(2014, 7, 1),
-                                 MakeTimestamp(2014, 7, 31))
-                .size(),
-            1u);
-  EXPECT_EQ(query
-                .FindInTimeRange(MakeTimestamp(2014, 1, 1),
-                                 MakeTimestamp(2014, 12, 31))
-                .size(),
-            2u);
-  EXPECT_TRUE(query
-                  .FindInTimeRange(MakeTimestamp(2015, 1, 1),
-                                   MakeTimestamp(2015, 2, 1))
-                  .empty());
-}
-
 TEST_F(QueryFixture, IntegratedStoriesAfterAlign) {
   engine_.Align();
   StoryQuery query(&engine_);

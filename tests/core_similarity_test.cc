@@ -23,8 +23,7 @@ TEST(SimilarityModelTest, IdenticalSnippetsScoreMaximally) {
   SimilarityModel model({}, nullptr);
   Snippet a = MakeSnippet(1, 0, {{0, 1.0}, {1, 1.0}}, {{5, 2.0}});
   double s = model.SnippetSimilarity(a, a);
-  EXPECT_NEAR(s, model.config().entity_weight + model.config().keyword_weight,
-              1e-9);
+  EXPECT_NEAR(s, kEntityWeight + kKeywordWeight, 1e-9);
 }
 
 TEST(SimilarityModelTest, DisjointSnippetsScoreZero) {
@@ -45,20 +44,13 @@ TEST(SimilarityModelTest, SymmetricAndBounded) {
   EXPECT_LE(ab, 1.0);
 }
 
-TEST(SimilarityModelTest, EntityWeightControlsContribution) {
-  SimilarityConfig entity_only;
-  entity_only.entity_weight = 1.0;
-  entity_only.keyword_weight = 0.0;
-  SimilarityConfig keyword_only;
-  keyword_only.entity_weight = 0.0;
-  keyword_only.keyword_weight = 1.0;
-  SimilarityModel em(entity_only, nullptr);
-  SimilarityModel km(keyword_only, nullptr);
-
-  Snippet shared_entities = MakeSnippet(1, 0, {{0, 1.0}}, {{5, 1.0}});
-  Snippet also_entities = MakeSnippet(2, 0, {{0, 1.0}}, {{6, 1.0}});
-  EXPECT_GT(em.SnippetSimilarity(shared_entities, also_entities), 0.9);
-  EXPECT_DOUBLE_EQ(km.SnippetSimilarity(shared_entities, also_entities), 0.0);
+TEST(SimilarityModelTest, ScoreWeighsEntityAndKeywordParts) {
+  SimilarityModel model({}, nullptr);
+  Snippet a = MakeSnippet(1, 0, {{0, 1.0}}, {{5, 1.0}});
+  Snippet same_entity = MakeSnippet(2, 0, {{0, 1.0}}, {{6, 1.0}});
+  Snippet same_keyword = MakeSnippet(3, 0, {{1, 1.0}}, {{5, 1.0}});
+  EXPECT_DOUBLE_EQ(model.SnippetSimilarity(a, same_entity), kEntityWeight);
+  EXPECT_DOUBLE_EQ(model.SnippetSimilarity(a, same_keyword), kKeywordWeight);
 }
 
 TEST(SimilarityModelTest, IdfDownweightsUbiquitousKeywords) {
@@ -68,10 +60,7 @@ TEST(SimilarityModelTest, IdfDownweightsUbiquitousKeywords) {
     df.AddDocument(text::TermVector::FromEntries({{5, 1.0}}));
   }
   df.AddDocument(text::TermVector::FromEntries({{6, 1.0}}));
-  SimilarityConfig config;
-  config.entity_weight = 0.0;
-  config.keyword_weight = 1.0;
-  SimilarityModel model(config, &df);
+  SimilarityModel model({}, &df);
 
   Snippet common_a = MakeSnippet(1, 0, {}, {{5, 1.0}, {7, 1.0}});
   Snippet common_b = MakeSnippet(2, 0, {}, {{5, 1.0}, {8, 1.0}});

@@ -37,7 +37,7 @@ uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
 /// snippet keeping the first partner with a strictly higher score.
 std::unordered_map<SnippetId, SnippetId> ReferenceCounterparts(
     const StoryPivotEngine& engine) {
-  const AlignmentConfig& config = engine.config().alignment;
+  const double pair_threshold = engine.config().alignment.pair_threshold;
   std::vector<const Snippet*> all;
   for (const StorySet* partition : engine.partitions()) {
     partition->snippet_times().ForEach([&](Timestamp, SnippetId sid) {
@@ -55,10 +55,10 @@ std::unordered_map<SnippetId, SnippetId> ReferenceCounterparts(
     const Snippet& a = *all[i];
     for (size_t j = i + 1; j < all.size(); ++j) {
       const Snippet& b = *all[j];
-      if (b.timestamp - a.timestamp > config.pair_tolerance) break;
+      if (b.timestamp - a.timestamp > kPairTolerance) break;
       if (a.source == b.source) continue;
       double s = engine.similarity().SnippetSimilarity(a, b);
-      if (s < config.pair_threshold) continue;
+      if (s < pair_threshold) continue;
       auto update = [&](const Snippet& x, const Snippet& y) {
         auto [it, inserted] = best_score.emplace(x.id, s);
         if (inserted || s > it->second) {
@@ -163,17 +163,14 @@ TEST(CounterpartGraphProperty, MatchesReferenceScansAt1And4Threads) {
 TEST(CounterpartGraphTest, EdgeScoresAreSnippetSimilarityBitForBit) {
   datagen::Corpus corpus = SmallGdeltCorpus(3);
   auto engine = IngestedEngine(corpus, 1);
-  SimilarityConfig no_idf;
-  no_idf.use_idf = false;
   const SimilarityModel models[] = {
       SimilarityModel({}, &engine->document_frequency()),
-      SimilarityModel(no_idf, &engine->document_frequency()),
       SimilarityModel({}, nullptr)};
   for (const SimilarityModel& model : models) {
     auto graph = CounterpartGraph::Build(
         engine->partitions(), engine->store(), model,
         engine->config().alignment.pair_threshold,
-        engine->config().alignment.pair_tolerance, nullptr);
+        kPairTolerance, nullptr);
     const std::vector<SnippetId>& ids = graph->snippets();
     size_t edges = 0;
     graph->ForEachEdge([&](uint32_t i, uint32_t j, double score) {
@@ -233,7 +230,7 @@ TEST(CounterpartGraphTest, BuildCountsEveryScoredCandidate) {
     auto graph = CounterpartGraph::Build(
         engine->partitions(), engine->store(), engine->similarity(),
         engine->config().alignment.pair_threshold,
-        engine->config().alignment.pair_tolerance, pool);
+        kPairTolerance, pool);
     EXPECT_EQ(engine->similarity().num_comparisons() - before,
               graph->num_scored());
     EXPECT_GT(graph->num_edges(), 0u);
@@ -256,11 +253,8 @@ TEST(CachedKernelsTest, IdfTableCosineIsIdfCosineBitForBit) {
   Pcg32 rng(17);
   text::DocumentFrequency df;
   for (int d = 0; d < 200; ++d) df.AddDocument(RandomVector(&rng, 60, 8));
-  SimilarityConfig no_idf;
-  no_idf.use_idf = false;
-  const SimilarityModel models[] = {
-      SimilarityModel({}, &df), SimilarityModel(no_idf, &df),
-      SimilarityModel({}, nullptr)};
+  const SimilarityModel models[] = {SimilarityModel({}, &df),
+                                     SimilarityModel({}, nullptr)};
   for (const SimilarityModel& model : models) {
     const IdfTable idf(model);
     for (int k = 0; k < 500; ++k) {
@@ -283,11 +277,8 @@ TEST(CachedKernelsTest, StoryPairScoreIsUncachedBitForBit) {
     }
   }
   ASSERT_GT(stories.size(), 50u);
-  SimilarityConfig no_idf;
-  no_idf.use_idf = false;
   const SimilarityModel models[] = {
       SimilarityModel({}, &engine->document_frequency()),
-      SimilarityModel(no_idf, &engine->document_frequency()),
       SimilarityModel({}, nullptr)};
   size_t positive = 0;
   for (const SimilarityModel& model : models) {

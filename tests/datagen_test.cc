@@ -70,10 +70,9 @@ TEST(WorldModelTest, GazetteerRecognisesWorldEntities) {
   WorldModel world({}, &entities, &keywords);
   text::Gazetteer gazetteer(&entities);
   world.PopulateGazetteer(&gazetteer);
-  text::Tokenizer tokenizer;
   // "Ukraine" is the first country seed.
   auto mentions =
-      gazetteer.FindMentions(tokenizer.Tokenize("crisis in Ukraine today"));
+      gazetteer.FindMentions(text::Tokenize("crisis in Ukraine today"));
   ASSERT_EQ(mentions.size(), 1u);
   EXPECT_EQ(entities.TermOf(mentions[0].entity), "Ukraine");
 }
@@ -406,8 +405,7 @@ TEST(Mh17Test, GazetteerCoversKeyEntities) {
   text::Vocabulary vocab;
   text::Gazetteer gazetteer(&vocab);
   PopulateMh17Gazetteer(corpus, &gazetteer);
-  text::Tokenizer tokenizer;
-  auto mentions = gazetteer.FindMentions(tokenizer.Tokenize(
+  auto mentions = gazetteer.FindMentions(text::Tokenize(
       "The U.S. said the Malaysia Airlines jet crashed over Ukraine"));
   // U.S. alias -> United States, Malaysia Airlines, Ukraine.
   EXPECT_EQ(mentions.size(), 3u);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -133,8 +134,6 @@ TEST(QueryEmptyEngine, AllLookupsReturnNothing) {
   EXPECT_FALSE(engine.has_alignment());
   EXPECT_TRUE(query.FindByEntity("Ukraine").empty());
   EXPECT_TRUE(query.FindByKeyword("crash").empty());
-  EXPECT_TRUE(query.FindByEventType("Conflict").empty());
-  EXPECT_TRUE(query.FindInTimeRange(0, MakeTimestamp(2020, 1, 1)).empty());
   EXPECT_TRUE(searcher.Search("anything at all").empty());
 }
 
@@ -208,21 +207,29 @@ TEST_F(Mh17Query, RankedSearchFindsAliasQueries) {
 
 // ------------------------------- max_results -------------------------------
 
-TEST(QueryMaxResults, CapsBothRoutes) {
+TEST(QueryMaxResults, CapsFindByEntity) {
   datagen::CorpusConfig config;
   config.target_num_snippets = 600;
   config.num_stories = 40;
   datagen::Corpus corpus = datagen::CorpusGenerator(config).Generate();
   std::unique_ptr<StoryPivotEngine> engine = BuildFromCorpus(corpus);
+  StoryQuery query(engine.get());
 
-  const Timestamp lo = MakeTimestamp(2014, 1, 1);
-  const Timestamp hi = MakeTimestamp(2015, 1, 1);
-  StoryQuery scan(engine.get());
-
-  // Far more than kDefaultMaxResults stories exist in the window.
-  ASSERT_GT(engine->TotalStories(), kDefaultMaxResults);
-  EXPECT_EQ(scan.FindInTimeRange(lo, hi).size(), kDefaultMaxResults);
-  EXPECT_EQ(scan.FindInTimeRange(lo, hi, 5, 7).size(), 7u);
+  // The entity that the most stories mention, uncapped.
+  const text::Vocabulary& entities = *engine->entity_vocabulary();
+  std::string busiest;
+  size_t most = 0;
+  for (text::TermId term = 0; term < entities.size(); ++term) {
+    const std::string& name = entities.TermOf(term);
+    const size_t n = query.FindByEntity(name, 0, SIZE_MAX).size();
+    if (n > most) {
+      most = n;
+      busiest = name;
+    }
+  }
+  ASSERT_GT(most, kDefaultMaxResults);
+  EXPECT_EQ(query.FindByEntity(busiest).size(), kDefaultMaxResults);
+  EXPECT_EQ(query.FindByEntity(busiest, 5, 7).size(), 7u);
 }
 
 // --------------- Index/scan ranking equivalence (property) -----------------
@@ -382,7 +389,7 @@ text::TermId OracleCanonicalizeEntityQuery(const text::Gazetteer& gazetteer,
                                            std::string_view query) {
   text::TermId exact = vocabulary.Lookup(query);
   if (exact != text::kInvalidTermId) return exact;
-  std::vector<text::Token> tokens = text::Tokenizer().Tokenize(query);
+  std::vector<text::Token> tokens = text::Tokenize(query);
   if (tokens.empty()) return text::kInvalidTermId;
   std::vector<text::EntityMention> mentions = gazetteer.FindMentions(tokens);
   if (!mentions.empty()) {
@@ -407,7 +414,7 @@ ParsedQuery OracleParseQuery(const text::Gazetteer& gazetteer,
   using search::Field;
   using search::QueryTerm;
   ParsedQuery out;
-  std::vector<text::Token> tokens = text::Tokenizer().Tokenize(query);
+  std::vector<text::Token> tokens = text::Tokenize(query);
   auto add_term = [&out](QueryTerm term) {
     for (const QueryTerm& existing : out.terms) {
       if (existing.field != term.field) continue;

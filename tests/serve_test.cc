@@ -276,9 +276,9 @@ TEST(QueryCacheTest, KeyCanonicalizesTermOrderAndSeparatesEpochs) {
   other.from = 1;
   other.to = 2;
   EXPECT_NE(QueryCache::Key(5, ab, options), QueryCache::Key(5, ab, other));
-  other = options;
-  other.bm25.b = 0.5;
-  EXPECT_NE(QueryCache::Key(5, ab, options), QueryCache::Key(5, ab, other));
+  SearchOptions later = other;
+  later.to = 3;
+  EXPECT_NE(QueryCache::Key(5, ab, other), QueryCache::Key(5, ab, later));
 }
 
 TEST(QueryCacheTest, LruEvictsOldestAndCountsStats) {

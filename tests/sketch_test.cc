@@ -115,30 +115,6 @@ TEST(LshIndexTest, ExactDuplicateAlwaysFound) {
   EXPECT_EQ(hits[0], 42u);
 }
 
-TEST(LshIndexTest, RemoveMakesItemInvisible) {
-  LshIndex index(16, 4);
-  auto sig = MinHashSignature::FromContent(VectorOf({1}), VectorOf({}), 64);
-  index.Insert(1, sig);
-  index.Remove(1);
-  EXPECT_TRUE(index.Query(sig).empty());
-  EXPECT_EQ(index.size(), 0u);
-  index.Remove(1);  // Idempotent.
-}
-
-TEST(LshIndexTest, ReinsertReplacesOldSignature) {
-  LshIndex index(16, 4);
-  auto sig1 = MinHashSignature::FromContent(VectorOf({1, 2}), VectorOf({}), 64);
-  auto sig2 =
-      MinHashSignature::FromContent(VectorOf({50, 51}), VectorOf({}), 64);
-  index.Insert(7, sig1);
-  index.Insert(7, sig2);
-  EXPECT_EQ(index.size(), 1u);
-  auto hits = index.Query(sig2);
-  ASSERT_EQ(hits.size(), 1u);
-  // The old signature should (almost surely) no longer collide.
-  EXPECT_TRUE(index.Query(sig1).empty());
-}
-
 TEST(LshIndexTest, HighSimilarityPairsCollide) {
   // Sets with Jaccard ~0.9 should collide with overwhelming probability
   // under 16 bands x 4 rows.

@@ -18,24 +18,21 @@ namespace {
 // ------------------------------- Tokenizer ---------------------------------
 
 TEST(TokenizerTest, BasicSplitting) {
-  Tokenizer tok;
-  auto tokens = tok.Tokenize("The plane crashed near Donetsk.");
+  auto tokens = Tokenize("The plane crashed near Donetsk.");
   ASSERT_EQ(tokens.size(), 5u);
   EXPECT_EQ(tokens[0].text, "the");
   EXPECT_EQ(tokens[4].text, "donetsk");
 }
 
 TEST(TokenizerTest, RecordsCapitalization) {
-  Tokenizer tok;
-  auto tokens = tok.Tokenize("Ukraine asked help");
+  auto tokens = Tokenize("Ukraine asked help");
   ASSERT_EQ(tokens.size(), 3u);
   EXPECT_TRUE(tokens[0].capitalized);
   EXPECT_FALSE(tokens[1].capitalized);
 }
 
 TEST(TokenizerTest, StripsPossessive) {
-  Tokenizer tok;
-  auto tokens = tok.Tokenize("Russia's border and the investigators' work");
+  auto tokens = Tokenize("Russia's border and the investigators' work");
   ASSERT_GE(tokens.size(), 2u);
   EXPECT_EQ(tokens[0].text, "russia");
   // "investigators'" loses the trailing apostrophe.
@@ -45,43 +42,30 @@ TEST(TokenizerTest, StripsPossessive) {
 }
 
 TEST(TokenizerTest, KeepsInternalApostrophe) {
-  Tokenizer tok;
-  auto tokens = tok.Tokenize("they don't agree");
+  auto tokens = Tokenize("they don't agree");
   ASSERT_EQ(tokens.size(), 3u);
   EXPECT_EQ(tokens[1].text, "don't");
 }
 
 TEST(TokenizerTest, OffsetsPointIntoInput) {
-  Tokenizer tok;
   std::string input = "alpha beta";
-  auto tokens = tok.Tokenize(input);
+  auto tokens = Tokenize(input);
   ASSERT_EQ(tokens.size(), 2u);
   EXPECT_EQ(tokens[0].offset, 0u);
   EXPECT_EQ(tokens[1].offset, 6u);
 }
 
-TEST(TokenizerTest, DropNumbersOption) {
-  TokenizerOptions options;
-  options.drop_numbers = true;
-  Tokenizer tok(options);
-  auto tokens = tok.Tokenize("298 people aboard flight 17");
-  ASSERT_EQ(tokens.size(), 3u);
-  EXPECT_EQ(tokens[0].text, "people");
-}
-
-TEST(TokenizerTest, MinLengthOption) {
-  TokenizerOptions options;
-  options.min_length = 3;
-  Tokenizer tok(options);
-  auto tokens = tok.Tokenize("it is an investigation");
-  ASSERT_EQ(tokens.size(), 1u);
-  EXPECT_EQ(tokens[0].text, "investigation");
+TEST(TokenizerTest, KeepsNumbersAndShortWords) {
+  auto tokens = Tokenize("298 people aboard flight 17");
+  ASSERT_EQ(tokens.size(), 5u);
+  EXPECT_EQ(tokens[0].text, "298");
+  EXPECT_EQ(tokens[4].text, "17");
+  EXPECT_EQ(Tokenize("it is an investigation").size(), 4u);
 }
 
 TEST(TokenizerTest, EmptyAndPunctuationOnly) {
-  Tokenizer tok;
-  EXPECT_TRUE(tok.Tokenize("").empty());
-  EXPECT_TRUE(tok.Tokenize("... --- !!!").empty());
+  EXPECT_TRUE(Tokenize("").empty());
+  EXPECT_TRUE(Tokenize("... --- !!!").empty());
 }
 
 // ------------------------------- Stopwords ---------------------------------
@@ -362,35 +346,13 @@ TEST(DocumentFrequencyTest, RareTermsGetHigherIdf) {
   EXPECT_GT(df.Idf(999), df.Idf(1)); // Unseen term is rarest of all.
 }
 
-TEST(TfIdfTest, WeightingAndNormalization) {
-  DocumentFrequency df;
-  df.AddDocument(TermVector::FromEntries({{0, 1.0}, {1, 1.0}}));
-  df.AddDocument(TermVector::FromEntries({{0, 1.0}}));
-  TermVector doc = TermVector::FromEntries({{0, 2.0}, {1, 1.0}});
-  TermVector weighted = TfIdfWeighted(doc, df);
-  EXPECT_NEAR(weighted.Norm(), 1.0, 1e-9);
-  // Term 1 is rarer, so (relative to raw counts) it gains weight.
-  EXPECT_GT(weighted.ValueOf(1), 0.0);
-}
-
-TEST(TfIdfTest, NoNormalizeOption) {
-  DocumentFrequency df;
-  df.AddDocument(TermVector::FromEntries({{0, 1.0}}));
-  TfIdfOptions options;
-  options.l2_normalize = false;
-  TermVector weighted =
-      TfIdfWeighted(TermVector::FromEntries({{0, 1.0}}), df, options);
-  EXPECT_GT(weighted.ValueOf(0), 0.0);
-}
-
 // -------------------------------- Gazetteer --------------------------------
 
 TEST(GazetteerTest, SingleWordEntity) {
   Vocabulary vocab;
   Gazetteer gaz(&vocab);
   TermId ukraine = gaz.AddEntity("Ukraine");
-  Tokenizer tok;
-  auto mentions = gaz.FindMentions(tok.Tokenize("Fighting in Ukraine."));
+  auto mentions = gaz.FindMentions(Tokenize("Fighting in Ukraine."));
   ASSERT_EQ(mentions.size(), 1u);
   EXPECT_EQ(mentions[0].entity, ukraine);
 }
@@ -400,9 +362,8 @@ TEST(GazetteerTest, MultiWordLongestMatch) {
   Gazetteer gaz(&vocab);
   TermId malaysia = gaz.AddEntity("Malaysia");
   TermId airline = gaz.AddEntity("Malaysia Airlines");
-  Tokenizer tok;
   auto mentions =
-      gaz.FindMentions(tok.Tokenize("A Malaysia Airlines jet crashed"));
+      gaz.FindMentions(Tokenize("A Malaysia Airlines jet crashed"));
   ASSERT_EQ(mentions.size(), 1u);
   EXPECT_EQ(mentions[0].entity, airline);
   EXPECT_NE(mentions[0].entity, malaysia);
@@ -414,8 +375,7 @@ TEST(GazetteerTest, AliasesResolveToCanonical) {
   Gazetteer gaz(&vocab);
   TermId un = gaz.AddEntity("United Nations");
   gaz.AddAlias(un, "UN");
-  Tokenizer tok;
-  auto mentions = gaz.FindMentions(tok.Tokenize("The UN said on Friday"));
+  auto mentions = gaz.FindMentions(Tokenize("The UN said on Friday"));
   ASSERT_EQ(mentions.size(), 1u);
   EXPECT_EQ(mentions[0].entity, un);
 }
@@ -425,9 +385,8 @@ TEST(GazetteerTest, NonOverlappingMentions) {
   Gazetteer gaz(&vocab);
   gaz.AddEntity("Russia");
   gaz.AddEntity("Ukraine");
-  Tokenizer tok;
   auto mentions =
-      gaz.FindMentions(tok.Tokenize("Russia and Ukraine and Russia"));
+      gaz.FindMentions(Tokenize("Russia and Ukraine and Russia"));
   EXPECT_EQ(mentions.size(), 3u);
 }
 
@@ -435,9 +394,8 @@ TEST(GazetteerTest, NoFalseMatches) {
   Vocabulary vocab;
   Gazetteer gaz(&vocab);
   gaz.AddEntity("Malaysia Airlines");
-  Tokenizer tok;
   // "Malaysia" alone (without "Airlines") must not match the 2-word alias.
-  auto mentions = gaz.FindMentions(tok.Tokenize("Malaysia is a country"));
+  auto mentions = gaz.FindMentions(Tokenize("Malaysia is a country"));
   EXPECT_TRUE(mentions.empty());
 }
 

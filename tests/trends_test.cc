@@ -93,16 +93,15 @@ TEST_F(TrendsFixture, EmergingStoryFlagged) {
   EXPECT_EQ(trending[0].burst_ratio, 1000.0);
 }
 
-TEST_F(TrendsFixture, MinRecentFilters) {
+TEST_F(TrendsFixture, TrendingNeedsThreeRecentSnippets) {
   Timestamp now = MakeTimestamp(2014, 8, 1);
   Add(now);
   Add(now - kSecondsPerDay);
   engine_.Align();
-  TrendConfig config;
-  config.min_recent = 3;
-  EXPECT_TRUE(DetectTrendingStories(engine_, now, config).empty());
-  config.min_recent = 2;
-  EXPECT_EQ(DetectTrendingStories(engine_, now, config).size(), 1u);
+  EXPECT_TRUE(DetectTrendingStories(engine_, now).empty());
+  Add(now - 2 * kSecondsPerDay);
+  engine_.Align();
+  EXPECT_EQ(DetectTrendingStories(engine_, now).size(), 1u);
 }
 
 TEST_F(TrendsFixture, FutureSnippetsIgnored) {

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,6 +27,8 @@
 #include "util/sync.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
+
+#include "examples/flags.h"
 
 namespace storypivot {
 namespace {
@@ -431,6 +434,41 @@ TEST(StringsTest, ParseInt64) {
   EXPECT_FALSE(ParseInt64("", &v));
   EXPECT_FALSE(ParseInt64("4x", &v));
   EXPECT_FALSE(ParseInt64("99999999999999999999999", &v));
+}
+
+// --------------------------------- Flags -----------------------------------
+
+TEST(FlagsTest, ParseIntFlagAcceptsOnlyIntegersInRange) {
+  EXPECT_EQ(ParseIntFlag("--threads", "1", 1, 64).value(), 1);
+  EXPECT_EQ(ParseIntFlag("--threads", "64", 1, 64).value(), 64);
+  EXPECT_EQ(ParseIntFlag("--seed", "-3", -5, 5).value(), -3);
+  for (const char* bad : {"-1", "0", "65", "4x", "", "4.0",
+                          "18446744073709551615", "99999999999999999999"}) {
+    Result<int64_t> parsed = ParseIntFlag("--threads", bad, 1, 64);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("--threads"), std::string::npos);
+    EXPECT_NE(parsed.status().message().find("[1, 64]"), std::string::npos);
+  }
+}
+
+TEST(FlagsTest, IntKeepsDefaultsAndTheFirstBadValue) {
+  const char* args[] = {"--readers", "0", "--batch", "8", "--threads", "4x",
+                        "--strict"};
+  Flags flags(7, const_cast<char**>(args));
+  EXPECT_EQ(flags.Int("--batch", 64, 1, 1024), 8);
+  EXPECT_EQ(flags.Int("--topk", 10, 1, 1000), 10);  // Absent.
+  EXPECT_TRUE(flags.status().ok());
+  EXPECT_EQ(flags.Int("--readers", 4, 1, 64), 4);  // Bad: the default.
+  EXPECT_EQ(flags.Int("--threads", 4, 1, 64), 4);
+  ASSERT_FALSE(flags.status().ok());
+  EXPECT_NE(flags.status().message().find("--readers"), std::string::npos);
+  EXPECT_TRUE(flags.Has("--strict"));
+  EXPECT_FALSE(flags.Has("--refine"));
+  std::string value;
+  EXPECT_TRUE(flags.Get("--batch", &value));
+  EXPECT_EQ(value, "8");
+  EXPECT_FALSE(flags.Get("--strict", &value));  // No value follows it.
 }
 
 TEST(StringsTest, ParseDouble) {
