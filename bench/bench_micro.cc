@@ -1,12 +1,11 @@
 // Microbenchmarks (google-benchmark) for the hot paths under everything
-// in StoryPivot: tokenization, stemming, sparse-vector similarity, MinHash
-// sketching, LSH lookup and temporal-index operations.
+// in StoryPivot: tokenization, stemming, sparse-vector similarity, story
+// band keys (the alignment sketch) and temporal-index operations.
 
 #include <benchmark/benchmark.h>
 
 #include "core/similarity.h"
-#include "sketch/lsh_index.h"
-#include "sketch/minhash.h"
+#include "sketch/band_keys.h"
 #include "storage/temporal_index.h"
 #include "text/porter_stemmer.h"
 #include "text/term_vector.h"
@@ -87,44 +86,18 @@ void BM_SnippetSimilarity(benchmark::State& state) {
 }
 BENCHMARK(BM_SnippetSimilarity);
 
-void BM_MinHashFromContent(benchmark::State& state) {
+void BM_StoryBandKeys(benchmark::State& state) {
   Pcg32 rng(4);
-  text::TermVector entities = RandomVector(rng, 4, 200);
-  text::TermVector keywords = RandomVector(rng, 8, 500);
+  const size_t terms = static_cast<size_t>(state.range(0));
+  text::TermVector entities = RandomVector(rng, terms / 3, 200);
+  text::TermVector keywords = RandomVector(rng, terms - terms / 3, 500);
+  uint64_t keys[kLshBands];
   for (auto _ : state) {
-    benchmark::DoNotOptimize(MinHashSignature::FromContent(
-        entities, keywords, static_cast<size_t>(state.range(0))));
+    StoryBandKeys(entities, keywords, keys);
+    benchmark::DoNotOptimize(keys);
   }
 }
-BENCHMARK(BM_MinHashFromContent)->Arg(64)->Arg(256);
-
-void BM_MinHashEstimate(benchmark::State& state) {
-  Pcg32 rng(5);
-  auto a = MinHashSignature::FromContent(RandomVector(rng, 4, 200),
-                                         RandomVector(rng, 8, 500), 64);
-  auto b = MinHashSignature::FromContent(RandomVector(rng, 4, 200),
-                                         RandomVector(rng, 8, 500), 64);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(a.EstimateJaccard(b));
-  }
-}
-BENCHMARK(BM_MinHashEstimate);
-
-void BM_LshQuery(benchmark::State& state) {
-  Pcg32 rng(6);
-  LshIndex index(16, 4);
-  std::vector<MinHashSignature> sigs;
-  for (int i = 0; i < state.range(0); ++i) {
-    sigs.push_back(MinHashSignature::FromContent(
-        RandomVector(rng, 4, 200), RandomVector(rng, 8, 500), 64));
-    index.Insert(static_cast<uint64_t>(i), sigs.back());
-  }
-  size_t probe = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index.Query(sigs[probe++ % sigs.size()]));
-  }
-}
-BENCHMARK(BM_LshQuery)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_StoryBandKeys)->Arg(12)->Arg(96);
 
 void BM_TemporalIndexInsertNearEnd(benchmark::State& state) {
   Pcg32 rng(7);

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "sketch/lsh_index.h"
-#include "sketch/minhash.h"
-#include "util/hash.h"
+#include "sketch/band_keys.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -40,11 +38,6 @@ struct StoryNode {
   StoryId story = kInvalidStoryId;
   const Story* ptr = nullptr;
 };
-
-/// Story-sketch LSH shape: 16 bands of 4 rows over a 64-slot MinHash
-/// signature, the LshIndex default (steep S-curve around Jaccard 0.5).
-constexpr size_t kLshBands = 16;
-constexpr size_t kLshRowsPerBand = 4;
 
 /// Below this many nodes the parallel fan-out costs more than it saves.
 constexpr size_t kMinParallelNodes = 64;
@@ -104,34 +97,76 @@ AlignmentResult StoryAligner::Align(
   // candidates of row i are the pairs (i, j) with j > i, so rows can be
   // scored independently.
   const bool lsh_mode = n > kLshMinStories;
-  LshIndex lsh(kLshBands, kLshRowsPerBand);
-  std::vector<MinHashSignature> sigs;
+  SP_CHECK(n <= std::numeric_limits<uint32_t>::max());
   const bool parallel =
       pool != nullptr && pool->num_threads() > 1 && n >= kMinParallelNodes;
+  const size_t num_chunks =
+      parallel ? pool->num_threads() * kChunksPerThread : 1;
+  auto fan_out = [&](size_t count, size_t chunks, const auto& fn) {
+    if (parallel) {
+      pool->ParallelFor(count, chunks, fn);
+    } else {
+      fn(0, 0, count);
+    }
+  };
   // DF is frozen for the whole alignment: one IDF table, and each story's
   // keyword norm, serve every pair.
   const IdfTable idf(*model_);
   std::vector<double> keyword_norms(n);
-  if (lsh_mode) sigs.resize(n);
-  // Norms and sketches are per-node pure work: build them in parallel
-  // (disjoint writes), then fill the LSH index serially.
-  auto prepare = [&](size_t, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      keyword_norms[i] = idf.SquaredNorm(nodes[i].ptr->keywords());
-      if (lsh_mode) {
-        sigs[i] = MinHashSignature::FromContent(nodes[i].ptr->entities(),
-                                                nodes[i].ptr->keywords(),
-                                                kLshBands * kLshRowsPerBand);
-      }
+  // LSH buckets as flat sorted runs: band b's slice of `bands` holds every
+  // node's (key, node) pair, sorted, so one bucket is one run of equal
+  // keys with its nodes ascending. `band_pos[b * n + i]` is node i's
+  // position in that slice and `band_run_end[b * n + i]` the end of its
+  // run, so the nodes after i in its run are exactly its bucket-mates
+  // j > i.
+  struct BandEntry {
+    uint64_t key;
+    uint32_t node;
+    bool operator<(const BandEntry& other) const {
+      return key != other.key ? key < other.key : node < other.node;
     }
   };
-  if (parallel) {
-    pool->ParallelFor(n, pool->num_threads() * kChunksPerThread, prepare);
-  } else {
-    prepare(0, 0, n);
-  }
+  std::vector<BandEntry> bands;
+  std::vector<uint32_t> band_pos;
+  std::vector<uint32_t> band_run_end;
   if (lsh_mode) {
-    for (size_t i = 0; i < n; ++i) lsh.Insert(i, sigs[i]);
+    bands.resize(kLshBands * n);
+    band_pos.resize(kLshBands * n);
+    band_run_end.resize(kLshBands * n);
+  }
+  // Norms and band keys are per-node pure work: build them in parallel
+  // (disjoint writes).
+  fan_out(n, num_chunks, [&](size_t, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      keyword_norms[i] = idf.SquaredNorm(nodes[i].ptr->keywords());
+      if (!lsh_mode) continue;
+      uint64_t keys[kLshBands];
+      StoryBandKeys(nodes[i].ptr->entities(), nodes[i].ptr->keywords(), keys);
+      for (size_t b = 0; b < kLshBands; ++b) {
+        bands[b * n + i] = {keys[b], static_cast<uint32_t>(i)};
+      }
+    }
+  });
+  if (lsh_mode) {
+    // One task per band: sort its slice, then index every node's run.
+    fan_out(kLshBands, kLshBands, [&](size_t, size_t begin, size_t end) {
+      for (size_t b = begin; b < end; ++b) {
+        BandEntry* band = bands.data() + b * n;
+        std::sort(band, band + n);
+        for (size_t run = 0; run < n;) {
+          size_t run_end = run + 1;
+          while (run_end < n && band[run_end].key == band[run].key) {
+            ++run_end;
+          }
+          for (size_t p = run; p < run_end; ++p) {
+            band_pos[b * n + band[p].node] = static_cast<uint32_t>(p);
+            band_run_end[b * n + band[p].node] =
+                static_cast<uint32_t>(run_end);
+          }
+          run = run_end;
+        }
+      }
+    });
   }
 
   // Scores every candidate pair of rows [begin, end), appending edges at
@@ -147,16 +182,25 @@ AlignmentResult StoryAligner::Align(
         edges->push_back({i, j});
       }
     };
+    std::vector<uint32_t> candidates;
     for (size_t i = begin; i < end; ++i) {
-      if (lsh_mode) {
-        std::vector<uint64_t> candidates = lsh.Query(sigs[i]);
-        std::sort(candidates.begin(), candidates.end());
-        for (uint64_t j : candidates) {
-          if (j > i) consider(i, static_cast<size_t>(j));
-        }
-      } else {
+      if (!lsh_mode) {
         for (size_t j = i + 1; j < n; ++j) consider(i, j);
+        continue;
       }
+      // Row i's candidates: its bucket-mates j > i in any band, ascending.
+      candidates.clear();
+      for (size_t b = 0; b < kLshBands; ++b) {
+        const BandEntry* band = bands.data() + b * n;
+        for (size_t p = band_pos[b * n + i] + 1; p < band_run_end[b * n + i];
+             ++p) {
+          candidates.push_back(band[p].node);
+        }
+      }
+      std::sort(candidates.begin(), candidates.end());
+      candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                       candidates.end());
+      for (uint32_t j : candidates) consider(i, j);
     }
   };
 
@@ -164,7 +208,6 @@ AlignmentResult StoryAligner::Align(
     // Fan pair scoring out over fixed row chunks; per-chunk edge lists
     // merge in chunk order, so the union sequence — and with it the
     // entire result — matches the serial path bit for bit.
-    const size_t num_chunks = pool->num_threads() * kChunksPerThread;
     std::vector<std::vector<std::pair<size_t, size_t>>> chunk_edges(
         std::min(num_chunks, n));
     std::vector<uint64_t> chunk_scored(chunk_edges.size(), 0);

@@ -1,6 +1,8 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 #include <utility>
 
 #include "core/parallel_ingest.h"
@@ -9,6 +11,34 @@
 #include "util/timer.h"
 
 namespace storypivot {
+namespace {
+
+/// Refuses a snippet with an entity or keyword weight that is not a
+/// finite number above 0. Similarity is exactly 0 on disjoint supports
+/// only for such weights (identification skips those kernels), and a NaN
+/// score would pass every threshold test it is compared against.
+Status CheckTermWeights(const Snippet& snippet) {
+  for (const text::TermVector* terms :
+       {&snippet.entities, &snippet.keywords}) {
+    for (const auto& [term, weight] : terms->entries()) {
+      if (!std::isfinite(weight) || weight <= 0.0) {
+        // A snippet without an id yet is named by its document.
+        const std::string name =
+            snippet.id != kInvalidSnippetId
+                ? StrFormat("snippet %llu",
+                            static_cast<unsigned long long>(snippet.id))
+                : "new snippet of document '" + snippet.document_url + "'";
+        return Status::InvalidArgument(StrFormat(
+            "%s: %s weight %g of term %u is not a finite number above 0",
+            name.c_str(), terms == &snippet.entities ? "entity" : "keyword",
+            weight, term));
+      }
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 EngineConfig NewsProseEngineConfig() {
   EngineConfig config;
@@ -193,6 +223,7 @@ Result<SnippetId> StoryPivotEngine::AddSnippet(Snippet snippet) {
     return Status::InvalidArgument(
         StrFormat("unregistered source %u", snippet.source));
   }
+  RETURN_IF_ERROR(CheckTermWeights(snippet));
   Result<SnippetId> inserted = store_.Insert(std::move(snippet));
   if (!inserted.ok()) return inserted.status();
   SnippetId id = inserted.value();
@@ -224,6 +255,7 @@ Result<std::vector<SnippetId>> StoryPivotEngine::AddSnippets(
       return Status::InvalidArgument(
           StrFormat("unregistered source %u", snippet.source));
     }
+    RETURN_IF_ERROR(CheckTermWeights(snippet));
   }
 
   // Phase 1 — serialized writes: insert every snippet into the store and
@@ -314,6 +346,7 @@ Result<SnippetId> StoryPivotEngine::AdoptAssignment(Snippet snippet,
     return Status::InvalidArgument(
         StrFormat("unregistered source %u", snippet.source));
   }
+  RETURN_IF_ERROR(CheckTermWeights(snippet));
   Result<SnippetId> inserted = store_.Insert(std::move(snippet));
   if (!inserted.ok()) return inserted.status();
   SnippetId id = inserted.value();

@@ -176,7 +176,9 @@ class StoryPivotEngine {
       const Document& document);
 
   /// Ingests a pre-annotated snippet. Assigns an id when the snippet has
-  /// none. The snippet's source must be registered.
+  /// none. The snippet's source must be registered, and every entity and
+  /// keyword weight must be a finite number above 0; otherwise returns
+  /// InvalidArgument with the engine unchanged.
   [[nodiscard]] Result<SnippetId> AddSnippet(Snippet snippet);
 
   /// Ingests a batch of pre-annotated snippets, identifying stories for
@@ -188,7 +190,9 @@ class StoryPivotEngine {
   /// runs, which makes the outcome independent of how sources interleave
   /// — and therefore identical for every thread count. The batch is
   /// all-or-nothing: on any failure the engine state is rolled back and
-  /// no snippet of the batch remains. Returns the new ids in input order.
+  /// no snippet of the batch remains; sources and weights are checked as
+  /// in AddSnippet before anything changes. Returns the new ids in input
+  /// order.
   [[nodiscard]] Result<std::vector<SnippetId>> AddSnippets(
       std::vector<Snippet> snippets);
 
@@ -196,7 +200,8 @@ class StoryPivotEngine {
   /// bypassing story identification. Used to warm-start an engine from a
   /// snapshot of a previous run (§4.2.2: precomputed large-scale results)
   /// or to replicate another engine's state. The story is created if it
-  /// does not exist; `snippet.id` may be pre-assigned.
+  /// does not exist; `snippet.id` may be pre-assigned. Weights are
+  /// checked as in AddSnippet.
   [[nodiscard]] Result<SnippetId> AdoptAssignment(Snippet snippet,
                                                   StoryId story);
 

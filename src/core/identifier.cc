@@ -1,6 +1,7 @@
 #include "core/identifier.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <unordered_map>
 
@@ -13,6 +14,23 @@ namespace {
 /// story-centroid score (blend) when scoring a snippet against a story.
 constexpr double kCentroidBlend = 0.3;
 
+/// True when the sorted supports of `a` and `b` share a term id.
+bool ShareTerm(const text::TermVector& a, const text::TermVector& b) {
+  const auto& ea = a.entries();
+  const auto& eb = b.entries();
+  size_t i = 0, j = 0;
+  while (i < ea.size() && j < eb.size()) {
+    if (ea[i].first < eb[j].first) {
+      ++i;
+    } else if (eb[j].first < ea[i].first) {
+      ++j;
+    } else {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 StoryId StoryIdentifier::PlaceWithCandidates(
@@ -22,15 +40,28 @@ StoryId StoryIdentifier::PlaceWithCandidates(
   SP_CHECK(next_story_id != nullptr);
   const SimilarityConfig& sim = model_->config();
 
-  // Best member-snippet similarity per story.
+  // Best member-snippet similarity per story. Both kernels are exactly
+  // +0.0 when their inputs share no entity and no keyword id (the engine
+  // admits only finite positive weights), so such pairs score 0.0
+  // without a kernel call. Every candidate's story still enters
+  // `best_member`, zero scores included: insertion order fixes the map's
+  // iteration order, and with it `merge_set` and the victim order of
+  // MergeStories.
   std::unordered_map<StoryId, double> best_member;
+  uint64_t skipped = 0;  // Pairs scored 0.0 without a kernel call.
   for (SnippetId cid : candidates) {
     if (cid == snippet.id) continue;
     StoryId story_id = stories->StoryOf(cid);
     if (story_id == kInvalidStoryId) continue;
     const Snippet* candidate = store.Find(cid);
     if (candidate == nullptr) continue;
-    double s = model_->SnippetSimilarity(snippet, *candidate);
+    double s = 0.0;
+    if (ShareTerm(snippet.entities, candidate->entities) ||
+        ShareTerm(snippet.keywords, candidate->keywords)) {
+      s = model_->SnippetSimilarity(snippet, *candidate);
+    } else {
+      ++skipped;
+    }
     auto [it, inserted] = best_member.emplace(story_id, s);
     if (!inserted && s > it->second) it->second = s;
   }
@@ -43,7 +74,13 @@ StoryId StoryIdentifier::PlaceWithCandidates(
   for (const auto& [story_id, member_score] : best_member) {
     const Story* story = stories->FindStory(story_id);
     SP_CHECK(story != nullptr);
-    double centroid_score = model_->SnippetStorySimilarity(snippet, *story);
+    double centroid_score = 0.0;
+    if (ShareTerm(snippet.entities, story->entities()) ||
+        ShareTerm(snippet.keywords, story->keywords())) {
+      centroid_score = model_->SnippetStorySimilarity(snippet, *story);
+    } else {
+      ++skipped;
+    }
     double score = (1.0 - kCentroidBlend) * member_score +
                    kCentroidBlend * centroid_score;
     if (score > best_score ||
@@ -53,6 +90,10 @@ StoryId StoryIdentifier::PlaceWithCandidates(
     }
     if (score >= sim.merge_threshold) merge_set.push_back(story_id);
   }
+  // A skipped pair was still scored, so it still counts as a comparison:
+  // `num_comparisons()` stays the number of pairs identification scored,
+  // whichever way each score was found.
+  if (skipped > 0) model_->AddComparisons(skipped);
 
   if (best_story == kInvalidStoryId || best_score < sim.assign_threshold) {
     StoryId id = (*next_story_id)++;

@@ -78,10 +78,12 @@ class SimilarityModel {
   /// nullptr); IdfTable freezes them for one phase.
   const text::DocumentFrequency* document_frequency() const { return df_; }
 
-  /// Number of pairwise similarity evaluations since construction. The
-  /// counter is a relaxed atomic: scoring methods are const and run
-  /// concurrently from the parallel ingestion/alignment paths, so a plain
-  /// counter would be a data race. Relaxed ordering suffices — the count
+  /// Number of pairwise similarity evaluations since construction: the
+  /// pairs scored, including those identification scores 0.0 without a
+  /// kernel call because they share no term. The counter is a relaxed
+  /// atomic: scoring methods are const and run concurrently from the
+  /// parallel ingestion/alignment paths, so a plain counter would be a
+  /// data race. Relaxed ordering suffices — the count
   /// is only read from serial sections (benches, stats).
   ///
   /// Deliberately NOT `SP_GUARDED_BY` any capability (DESIGN.md §13):
@@ -95,8 +97,9 @@ class SimilarityModel {
   void ResetCounters() {
     num_comparisons_.store(0, std::memory_order_relaxed);
   }
-  /// Adds `n` evaluations made by a kernel that bypasses the scoring
-  /// methods above (one relaxed add per chunk of work).
+  /// Adds `n` evaluations made without the scoring methods above (one
+  /// relaxed add per chunk of work): the counterpart graph's own kernel
+  /// and identification's skipped disjoint-support pairs.
   void AddComparisons(uint64_t n) const {
     num_comparisons_.fetch_add(n, std::memory_order_relaxed);
   }

@@ -27,9 +27,10 @@ Result<text::TermVector> DecodeTerms(std::string_view encoded) {
       size_t colon = item.find(':');
       int64_t term = 0;
       double count = 0;
+      // Weights follow the engine's rule: finite and above 0.
       if (colon == std::string_view::npos ||
           !ParseInt64(item.substr(0, colon), &term) ||
-          !ParseDouble(item.substr(colon + 1), &count)) {
+          !ParseDouble(item.substr(colon + 1), &count) || count <= 0.0) {
         return Status::InvalidArgument("bad term encoding: " +
                                        std::string(item));
       }
@@ -167,8 +168,16 @@ Result<std::unique_ptr<StoryPivotEngine>> LoadSnapshot(
       snippet.document_url = row[6];
       snippet.event_type = row[7];
       snippet.description = row[8];
-      ASSIGN_OR_RETURN(snippet.entities, DecodeTerms(row[9]));
-      ASSIGN_OR_RETURN(snippet.keywords, DecodeTerms(row[10]));
+      Result<text::TermVector> entities = DecodeTerms(row[9]);
+      Result<text::TermVector> keywords = DecodeTerms(row[10]);
+      if (!entities.ok() || !keywords.ok()) {
+        return Status::InvalidArgument(StrFormat(
+            "snapshot row %zu, snippet %lld: %s", r,
+            static_cast<long long>(id),
+            (entities.ok() ? keywords : entities).status().message().c_str()));
+      }
+      snippet.entities = std::move(entities).value();
+      snippet.keywords = std::move(keywords).value();
       RETURN_IF_ERROR(engine->AdoptAssignment(
           std::move(snippet), static_cast<StoryId>(story)));
     } else if (kind == "C") {

@@ -1,6 +1,9 @@
 #include "datagen/gdelt_export.h"
 
+#include <string_view>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "model/time.h"
 #include "util/csv.h"
@@ -51,9 +54,11 @@ Status ExportTsvToFile(const Corpus& corpus, const std::string& path) {
 namespace {
 
 /// Parses one data row into a snippet. Validation (field count, id,
-/// date) happens BEFORE any shared state is touched, so a rejected row
-/// leaves no trace in the vocabularies or source table — that is what
-/// makes permissive-mode quarantine safe.
+/// date, keyword weights) happens BEFORE any shared state is touched, so
+/// a rejected row leaves no trace in the vocabularies or source table —
+/// that is what makes permissive-mode quarantine safe. A keyword weight
+/// must parse as a finite number above 0; one without a ":weight" counts
+/// 1.
 Status ImportRow(const std::vector<std::string>& row, ImportedCorpus* out,
                  std::unordered_map<std::string, SourceId>* source_ids) {
   if (row.size() != 9) {
@@ -81,6 +86,24 @@ Status ImportRow(const std::vector<std::string>& row, ImportedCorpus* out,
                               static_cast<int>(d), static_cast<int>(h),
                               static_cast<int>(mi));
 
+  std::vector<std::pair<std::string_view, double>> keywords;
+  if (!row[5].empty()) {
+    for (std::string_view item : Split(row[5], ';')) {
+      size_t colon = item.rfind(':');
+      double count = 1.0;
+      std::string_view term = item;
+      if (colon != std::string_view::npos) {
+        if (!ParseDouble(item.substr(colon + 1), &count) || count <= 0.0) {
+          return Status::InvalidArgument(
+              "bad keyword weight \"" + std::string(item) +
+              "\": want a finite number above 0");
+        }
+        term = item.substr(0, colon);
+      }
+      keywords.push_back({term, count});
+    }
+  }
+
   // Row is valid; from here on we may mutate shared state.
   auto [it, inserted] = source_ids->try_emplace(
       row[1], static_cast<SourceId>(source_ids->size()));
@@ -100,16 +123,9 @@ Status ImportRow(const std::vector<std::string>& row, ImportedCorpus* out,
     }
     s.entities = text::TermVector::FromEntries(std::move(ents));
   }
-  if (!row[5].empty()) {
+  if (!keywords.empty()) {
     std::vector<text::TermVector::Entry> kws;
-    for (std::string_view item : Split(row[5], ';')) {
-      size_t colon = item.rfind(':');
-      double count = 1.0;
-      std::string_view term = item;
-      if (colon != std::string_view::npos) {
-        if (!ParseDouble(item.substr(colon + 1), &count)) count = 1.0;
-        term = item.substr(0, colon);
-      }
+    for (const auto& [term, count] : keywords) {
       kws.push_back({out->keyword_vocabulary->Intern(term), count});
     }
     s.keywords = text::TermVector::FromEntries(std::move(kws));

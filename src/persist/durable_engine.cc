@@ -17,6 +17,15 @@ Status ReplayMismatch(const char* what, uint64_t lsn) {
       static_cast<unsigned long long>(lsn), what));
 }
 
+/// Names the WAL record whose replayed engine call failed, keeping the
+/// call's status code.
+Status AtRecord(const Status& status, uint64_t lsn) {
+  return Status(status.code(),
+                StrFormat("WAL record at lsn %llu: %s",
+                          static_cast<unsigned long long>(lsn),
+                          status.message().c_str()));
+}
+
 void EncodeVocabulary(Encoder* enc, const text::Vocabulary& vocab) {
   enc->PutU32(static_cast<uint32_t>(vocab.size()));
   for (text::TermId id = 0; id < vocab.size(); ++id) {
@@ -404,8 +413,9 @@ Status DurableEngine::ReplayOp(const WalRecord& record,
       Snippet snippet = dec.GetSnippet();
       SnippetId expected = dec.GetU64();
       RETURN_IF_ERROR(dec.Finish());
-      ASSIGN_OR_RETURN(SnippetId id,
-                       engine->AddSnippet(std::move(snippet)));
+      Result<SnippetId> added = engine->AddSnippet(std::move(snippet));
+      if (!added.ok()) return AtRecord(added.status(), record.lsn);
+      const SnippetId id = added.value();
       if (id != expected) {
         return ReplayMismatch("AddSnippet id", record.lsn);
       }
@@ -425,8 +435,10 @@ Status DurableEngine::ReplayOp(const WalRecord& record,
         expected.push_back(dec.GetU64());
       }
       RETURN_IF_ERROR(dec.Finish());
-      ASSIGN_OR_RETURN(std::vector<SnippetId> ids,
-                       engine->AddSnippets(std::move(snippets)));
+      Result<std::vector<SnippetId>> added =
+          engine->AddSnippets(std::move(snippets));
+      if (!added.ok()) return AtRecord(added.status(), record.lsn);
+      const std::vector<SnippetId>& ids = added.value();
       if (ids != expected) {
         return ReplayMismatch("AddSnippets ids", record.lsn);
       }

@@ -11,21 +11,6 @@ uint64_t Fnv1a64(std::string_view data) {
   return h;
 }
 
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-uint64_t HashCombine(uint64_t a, uint64_t b) {
-  return a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 12) + (a >> 4));
-}
-
-uint64_t HashWithSeed(uint64_t x, uint64_t seed) {
-  return SplitMix64(x ^ SplitMix64(seed * 0xff51afd7ed558ccdULL + 1));
-}
-
 namespace {
 
 struct Crc32Table {

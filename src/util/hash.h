@@ -11,16 +11,20 @@ namespace storypivot {
 uint64_t Fnv1a64(std::string_view data);
 
 /// SplitMix64 finalizer: a cheap, high-quality 64-bit mixing function.
-/// Useful for deriving independent hash functions from an index.
-uint64_t SplitMix64(uint64_t x);
+/// Useful for deriving independent hash functions from an index. Inline
+/// and constexpr, so per-element loops (the story band keys of
+/// sketch/band_keys) pay no call and seed tables fold at compile time.
+constexpr uint64_t SplitMix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 /// Combines two 64-bit hashes (boost::hash_combine style, 64-bit constants).
-uint64_t HashCombine(uint64_t a, uint64_t b);
-
-/// Hashes a 64-bit integer with the i-th derived hash function. All
-/// `HashWithSeed(x, i)` for distinct `i` behave as independent hashes,
-/// which MinHash sketches rely on.
-uint64_t HashWithSeed(uint64_t x, uint64_t seed);
+constexpr uint64_t HashCombine(uint64_t a, uint64_t b) {
+  return a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 12) + (a >> 4));
+}
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320, the zlib/gzip variant) of a
 /// byte string. Used to frame write-ahead-log records: unlike the hashes

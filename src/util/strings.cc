@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -98,7 +99,11 @@ std::string StrFormat(const char* fmt, ...) {
 }
 
 bool ParseInt64(std::string_view text, int64_t* out) {
-  if (text.empty() || text.size() > 31) return false;
+  // strtoll would skip leading whitespace; the contract refuses it.
+  if (text.empty() || text.size() > 31 ||
+      std::isspace(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
   char buf[32];
   std::memcpy(buf, text.data(), text.size());
   buf[text.size()] = '\0';
@@ -111,14 +116,19 @@ bool ParseInt64(std::string_view text, int64_t* out) {
 }
 
 bool ParseDouble(std::string_view text, double* out) {
-  if (text.empty() || text.size() > 63) return false;
+  if (text.empty() || text.size() > 63 ||
+      std::isspace(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
   char buf[64];
   std::memcpy(buf, text.data(), text.size());
   buf[text.size()] = '\0';
   char* end = nullptr;
   errno = 0;
   double value = std::strtod(buf, &end);
-  if (errno == ERANGE || end != buf + text.size()) return false;
+  if (errno == ERANGE || end != buf + text.size() || !std::isfinite(value)) {
+    return false;
+  }
   *out = value;
   return true;
 }

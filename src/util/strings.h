@@ -34,11 +34,14 @@ namespace storypivot {
     __attribute__((format(printf, 1, 2)));
 
 /// Parses a signed 64-bit integer; returns false on malformed input or
-/// overflow. Leading/trailing whitespace is not accepted. The result is
-/// meaningless if the return value is ignored, hence [[nodiscard]].
+/// overflow. Leading or trailing whitespace is malformed (" 4" and "4 "
+/// are refused). The result is meaningless if the return value is
+/// ignored, hence [[nodiscard]].
 [[nodiscard]] bool ParseInt64(std::string_view text, int64_t* out);
 
-/// Parses a double; returns false on malformed input.
+/// Parses a finite double; returns false on malformed input, on leading
+/// or trailing whitespace, on overflow or underflow, and on "inf", "nan"
+/// and their spellings.
 [[nodiscard]] bool ParseDouble(std::string_view text, double* out);
 
 }  // namespace storypivot

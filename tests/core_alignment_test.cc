@@ -3,13 +3,18 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <memory>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
 #include "core/aligner.h"
 #include "core/refiner.h"
 #include "core/story_set.h"
+#include "sketch/band_keys.h"
+#include "util/hash.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "model/time.h"
 
 namespace storypivot {
@@ -294,6 +299,148 @@ TEST(LshAlignmentTest, PartitionMatchesAllPairsOracle) {
   std::sort(oracle_partition.begin(), oracle_partition.end());
   EXPECT_EQ(lsh_partition, oracle_partition);
 }
+
+/// A seeded multi-source input above kLshMinStories: stories of one topic
+/// share most of the topic's terms (so their band keys collide and they
+/// align), stories draw noise terms too, and some stories are off-topic.
+struct BandedInput {
+  SnippetStore store;
+  std::vector<StorySet> partitions;
+  StoryId next_story_id = 0;
+
+  std::vector<const StorySet*> views() const {
+    std::vector<const StorySet*> out;
+    for (const StorySet& partition : partitions) out.push_back(&partition);
+    return out;
+  }
+};
+
+std::unique_ptr<BandedInput> MakeBandedInput(uint64_t seed) {
+  constexpr SourceId kSources = 4;
+  constexpr int kStoriesPerSource = 160;
+  constexpr uint32_t kTopics = 70;
+  auto input = std::make_unique<BandedInput>();
+  Pcg32 rng(seed);
+  for (SourceId source = 0; source < kSources; ++source) {
+    input->partitions.emplace_back(source);
+  }
+  for (SourceId source = 0; source < kSources; ++source) {
+    StorySet& partition = input->partitions[source];
+    for (int k = 0; k < kStoriesPerSource; ++k) {
+      const StoryId story = input->next_story_id++;
+      partition.CreateStory(story);
+      const bool off_topic = rng.NextBounded(6) == 0;
+      const uint32_t topic = rng.NextBounded(kTopics);
+      const Timestamp base = (topic % 30) * 3 * kSecondsPerDay;
+      const int members = 1 + static_cast<int>(rng.NextBounded(3));
+      for (int m = 0; m < members; ++m) {
+        std::vector<text::TermVector::Entry> entities, keywords;
+        for (text::TermId t = 0; t < 4; ++t) {
+          if (off_topic || rng.NextBounded(5) == 0) continue;
+          entities.push_back({topic * 4 + t, 1.0 + rng.NextBounded(2)});
+        }
+        for (text::TermId t = 0; t < 6; ++t) {
+          if (off_topic || rng.NextBounded(6) == 0) continue;
+          keywords.push_back({topic * 6 + t, 1.0 + rng.NextBounded(3)});
+        }
+        entities.push_back({1000 + rng.NextBounded(300), 1.0});
+        keywords.push_back({5000 + rng.NextBounded(900), 1.0});
+        Snippet snippet;
+        snippet.source = source;
+        snippet.timestamp = base + rng.NextBounded(4 * kSecondsPerDay);
+        snippet.entities = text::TermVector::FromEntries(std::move(entities));
+        snippet.keywords = text::TermVector::FromEntries(std::move(keywords));
+        const SnippetId id = input->store.Insert(std::move(snippet)).value();
+        partition.AddSnippetToStory(*input->store.Find(id), story);
+      }
+    }
+  }
+  return input;
+}
+
+/// Order-free digest of the integrated partition: every integrated
+/// story's sorted member list, folded in sorted order.
+uint64_t PartitionDigest(const AlignmentResult& result) {
+  std::vector<std::vector<std::pair<SourceId, StoryId>>> stories;
+  for (const IntegratedStory& story : result.stories) {
+    stories.push_back(story.members);
+  }
+  std::sort(stories.begin(), stories.end());
+  uint64_t h = SplitMix64(stories.size());
+  for (const auto& members : stories) {
+    h = HashCombine(h, SplitMix64(members.size()));
+    for (const auto& [source, story] : members) {
+      h = HashCombine(h, SplitMix64((uint64_t{source} << 40) ^ story));
+    }
+  }
+  return h;
+}
+
+// Property: above kLshMinStories, Align() scores exactly the cross-source
+// story pairs that share a band bucket, at every thread count, and gives
+// the numbers the MinHash signatures and LshIndex gave before flat
+// banding replaced them.
+class BandedAlignment : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(BandedAlignment, ScoresExactlyTheBucketMates) {
+  const uint64_t seed = GetParam();
+  std::unique_ptr<BandedInput> input = MakeBandedInput(seed);
+  SimilarityModel model({}, nullptr);
+  const StoryAligner aligner(&model, {});
+
+  // Test-local bucketing of the same band keys.
+  struct Node {
+    SourceId source;
+    StoryId story;
+  };
+  std::vector<Node> nodes;
+  std::vector<std::map<uint64_t, std::vector<size_t>>> buckets(kLshBands);
+  for (const StorySet& partition : input->partitions) {
+    for (const auto& [id, story] : partition.stories()) {
+      uint64_t keys[kLshBands];
+      StoryBandKeys(story.entities(), story.keywords(), keys);
+      for (size_t b = 0; b < kLshBands; ++b) {
+        buckets[b][keys[b]].push_back(nodes.size());
+      }
+      nodes.push_back({partition.source(), id});
+    }
+  }
+  ASSERT_GT(nodes.size(), kLshMinStories);
+  std::set<std::pair<size_t, size_t>> bucket_pairs;
+  for (const auto& band : buckets) {
+    for (const auto& [key, members] : band) {
+      for (size_t x = 0; x < members.size(); ++x) {
+        for (size_t y = x + 1; y < members.size(); ++y) {
+          if (nodes[members[x]].source == nodes[members[y]].source) continue;
+          bucket_pairs.insert({members[x], members[y]});
+        }
+      }
+    }
+  }
+
+  // Values from the MinHash + LshIndex implementation, by seed.
+  const std::map<uint64_t, std::pair<uint64_t, uint64_t>> recorded = {
+      {41, {971, 0xad6ebe045086b8baULL}},
+      {42, {921, 0xd1de7a26f4fff711ULL}},
+      {43, {883, 0x7a0c02ad0790e5a9ULL}},
+  };
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    ThreadPool pool(threads);
+    StoryId next_story_id = input->next_story_id;
+    const AlignmentResult result =
+        aligner.Align(input->views(), input->store, &next_story_id, &pool);
+    EXPECT_EQ(result.num_pairs_scored, bucket_pairs.size())
+        << threads << " threads";
+    EXPECT_LT(result.stories.size(), nodes.size()) << "some stories align";
+    EXPECT_EQ(result.num_pairs_scored, recorded.at(seed).first)
+        << threads << " threads";
+    EXPECT_EQ(PartitionDigest(result), recorded.at(seed).second)
+        << threads << " threads";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BandedAlignment,
+                         ::testing::Values(41u, 42u, 43u));
 
 // Property: raising the alignment threshold can only produce more (or the
 // same number of) integrated stories — union-find over fewer edges.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "core/engine.h"
@@ -40,6 +41,47 @@ TEST(EngineTest, AddSnippetToUnknownSourceFails) {
   Result<SnippetId> r = engine.AddSnippet(MakeSnippet(7, 0, {}, {}));
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(EngineTest, WeightsMustBeFinitePositiveNumbers) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  StoryPivotEngine engine;
+  SourceId src = engine.RegisterSource("s");
+  auto with_entity_weight = [&](double weight) {
+    // FromEntries keeps non-finite values and negative ones.
+    return MakeSnippet(src, 0, {{0, 1.0}, {1, weight}}, {{5, 1.0}});
+  };
+  auto with_keyword_weight = [&](double weight) {
+    return MakeSnippet(src, 0, {{0, 1.0}}, {{5, weight}});
+  };
+  for (double weight : {nan, inf, -inf, -1.0, -1e-6}) {
+    SCOPED_TRACE(weight);
+    for (const Snippet& bad :
+         {with_entity_weight(weight), with_keyword_weight(weight)}) {
+      Result<SnippetId> added = engine.AddSnippet(bad);
+      ASSERT_FALSE(added.ok());
+      EXPECT_EQ(added.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(std::string(added.status().message()).find("finite"),
+                std::string::npos);
+      // A batch holding one such snippet is refused whole.
+      Result<std::vector<SnippetId>> batch = engine.AddSnippets(
+          {MakeSnippet(src, 0, {{0, 1.0}}, {{5, 1.0}}), bad});
+      ASSERT_FALSE(batch.ok());
+      EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
+      Result<SnippetId> adopted = engine.AdoptAssignment(bad, 3);
+      ASSERT_FALSE(adopted.ok());
+      EXPECT_EQ(adopted.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+  // Nothing changed.
+  EXPECT_EQ(engine.store().size(), 0u);
+  EXPECT_EQ(engine.TotalStories(), 0u);
+  EXPECT_EQ(engine.stats().snippets_ingested, 0u);
+  // Tiny and huge finite positive weights are fine.
+  ASSERT_TRUE(engine.AddSnippet(with_keyword_weight(1e300)).ok());
+  ASSERT_TRUE(engine.AddSnippet(with_entity_weight(1e-9)).ok());
+  EXPECT_EQ(engine.store().size(), 2u);
 }
 
 TEST(EngineTest, SnippetsClusterWithinSource) {

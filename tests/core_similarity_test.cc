@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "core/similarity.h"
 #include "model/snippet.h"
 #include "model/story.h"
+#include "text/tfidf.h"
+#include "util/rng.h"
 
 namespace storypivot {
 namespace {
@@ -104,6 +109,71 @@ TEST(SimilarityModelTest, CountsComparisons) {
   model.ResetCounters();
   EXPECT_EQ(model.num_comparisons(), 0u);
 }
+
+// Property: both identification kernels are exactly +0.0 when their
+// inputs share no entity id and no keyword id, for any finite positive
+// weights — tiny, huge, and counts below 1/e, whose sublinear TF is
+// negative. Identification skips those kernels on this guarantee.
+class DisjointSupportsScoreZero : public ::testing::TestWithParam<uint64_t> {
+};
+
+TEST_P(DisjointSupportsScoreZero, BothKernelsReturnPositiveZero) {
+  Pcg32 rng(GetParam());
+  const double kWeights[] = {1e-300, 1e-20, 0.05, 0.2, 1.0 / std::exp(1.0),
+                             0.5,    1.0,   3.0,  1e6, 1e300};
+  // Any finite positive weight: a TermVector built entry by entry with
+  // Merge keeps weights that FromEntries would drop as near-zero.
+  auto random_vector = [&](std::vector<text::TermId> terms) {
+    text::TermVector v;
+    for (text::TermId term : terms) {
+      const double weight =
+          rng.NextBounded(3) == 0
+              ? kWeights[rng.NextBounded(std::size(kWeights))]
+              : 0.01 + 0.01 * rng.NextBounded(500);
+      v.Merge(text::TermVector::FromEntries({{term, 1.0}}), weight);
+    }
+    return v;
+  };
+  text::DocumentFrequency df;
+  for (int round = 0; round < 200; ++round) {
+    // Deal a random term pool between the two sides of each domain; the
+    // same raw id may sit on both sides in different domains.
+    std::vector<text::TermId> ents[2], kws[2];
+    for (text::TermId term = 0; term < 30; ++term) {
+      const uint32_t side = rng.NextBounded(3);  // 2: unused.
+      if (side < 2) ents[side].push_back(term);
+      const uint32_t kw_side = rng.NextBounded(3);
+      if (kw_side < 2) kws[kw_side].push_back(term);
+    }
+    Snippet a = MakeSnippet(1, 0, {}, {});
+    a.entities = random_vector(ents[0]);
+    a.keywords = random_vector(kws[0]);
+    Snippet b = MakeSnippet(2, 0, {}, {});
+    b.entities = random_vector(ents[1]);
+    b.keywords = random_vector(kws[1]);
+    Story story(1);
+    story.AddSnippet(b);
+    Snippet b2 = MakeSnippet(3, 10, {}, {});
+    b2.entities = random_vector(ents[1]);
+    b2.keywords = random_vector(kws[1]);
+    story.AddSnippet(b2);
+    df.AddDocument(a.keywords);
+    df.AddDocument(b.keywords);
+    const text::DocumentFrequency* const models[] = {&df, nullptr};
+    for (const text::DocumentFrequency* frequencies : models) {
+      SimilarityModel model({}, frequencies);
+      const double pair = model.SnippetSimilarity(a, b);
+      const double centroid = model.SnippetStorySimilarity(a, story);
+      EXPECT_EQ(pair, 0.0) << "round " << round;
+      EXPECT_FALSE(std::signbit(pair)) << "round " << round;
+      EXPECT_EQ(centroid, 0.0) << "round " << round;
+      EXPECT_FALSE(std::signbit(centroid)) << "round " << round;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DisjointSupportsScoreZero,
+                         ::testing::Values(1u, 2u, 3u, 4u));
 
 // ---------------------------- TemporalAffinity -----------------------------
 

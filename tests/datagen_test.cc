@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -12,6 +13,7 @@
 #include "datagen/mh17.h"
 #include "datagen/word_lists.h"
 #include "datagen/world.h"
+#include "util/strings.h"
 
 namespace storypivot::datagen {
 namespace {
@@ -349,6 +351,51 @@ TEST(GdeltExportTest, PermissiveImportQuarantinesWithLineNumbers) {
   // valid; the bad NYT/BBC rows interned nothing... BBC appears via the
   // valid row 6).
   EXPECT_EQ(imported.value().sources.size(), 2u);
+}
+
+TEST(GdeltExportTest, KeywordWeightsMustBeFinitePositiveNumbers) {
+  const std::string header =
+      "id\tsource\tevent_type\tevent_date\tentities\tkeywords"
+      "\tdescription\turl\ttruth\n";
+  const std::string good =
+      "1\tNYT\tAccident\t2014-07-17 13:20\tMH17\twar:1;peace:1\td\tu\t0\n";
+  const char* bad_keywords[] = {"war:inf;peace:1", "war:nan;talks:-2",
+                                "war:abc",         "war:0",
+                                "war:-1e-9",       "war:1e999",
+                                "war: 2"};
+  std::string tsv = header + good;
+  for (size_t i = 0; i < std::size(bad_keywords); ++i) {
+    tsv += StrFormat("%zu\tBBC\tAccident\t2014-07-18 09:00\tUkraine\t%s"
+                     "\td\tu\t0\n",
+                     i + 2, bad_keywords[i]);
+  }
+  ImportReport report;
+  Result<ImportedCorpus> imported = ImportTsvPermissive(tsv, &report);
+  ASSERT_TRUE(imported.ok());
+  EXPECT_EQ(report.rows_imported, 1u);
+  ASSERT_EQ(report.skipped.size(), std::size(bad_keywords));
+  for (size_t i = 0; i < report.skipped.size(); ++i) {
+    EXPECT_EQ(report.skipped[i].line, i + 3);
+    EXPECT_NE(report.skipped[i].reason.find("bad keyword weight"),
+              std::string::npos)
+        << report.skipped[i].reason;
+  }
+  // The quarantined rows touched neither the source table nor the
+  // vocabularies.
+  const ImportedCorpus& corpus = imported.value();
+  EXPECT_EQ(corpus.sources.size(), 1u);
+  EXPECT_EQ(corpus.entity_vocabulary->Lookup("Ukraine"),
+            text::kInvalidTermId);
+  EXPECT_EQ(corpus.keyword_vocabulary->Lookup("talks"),
+            text::kInvalidTermId);
+  EXPECT_EQ(corpus.keyword_vocabulary->size(), 2u);  // war, peace.
+  // Strict mode fails the import on the first such row.
+  Result<ImportedCorpus> strict = ImportTsv(header + good +
+      "2\tBBC\tAccident\t2014-07-18 09:00\tUkraine\twar:inf\td\tu\t0\n");
+  ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(std::string(strict.status().message()).find("bad keyword weight"),
+            std::string::npos);
 }
 
 TEST(GdeltExportTest, PermissiveImportStillRejectsEmptyInput) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -8,6 +9,7 @@
 #include "core/snapshot.h"
 #include "datagen/corpus.h"
 #include "persist/checkpoint.h"
+#include "persist/codec.h"
 #include "persist/durable_engine.h"
 #include "persist/wal.h"
 #include "util/fs.h"
@@ -726,6 +728,43 @@ TEST(DurableEngineTest, UnknownOpcodeFailsOpenWithTypedError) {
               std::string::npos)
         << opened.status().ToString();
   }
+}
+
+TEST(DurableEngineTest, RecoveryRefusesALoggedNonFiniteWeight) {
+  // The engine refuses such a snippet before it is logged, so only a
+  // forged or damaged log can hold one; replay must refuse it with a
+  // typed error instead of feeding NaN scores to identification.
+  const std::string dir = FreshDir("nan_weight");
+  {
+    Result<std::unique_ptr<WriteAheadLog>> wal =
+        WriteAheadLog::Open(dir, persist::WalOptions{}, 0);
+    ASSERT_OK(wal.status());
+    persist::Encoder source;
+    source.PutU8(static_cast<uint8_t>(persist::WalOp::kRegisterSource));
+    source.PutString("s");
+    source.PutU32(0);
+    ASSERT_OK(wal.value()->Append(source.Release()).status());
+    Snippet snippet;
+    snippet.source = 0;
+    snippet.entities = text::TermVector::FromEntries({{0, 1.0}});
+    snippet.keywords = text::TermVector::FromEntries(
+        {{5, std::numeric_limits<double>::quiet_NaN()}});
+    persist::Encoder add;
+    add.PutU8(static_cast<uint8_t>(persist::WalOp::kAddSnippet));
+    add.PutSnippet(snippet);
+    add.PutU64(0);
+    ASSERT_OK(wal.value()->Append(add.Release()).status());
+    ASSERT_OK(wal.value()->Close());
+  }
+  Result<std::unique_ptr<DurableEngine>> opened =
+      DurableEngine::Open(dir, FastOptions());
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+  // The error names the record and the weight, so an operator can find
+  // them.
+  const std::string message = opened.status().message();
+  EXPECT_NE(message.find("lsn 1"), std::string::npos) << message;
+  EXPECT_NE(message.find("finite"), std::string::npos) << message;
 }
 
 TEST(DurableEngineTest, ReplayIsDeterministicAcrossThreadCounts) {

@@ -209,6 +209,31 @@ TEST(SnapshotTest, RejectsGarbage) {
                    .ok());
 }
 
+TEST(SnapshotTest, RejectsTermWeightsThatAreNotFinitePositiveNumbers) {
+  // A valid snippet row under a valid source, then the same row with each
+  // bad entity or keyword weight.
+  const std::string head = "#storypivot-snapshot\tv2\nS\t0\ts\n";
+  auto row = [](const std::string& entities, const std::string& keywords) {
+    return "N\t1\t0\t0\t0\t-1\tu\tt\td\t" + entities + "\t" + keywords +
+           "\n";
+  };
+  ASSERT_TRUE(LoadSnapshot(head + row("0:1", "3:2.5")).ok());
+  for (const char* weight : {"inf", "nan", "-2", "0", "1e999", " 1"}) {
+    SCOPED_TRACE(weight);
+    for (const std::string& bad : {row(std::string("0:") + weight, "3:1"),
+                                   row("0:1", std::string("3:") + weight)}) {
+      Result<std::unique_ptr<StoryPivotEngine>> loaded =
+          LoadSnapshot(head + bad);
+      ASSERT_FALSE(loaded.ok());
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+      // The error names the snippet, so an operator can find the row.
+      EXPECT_NE(loaded.status().message().find("snippet 1"),
+                std::string::npos)
+          << loaded.status().ToString();
+    }
+  }
+}
+
 TEST(SnapshotTest, AdoptAssignmentRejectsUnknownSource) {
   StoryPivotEngine engine;
   Snippet snippet;

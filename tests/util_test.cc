@@ -364,16 +364,6 @@ TEST(HashTest, SplitMixAvalanche) {
   EXPECT_NEAR(total / 99.0, 32.0, 6.0);
 }
 
-TEST(HashTest, HashWithSeedIndependence) {
-  // The same element under different seeds should look unrelated.
-  uint64_t x = 12345;
-  std::set<uint64_t> values;
-  for (uint64_t seed = 0; seed < 64; ++seed) {
-    values.insert(HashWithSeed(x, seed));
-  }
-  EXPECT_EQ(values.size(), 64u);
-}
-
 // -------------------------------- Strings ---------------------------------
 
 TEST(StringsTest, SplitBasic) {
@@ -434,6 +424,13 @@ TEST(StringsTest, ParseInt64) {
   EXPECT_FALSE(ParseInt64("", &v));
   EXPECT_FALSE(ParseInt64("4x", &v));
   EXPECT_FALSE(ParseInt64("99999999999999999999999", &v));
+  // Whitespace on either side is malformed; strtoll alone would skip the
+  // leading kind.
+  for (const char* bad : {" 4", "\t4", "\n4", " -7", "4 ", " "}) {
+    v = 99;
+    EXPECT_FALSE(ParseInt64(bad, &v)) << '"' << bad << '"';
+    EXPECT_EQ(v, 99) << "untouched on failure";
+  }
 }
 
 // --------------------------------- Flags -----------------------------------
@@ -479,6 +476,17 @@ TEST(StringsTest, ParseDouble) {
   EXPECT_DOUBLE_EQ(v, -1000.0);
   EXPECT_FALSE(ParseDouble("abc", &v));
   EXPECT_FALSE(ParseDouble("", &v));
+  EXPECT_TRUE(ParseDouble("1e300", &v));
+  EXPECT_DOUBLE_EQ(v, 1e300);
+  // Non-finite values, out-of-range values and surrounding whitespace are
+  // refused.
+  for (const char* bad : {"inf", "-inf", "INF", "infinity", "nan", "NaN",
+                          "-nan", "nan(1)", "1e400", "-1e400", " 3.5",
+                          "\t3.5", "3.5 "}) {
+    v = 99;
+    EXPECT_FALSE(ParseDouble(bad, &v)) << '"' << bad << '"';
+    EXPECT_EQ(v, 99) << "untouched on failure";
+  }
 }
 
 // ---------------------------------- CSV ------------------------------------
