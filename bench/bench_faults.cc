@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -305,8 +306,9 @@ void Run() {
   std::vector<CrashResult> crashes = RunCrashBench(corpus);
 
   std::string json = StrFormat(
-      "{\"bench\":\"faults\",\"failpoints_compiled\":%s,"
-      "\"macro_overhead\":[",
+      "{\"bench\":\"faults\",\"hardware_threads\":%u,"
+      "\"failpoints_compiled\":%s,\"macro_overhead\":[",
+      std::thread::hardware_concurrency(),
       kFailpointsCompiled ? "true" : "false");
   for (size_t i = 0; i < macro.size(); ++i) {
     json += StrFormat("%s{\"case\":\"%s\",\"ns_per_eval\":%.3f}",

@@ -38,6 +38,13 @@ Status CheckTermWeights(const Snippet& snippet) {
   return Status::OK();
 }
 
+/// Reports an owed alignment that did not match its log record. Only a
+/// log this engine would not have written gets there, and the reader that
+/// paid the alignment has no status to return, so it is logged.
+void LogIfFailed(const Status& status) {
+  if (!status.ok()) SP_LOG(kError) << status.ToString();
+}
+
 }  // namespace
 
 EngineConfig NewsProseEngineConfig() {
@@ -74,7 +81,7 @@ SourceId StoryPivotEngine::RegisterSource(const std::string& name) {
   SourceId id = next_source_id_++;
   sources_.push_back({id, name});
   partitions_.emplace(id, StorySet(id));
-  stale_ = true;
+  MarkStale();
   return id;
 }
 
@@ -89,7 +96,7 @@ Status StoryPivotEngine::AdoptSource(SourceId id, const std::string& name) {
   sources_.push_back({id, name});
   partitions_.emplace(id, StorySet(id));
   next_source_id_ = std::max(next_source_id_, id + 1);
-  stale_ = true;
+  MarkStale();
   return Status::OK();
 }
 
@@ -136,7 +143,7 @@ Status StoryPivotEngine::RemoveSource(SourceId source) {
   std::erase_if(sources_,
                 [source](const SourceInfo& s) { return s.id == source; });
   DropCounterpartGraph();
-  stale_ = true;
+  MarkStale();
   return Status::OK();
 }
 
@@ -239,7 +246,7 @@ Result<SnippetId> StoryPivotEngine::AddSnippet(Snippet snippet) {
   stats_.identify_time_ms += timer.ElapsedMillis();
   ++stats_.snippets_ingested;
   DropCounterpartGraph();
-  stale_ = true;
+  MarkStale();
   NotifyAdded(*stored);
   return id;
 }
@@ -331,7 +338,7 @@ Result<std::vector<SnippetId>> StoryPivotEngine::AddSnippets(
   stats_.identify_time_ms += std::max(identify_ms, batch_wall_ms);
   stats_.snippets_ingested += stored.size();
   DropCounterpartGraph();
-  stale_ = true;
+  MarkStale();
   // Observer notifications happen in the serial epilogue, in arrival
   // order — identical for every thread count.
   for (const Snippet* snippet : stored) NotifyAdded(*snippet);
@@ -363,7 +370,7 @@ Result<SnippetId> StoryPivotEngine::AdoptAssignment(Snippet snippet,
       std::memory_order_relaxed);
   ++stats_.snippets_ingested;
   DropCounterpartGraph();
-  stale_ = true;
+  MarkStale();
   NotifyAdded(*stored);
   return id;
 }
@@ -385,7 +392,7 @@ void StoryPivotEngine::RemoveSnippetInternal(const Snippet& snippet) {
     next_story_id_.store(cursor, std::memory_order_relaxed);
   }
   DropCounterpartGraph();
-  stale_ = true;
+  MarkStale();
 }
 
 Status StoryPivotEngine::RemoveDocument(const std::string& url) {
@@ -419,6 +426,7 @@ const AlignmentResult& StoryPivotEngine::AlignWith(
     std::shared_ptr<const CounterpartGraph> graph) {
   serial_.AssertInSection();  // Mutator: single-writer serial section.
   WallTimer timer;
+  owed_alignment_.reset();  // Replaced: this alignment draws fresh ids.
   DropCounterpartGraph();  // At most one graph alive while building.
   StoryId cursor = next_story_id_.load(std::memory_order_relaxed);
   alignment_ = aligner_.Align(partitions(), store_, &cursor, pool_.get(),
@@ -431,13 +439,63 @@ const AlignmentResult& StoryPivotEngine::AlignWith(
 }
 
 const AlignmentResult& StoryPivotEngine::alignment() const {
+  // Paying an owed alignment is a serial-section mutation.
+  serial_.AssertInSection();
+  if (owed_alignment_.has_value()) LogIfFailed(ComputeOwedAlignment());
   SP_CHECK(alignment_.has_value());
   return *alignment_;
 }
 
+Status StoryPivotEngine::OweAlignment(uint64_t stories) {
+  serial_.AssertInSection();  // Mutator: single-writer serial section.
+  const size_t total = TotalStories();
+  if (stories > total) {
+    return Status::Internal(StrFormat(
+        "an alignment of %llu integrated stories over %zu stories",
+        static_cast<unsigned long long>(stories), total));
+  }
+  alignment_.reset();  // Frees the previous alignment and its graph.
+  const StoryId base = next_story_id_.load(std::memory_order_relaxed);
+  next_story_id_.store(base + stories, std::memory_order_relaxed);
+  owed_alignment_ = OwedAlignment{base, stories};
+  stale_ = false;
+  return Status::OK();
+}
+
+Status StoryPivotEngine::SettleOwedAlignment() {
+  serial_.AssertInSection();  // Mutator: single-writer serial section.
+  if (!owed_alignment_.has_value()) return Status::OK();
+  return ComputeOwedAlignment();
+}
+
+Status StoryPivotEngine::ComputeOwedAlignment() const {
+  const OwedAlignment owed = *owed_alignment_;
+  owed_alignment_.reset();
+  WallTimer timer;
+  StoryId cursor = owed.base;
+  alignment_ = aligner_.Align(partitions(), store_, &cursor, pool_.get());
+  stats_.align_time_ms += timer.ElapsedMillis();
+  ++stats_.alignments_run;
+  if (alignment_->stories.size() == owed.stories) return Status::OK();
+  // The log and the engine disagree. Ids past the owed range were never
+  // drawn from the cursor; move it past them so none is handed out twice.
+  if (cursor > next_story_id_.load(std::memory_order_relaxed)) {
+    next_story_id_.store(cursor, std::memory_order_relaxed);
+  }
+  return Status::Internal(StrFormat(
+      "owed alignment has %zu integrated stories, the logged Align() had "
+      "%llu",
+      alignment_->stories.size(),
+      static_cast<unsigned long long>(owed.stories)));
+}
+
 RefinementStats StoryPivotEngine::Refine() {
   serial_.AssertInSection();  // Mutator: single-writer serial section.
-  if (stale_ || !alignment_.has_value()) Align();
+  if (owed_alignment_.has_value()) {
+    LogIfFailed(ComputeOwedAlignment());
+  } else if (stale_ || !alignment_.has_value()) {
+    Align();
+  }
   std::vector<StorySet*> mutable_partitions;
   std::vector<SourceId> order;
   for (const SourceInfo& info : sources_) order.push_back(info.id);
@@ -454,7 +512,7 @@ RefinementStats StoryPivotEngine::Refine() {
   next_story_id_.store(cursor, std::memory_order_relaxed);
   stats_.refine_time_ms += timer.ElapsedMillis();
   ++stats_.refinements_run;
-  stale_ = true;
+  MarkStale();
   // Refinement moved snippets between stories but changed neither the
   // snippet set nor DF, so the graph still holds.
   AlignWith(alignment_->graph);

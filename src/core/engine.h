@@ -214,22 +214,46 @@ class StoryPivotEngine {
   // --- Alignment & refinement --------------------------------------------
 
   /// Runs (or re-runs) story alignment across all sources and returns the
-  /// result. The result stays valid until the next mutation.
+  /// result. The result stays valid until the next mutation. An owed
+  /// alignment (OweAlignment) is dropped: the new one draws fresh ids.
   const AlignmentResult& Align();
 
-  /// True when an up-to-date alignment result is available.
+  /// True when an up-to-date alignment result is available, computed or
+  /// owed.
   bool has_alignment() const {
     serial_.AssertInSection();  // Single-writer read (DESIGN.md §13).
-    return alignment_.has_value() && !stale_;
+    return !stale_ && (alignment_.has_value() || owed_alignment_.has_value());
   }
 
-  /// Last alignment result; requires has_alignment().
+  /// Last alignment result; requires has_alignment(). An owed alignment
+  /// is computed here, on first read — a serial-section mutation despite
+  /// the const, like every other read of the single-writer engine.
   const AlignmentResult& alignment() const;
 
   /// One refinement pass using the current alignment (computing it if
-  /// needed), then re-aligns. The pass and the re-alignment reuse the
-  /// alignment's counterpart graph. Returns what the pass changed.
+  /// needed, from its owed ids if it is owed), then re-aligns. The pass
+  /// and the re-alignment reuse the alignment's counterpart graph.
+  /// Returns what the pass changed.
   RefinementStats Refine();
+
+  /// Replays a logged Align() that drew `stories` integrated-story ids
+  /// without computing it (DESIGN.md §10): the story-id cursor advances by
+  /// `stories`, has_alignment() turns true, and the first reader —
+  /// alignment(), Refine() or SettleOwedAlignment() — computes the
+  /// alignment from the cursor value before the advance. The alignment is
+  /// a pure function of the partitions, DF and that base, so the result
+  /// equals the logged Align()'s: same stories, ids, members, roles and
+  /// counterparts. Any mutation that makes the alignment stale drops an
+  /// owed one uncomputed. Fails with Internal, the engine unchanged, when
+  /// `stories` exceeds TotalStories() (Align() draws one id per integrated
+  /// story, and each holds at least one story).
+  [[nodiscard]] Status OweAlignment(uint64_t stories);
+
+  /// Computes an owed alignment now; OK when none is owed. Fails with
+  /// Internal when the computed alignment's story count differs from the
+  /// owed one. The alignment is kept either way, and the id cursor moves
+  /// past every id it holds, so no id is handed out twice.
+  [[nodiscard]] Status SettleOwedAlignment();
 
   // --- Introspection -----------------------------------------------------
 
@@ -298,6 +322,17 @@ class StoryPivotEngine {
     if (alignment_.has_value()) alignment_->graph.reset();
   }
 
+  /// Marks the alignment stale after a mutation; an owed one is dropped
+  /// without being computed.
+  void MarkStale() SP_REQUIRES(serial_) {
+    stale_ = true;
+    owed_alignment_.reset();
+  }
+
+  /// Computes the owed alignment into alignment_ (see OweAlignment).
+  /// Const so that alignment() can pay it; what it writes is mutable.
+  [[nodiscard]] Status ComputeOwedAlignment() const SP_REQUIRES(serial_);
+
   // SP_REQUIRES(serial_) is the compile-time form of the IngestObserver
   // contract: callbacks fire only from the engine's serial sections.
   // Code that has not declared itself serial cannot call these.
@@ -345,13 +380,26 @@ class StoryPivotEngine {
   std::unordered_map<SourceId, StorySet> partitions_;
   /// Next unassigned story id. Atomic so the parallel paths may read it
   /// concurrently; all stores happen in serial sections (relaxed order).
-  std::atomic<StoryId> next_story_id_ = 0;
+  /// Mutable for one store: an owed alignment computed by alignment()
+  /// that holds ids past its owed range moves the cursor past them.
+  mutable std::atomic<StoryId> next_story_id_ = 0;
   SourceId next_source_id_ SP_GUARDED_BY(serial_) = 0;
   /// Workers for AddSnippets / Align; null when num_threads <= 1.
   std::unique_ptr<ThreadPool> pool_;
-  std::optional<AlignmentResult> alignment_;
+  /// The computed alignment. Mutable, like owed_alignment_ and stats_,
+  /// because alignment() computes an owed one on first read.
+  mutable std::optional<AlignmentResult> alignment_;
+  /// An alignment owed by OweAlignment(): the story-id cursor value it
+  /// draws its ids from, and the story count the log recorded. Set only
+  /// while the alignment is current (!stale_), and then alignment_ is
+  /// empty.
+  struct OwedAlignment {
+    StoryId base = 0;
+    uint64_t stories = 0;
+  };
+  mutable std::optional<OwedAlignment> owed_alignment_ SP_GUARDED_BY(serial_);
   bool stale_ SP_GUARDED_BY(serial_) = true;
-  EngineStats stats_ SP_GUARDED_BY(serial_);
+  mutable EngineStats stats_ SP_GUARDED_BY(serial_);
   /// Snippet-mutation observer; nullptr when nothing is attached.
   IngestObserver* observer_ SP_GUARDED_BY(serial_) = nullptr;
 };

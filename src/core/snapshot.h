@@ -19,10 +19,17 @@ namespace storypivot {
 ///
 /// The output is canonical: two engines with identical state serialise to
 /// identical bytes, and Save(Load(Save(e))) == Save(e) byte for byte.
+/// Every row is appended to one string; numbers are printed by
+/// std::to_chars, so a term weight is the shortest text that reads back
+/// to the same double (exact, unlike the %g text of earlier writers, which
+/// kept 6 significant digits; for integer weights below 1e5 the two are
+/// the same bytes).
 ///
-/// The alignment result is not persisted: it is derived state and is
-/// recomputed with one `Align()` call after loading (cheap relative to
-/// identification).
+/// The alignment result is not persisted: it is derived state. A loaded
+/// engine has none until `Align()` runs, and that costs more than the
+/// load itself (a full alignment, counterpart graph included), which is
+/// why WAL recovery owes a logged alignment instead of recomputing it
+/// (DESIGN.md §10).
 [[nodiscard]] std::string SaveSnapshot(const StoryPivotEngine& engine);
 
 /// Atomically writes `SaveSnapshot(engine)` to `path` (temp file + fsync
@@ -36,7 +43,9 @@ namespace storypivot {
 /// Source, story and snippet ids are all preserved verbatim — write-ahead
 ///-log records replayed on top of a loaded checkpoint reference them —
 /// and future automatically assigned ids stay clear of adopted ones.
-/// Accepts v1 (no gazetteer rows) and v2 snapshots.
+/// Accepts v1 (no gazetteer rows) and v2 snapshots, including the %g
+/// weight text (e.g. `1e+06`) of earlier writers. Rows are read in one
+/// pass, as views over `contents`.
 [[nodiscard]] Result<std::unique_ptr<StoryPivotEngine>> LoadSnapshot(
     const std::string& contents, EngineConfig config = {});
 

@@ -54,11 +54,12 @@ Status ExportTsvToFile(const Corpus& corpus, const std::string& path) {
 namespace {
 
 /// Parses one data row into a snippet. Validation (field count, id,
-/// date, keyword weights) happens BEFORE any shared state is touched, so
-/// a rejected row leaves no trace in the vocabularies or source table —
-/// that is what makes permissive-mode quarantine safe. A keyword weight
-/// must parse as a finite number above 0; one without a ":weight" counts
-/// 1.
+/// date, keyword weights, truth) happens BEFORE any shared state is
+/// touched, so a rejected row leaves no trace in the vocabularies or
+/// source table — that is what makes permissive-mode quarantine safe. A
+/// keyword weight must parse as a finite number above 0; one without a
+/// ":weight" counts 1. The truth story is empty (unlabelled, -1) or an
+/// integer >= -1.
 Status ImportRow(const std::vector<std::string>& row, ImportedCorpus* out,
                  std::unordered_map<std::string, SourceId>* source_ids) {
   if (row.size() != 9) {
@@ -104,6 +105,13 @@ Status ImportRow(const std::vector<std::string>& row, ImportedCorpus* out,
     }
   }
 
+  int64_t truth = -1;
+  if (!row[8].empty() && (!ParseInt64(row[8], &truth) || truth < -1)) {
+    return Status::InvalidArgument("bad truth \"" + row[8] +
+                                   "\": want an integer >= -1 or nothing");
+  }
+  s.truth_story = truth;
+
   // Row is valid; from here on we may mutate shared state.
   auto [it, inserted] = source_ids->try_emplace(
       row[1], static_cast<SourceId>(source_ids->size()));
@@ -132,9 +140,6 @@ Status ImportRow(const std::vector<std::string>& row, ImportedCorpus* out,
   }
   s.description = row[6];
   s.document_url = row[7];
-  int64_t truth = -1;
-  if (!ParseInt64(row[8], &truth)) truth = -1;
-  s.truth_story = truth;
   out->snippets.push_back(std::move(s));
   return Status::OK();
 }

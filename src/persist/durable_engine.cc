@@ -479,6 +479,11 @@ Status DurableEngine::ReplayOp(const WalRecord& record,
       int64_t moved = dec.GetI64();
       int64_t split = dec.GetI64();
       RETURN_IF_ERROR(dec.Finish());
+      // Refine from the owed alignment's logged ids, checked against the
+      // logged count; a fresh Align() would draw new ids.
+      if (!engine->SettleOwedAlignment().ok()) {
+        return ReplayMismatch("Align story count", record.lsn);
+      }
       RefinementStats stats = engine->Refine();
       if (stats.snippets_moved != moved || stats.stories_split != split) {
         return ReplayMismatch("Refine outcome", record.lsn);
@@ -488,8 +493,10 @@ Status DurableEngine::ReplayOp(const WalRecord& record,
     case WalOp::kAlign: {
       uint64_t expected = dec.GetU64();
       RETURN_IF_ERROR(dec.Finish());
-      const AlignmentResult& aligned = engine->Align();
-      if (aligned.stories.size() != expected) {
+      // Owed, not computed: the record's count is the ids Align() drew,
+      // and a serving engine's first write would make the alignment stale
+      // unread. Its first reader computes it (DESIGN.md §10).
+      if (!engine->OweAlignment(expected).ok()) {
         return ReplayMismatch("Align story count", record.lsn);
       }
       return Status::OK();

@@ -56,7 +56,10 @@ enum class WalOp : uint8_t {
 ///     reproduces ids and story assignments bit for bit, for any
 ///     `EngineConfig::num_threads` (replay rides the engine's
 ///     deterministic parallel paths). Recorded result ids are verified
-///     during replay, so silent divergence is caught immediately.
+///     during replay, so silent divergence is caught immediately. A
+///     logged Align() is owed, not recomputed (StoryPivotEngine::
+///     OweAlignment): its story count is verified when the alignment is
+///     first computed (DESIGN.md §10).
 ///   * TORN TAIL, NOT TORN STATE — a crash mid-append leaves an
 ///     incomplete final record, which recovery truncates away; a CRC
 ///     mismatch anywhere else is reported as corruption, never dropped.

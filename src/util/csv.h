@@ -1,6 +1,7 @@
 #ifndef STORYPIVOT_UTIL_CSV_H_
 #define STORYPIVOT_UTIL_CSV_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -10,9 +11,14 @@
 
 namespace storypivot {
 
-/// Writes rows of fields as delimiter-separated lines. Fields containing
-/// the delimiter, a quote, or a newline are quoted and inner quotes doubled
-/// (RFC-4180 style, generalised to any single-char delimiter).
+/// Appends `field` to `out` as one delimiter-separated field. A field
+/// containing the delimiter, a quote, or a line break is quoted and inner
+/// quotes doubled (RFC-4180 style, generalised to any single-char
+/// delimiter). The one quoting rule of every DSV writer: DsvWriter and the
+/// snapshot writer (core/snapshot) both append through it.
+void AppendDsvField(std::string_view field, char delimiter, std::string* out);
+
+/// Writes rows of fields as delimiter-separated lines (AppendDsvField).
 class DsvWriter {
  public:
   explicit DsvWriter(char delimiter = '\t') : delimiter_(delimiter) {}
@@ -48,10 +54,27 @@ struct PermissiveDsv {
 };
 
 /// Parses delimiter-separated content produced by DsvWriter (or plain
-/// TSV/CSV without quotes).
+/// TSV/CSV without quotes). One grammar serves every entry point: a field
+/// that starts with a quote runs to the matching quote (doubled quotes
+/// are literal, line breaks included); anything else runs to the next
+/// delimiter or line break. `\n`, `\r\n` and a lone `\r` end a row; blank
+/// lines are no rows.
 class DsvReader {
  public:
   explicit DsvReader(char delimiter = '\t') : delimiter_(delimiter) {}
+
+  /// Called once per row with the 1-based line the row starts on and its
+  /// fields. The views are valid only during the call: unquoted fields
+  /// point into the parsed contents, quoted ones into a per-row buffer.
+  using RowVisitor = std::function<Status(
+      size_t line, const std::vector<std::string_view>& fields)>;
+
+  /// Visits every row of `contents` in order without materialising them.
+  /// A non-OK status from `visit` stops the parse and is returned. An
+  /// unterminated quoted field fails with InvalidArgument naming the line
+  /// it opened on — after the rows before it were visited.
+  [[nodiscard]] Status Visit(std::string_view contents,
+                             const RowVisitor& visit) const;
 
   /// Parses the full `contents` into rows of fields. Errors carry the
   /// 1-based line number of the offending input.

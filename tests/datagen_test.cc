@@ -398,6 +398,53 @@ TEST(GdeltExportTest, KeywordWeightsMustBeFinitePositiveNumbers) {
             std::string::npos);
 }
 
+TEST(GdeltExportTest, TruthMustBeEmptyOrAnIntegerOfAtLeastMinusOne) {
+  const std::string header =
+      "id\tsource\tevent_type\tevent_date\tentities\tkeywords"
+      "\tdescription\turl\ttruth\n";
+  auto row = [](size_t id, const char* source, const char* truth) {
+    return StrFormat("%zu\t%s\tAccident\t2014-07-17 13:20\tMH17\twar:1"
+                     "\td\tu\t%s\n",
+                     id, source, truth);
+  };
+  // Empty is unlabelled; -1 and any larger integer are kept as they are.
+  std::string tsv = header + row(1, "NYT", "") + row(2, "NYT", "-1") +
+                    row(3, "NYT", "0") + row(4, "NYT", "42");
+  const char* bad_truths[] = {"abc", " 3", "3 ", "-2", "1.5", "+", "0x1"};
+  for (size_t i = 0; i < std::size(bad_truths); ++i) {
+    tsv += row(i + 5, "BBC", bad_truths[i]);
+  }
+  ImportReport report;
+  Result<ImportedCorpus> imported = ImportTsvPermissive(tsv, &report);
+  ASSERT_TRUE(imported.ok());
+  const ImportedCorpus& corpus = imported.value();
+  ASSERT_EQ(corpus.snippets.size(), 4u);
+  EXPECT_EQ(corpus.snippets[0].truth_story, -1);
+  EXPECT_EQ(corpus.snippets[1].truth_story, -1);
+  EXPECT_EQ(corpus.snippets[2].truth_story, 0);
+  EXPECT_EQ(corpus.snippets[3].truth_story, 42);
+  ASSERT_EQ(report.skipped.size(), std::size(bad_truths));
+  for (size_t i = 0; i < report.skipped.size(); ++i) {
+    EXPECT_EQ(report.skipped[i].line, i + 6);
+    EXPECT_NE(report.skipped[i].reason.find("bad truth"), std::string::npos)
+        << report.skipped[i].reason;
+  }
+  // The quarantined rows touched no shared state: BBC never registered.
+  EXPECT_EQ(corpus.sources.size(), 1u);
+  // Strict mode fails the import on the first such row.
+  for (const char* bad : bad_truths) {
+    SCOPED_TRACE(bad);
+    Result<ImportedCorpus> strict =
+        ImportTsv(header + row(1, "NYT", "0") + row(2, "BBC", bad));
+    ASSERT_FALSE(strict.ok());
+    EXPECT_EQ(strict.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(std::string(strict.status().message()).find("bad truth"),
+              std::string::npos)
+        << strict.status().ToString();
+  }
+  ASSERT_TRUE(ImportTsv(header + row(1, "NYT", "") + row(2, "NYT", "7")).ok());
+}
+
 TEST(GdeltExportTest, PermissiveImportStillRejectsEmptyInput) {
   ImportReport report;
   EXPECT_FALSE(ImportTsvPermissive("", &report).ok());

@@ -2,7 +2,9 @@
 
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "persist/wal.h"
 #include "util/fs.h"
 #include "util/logging.h"
+#include "util/rng.h"
 
 namespace storypivot {
 namespace {
@@ -158,11 +161,11 @@ struct RecordedRun {
 /// gazetteer seeding, single and batched snippet adds, document ingestion
 /// with text extraction, snippet/document/source removal, refinement, and
 /// alignment.
-RecordedRun MakeRun(size_t total_ops) {
+RecordedRun MakeRun(size_t total_ops, uint64_t corpus_seed = 91) {
   SP_CHECK(total_ops >= 20);
   RecordedRun run;
   datagen::CorpusConfig config;
-  config.seed = 91;
+  config.seed = corpus_seed;
   config.num_sources = 3;
   config.num_stories = 8;
   config.target_num_snippets = static_cast<int>(total_ops + 150);
@@ -298,6 +301,38 @@ uint64_t RecordRun(const std::string& dir, const RecordedRun& run,
   uint64_t fingerprint = EngineStateFingerprint(engine.engine());
   SP_CHECK_OK(engine.Close());
   return fingerprint;
+}
+
+/// Equal alignments: the same integrated stories (ids, members, merged
+/// snippets) in the same order, and the same roles and counterparts.
+::testing::AssertionResult SameAlignment(const AlignmentResult& got,
+                                         const AlignmentResult& want) {
+  if (got.stories.size() != want.stories.size()) {
+    return ::testing::AssertionFailure()
+           << got.stories.size() << " integrated stories, want "
+           << want.stories.size();
+  }
+  for (size_t i = 0; i < got.stories.size(); ++i) {
+    const IntegratedStory& a = got.stories[i];
+    const IntegratedStory& b = want.stories[i];
+    if (a.id != b.id || a.members != b.members ||
+        a.merged.snippets() != b.merged.snippets()) {
+      return ::testing::AssertionFailure()
+             << "integrated story " << i << " has id " << a.id << ", want "
+             << b.id << " (or different members or snippets)";
+    }
+  }
+  if (got.integrated_of != want.integrated_of ||
+      got.member_index != want.member_index) {
+    return ::testing::AssertionFailure() << "different story membership";
+  }
+  if (got.roles != want.roles) {
+    return ::testing::AssertionFailure() << "different snippet roles";
+  }
+  if (got.counterpart != want.counterpart) {
+    return ::testing::AssertionFailure() << "different counterparts";
+  }
+  return ::testing::AssertionSuccess();
 }
 
 // --- WAL framing -----------------------------------------------------------
@@ -802,20 +837,27 @@ TEST(DurableEngineTest, KillPointAtEveryByteOffset) {
   ASSERT_OK(log.status());
   const std::string& bytes = log.value();
 
-  // Reference fingerprints: fp[k] = state after the first k operations.
+  // Reference fingerprints: fp[k] = state after the first k operations,
+  // and the eager alignment at every prefix that ends in an Align().
   std::vector<uint64_t> fp(kOps + 1);
+  std::map<size_t, AlignmentResult> aligned;
   StoryPivotEngine reference;
   fp[0] = EngineStateFingerprint(reference);
   for (size_t k = 0; k < kOps; ++k) {
     ASSERT_OK(Apply(run.ops[k], &reference));
     fp[k + 1] = EngineStateFingerprint(reference);
+    if (run.ops[k].kind == TestOpKind::kAlign) {
+      aligned.emplace(k + 1, reference.alignment());
+    }
   }
   ASSERT_EQ(fp[kOps], final_fingerprint);
+  ASSERT_GE(aligned.size(), 5u);
 
   const std::string crash_dir = FreshDir("killpoint_crash");
   const std::string crash_log =
       crash_dir + "/" + WriteAheadLog::SegmentName(0);
   size_t recoveries = 0;
+  size_t compared = 0;
   size_t last_prefix = static_cast<size_t>(-1);
   for (size_t len = 0; len <= bytes.size(); ++len) {
     Result<SegmentScan> scan =
@@ -837,10 +879,251 @@ TEST(DurableEngineTest, KillPointAtEveryByteOffset) {
     EXPECT_EQ(recovered.value()->next_lsn(), prefix);
     ASSERT_EQ(EngineStateFingerprint(recovered.value()->engine()), fp[prefix])
         << "recovered state diverges at prefix " << prefix;
+    // Right after a logged Align() the recovered engine owes it; its
+    // first read computes the logged alignment exactly.
+    if (auto it = aligned.find(prefix); it != aligned.end()) {
+      const StoryPivotEngine& engine = recovered.value()->engine();
+      ASSERT_TRUE(engine.has_alignment()) << "at prefix " << prefix;
+      ASSERT_TRUE(SameAlignment(engine.alignment(), it->second))
+          << "at prefix " << prefix;
+      ++compared;
+    }
     ASSERT_OK(recovered.value()->Close());
     ++recoveries;
   }
   EXPECT_EQ(recoveries, kOps + 1);
+  EXPECT_EQ(compared, aligned.size());
+}
+
+// --- Owed alignments -------------------------------------------------------
+//
+// Recovery replays a logged Align() by owing it: the story-id cursor
+// advances by the logged count and the first reader computes the
+// alignment from the cursor value before the advance. These compare the
+// owed alignment with the eager one a fresh engine computes from the same
+// ops.
+
+/// How the recorded log ends after its final Align().
+enum class AfterAlign { kNothing, kRefine, kRolledBackBatch };
+
+/// A batch AddSnippets refuses halfway (its second snippet reuses an id the
+/// engine holds), so the store and DF roll back.
+std::vector<Snippet> DoomedBatch(const RecordedRun& run,
+                                 const StoryPivotEngine& engine) {
+  std::vector<Snippet> batch(2, run.corpus.snippets.back());
+  batch[0].id = batch[1].id = kInvalidSnippetId;
+  engine.store().ForEach([&batch](const Snippet& held) {
+    batch[1].id = std::min(batch[1].id, held.id);
+  });
+  SP_CHECK(engine.store().Find(batch[1].id) != nullptr);
+  return batch;
+}
+
+TEST(OwedAlignmentTest, LazyReplayEqualsEagerAlignment) {
+  for (const size_t threads : {1u, 4u}) {
+    EngineConfig config;
+    config.num_threads = threads;
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      const RecordedRun run = MakeRun(160, 90 + seed);
+      Pcg32 rng(seed);
+      // Short of the run's closing RemoveSource, so every source is live.
+      const size_t ops = 60 + rng.NextBounded(90);
+      for (const AfterAlign after :
+           {AfterAlign::kNothing, AfterAlign::kRefine,
+            AfterAlign::kRolledBackBatch}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "threads " << threads << ", seed " << seed << ", "
+                     << ops << " ops, case " << static_cast<int>(after));
+        const std::string dir = FreshDir("owed");
+        StoryPivotEngine reference(config);
+        {
+          Result<std::unique_ptr<DurableEngine>> opened =
+              DurableEngine::Open(dir, FastOptions(), config);
+          ASSERT_OK(opened.status());
+          DurableEngine& durable = *opened.value();
+          for (size_t k = 0; k < ops; ++k) {
+            ASSERT_OK(Apply(run.ops[k], &durable));
+            ASSERT_OK(Apply(run.ops[k], &reference));
+          }
+          ASSERT_OK(durable.Align());
+          reference.Align();
+          if (after == AfterAlign::kRefine) {
+            ASSERT_OK(durable.Refine().status());
+            reference.Refine();
+          }
+          ASSERT_OK(durable.Close());
+        }
+        Result<std::unique_ptr<DurableEngine>> recovered =
+            DurableEngine::Open(dir, FastOptions(), config);
+        ASSERT_OK(recovered.status());
+        StoryPivotEngine& engine = recovered.value()->engine();
+        if (after == AfterAlign::kRolledBackBatch) {
+          EXPECT_FALSE(recovered.value()
+                           ->AddSnippets(DoomedBatch(run, engine))
+                           .ok());
+          EXPECT_FALSE(reference.AddSnippets(DoomedBatch(run, reference)).ok());
+        }
+        // The alignment stays owed until its first read, unless a
+        // replayed Refine() already computed it (and then re-aligned).
+        const uint64_t computed = engine.stats().alignments_run;
+        ASSERT_TRUE(engine.has_alignment());
+        EXPECT_TRUE(SameAlignment(engine.alignment(), reference.alignment()));
+        EXPECT_EQ(engine.stats().alignments_run,
+                  computed + (after == AfterAlign::kRefine ? 0u : 1u));
+        EXPECT_EQ(EngineStateFingerprint(engine),
+                  EngineStateFingerprint(reference));
+        EXPECT_EQ(engine.id_counters().next_story,
+                  reference.id_counters().next_story);
+        EXPECT_EQ(engine.id_counters().next_snippet,
+                  reference.id_counters().next_snippet);
+        ASSERT_OK(recovered.value()->Close());
+      }
+    }
+  }
+}
+
+TEST(OwedAlignmentTest, MutationDropsTheOwedAlignmentUncomputed) {
+  const RecordedRun run = MakeRun(120);
+  const std::string dir = FreshDir("owed_dropped");
+  const uint64_t recorded = RecordRun(dir, run, FastOptions());
+  {
+    Result<std::unique_ptr<DurableEngine>> opened =
+        DurableEngine::Open(dir, FastOptions());
+    ASSERT_OK(opened.status());
+    ASSERT_OK(opened.value()->Align());
+    ASSERT_OK(opened.value()->Close());
+  }
+  Result<std::unique_ptr<DurableEngine>> recovered =
+      DurableEngine::Open(dir, FastOptions());
+  ASSERT_OK(recovered.status());
+  DurableEngine& durable = *recovered.value();
+  EXPECT_EQ(EngineStateFingerprint(durable.engine()), recorded);
+  ASSERT_TRUE(durable.engine().has_alignment());
+  const uint64_t computed = durable.engine().stats().alignments_run;
+  const StoryId cursor = durable.engine().id_counters().next_story;
+  ASSERT_OK(durable.RemoveSnippet(durable.engine().store().next_id() - 1));
+  EXPECT_FALSE(durable.engine().has_alignment());
+  EXPECT_EQ(durable.engine().stats().alignments_run, computed);
+  // A fresh Align() draws new ids from the advanced cursor.
+  ASSERT_OK(durable.Align());
+  EXPECT_EQ(durable.engine().stats().alignments_run, computed + 1);
+  for (const IntegratedStory& story : durable.engine().alignment().stories) {
+    EXPECT_GE(story.id, cursor);
+  }
+  ASSERT_OK(durable.Close());
+}
+
+/// Copies the single-segment log in `from` into a fresh `to` directory,
+/// record by record through a new WAL (so each frame gets a fresh CRC),
+/// with the last kAlign record's story count moved by `delta` and the
+/// records after `keep` dropped.
+void CopyLogWithAlteredAlign(const std::string& from, const std::string& to,
+                             int64_t delta, size_t keep) {
+  Result<SegmentScan> scan = WriteAheadLog::ScanSegmentFile(from, 0);
+  SP_CHECK_OK(scan.status());
+  std::vector<std::string> payloads;
+  size_t last_align = payloads.size();
+  for (const persist::WalRecord& record : scan.value().records) {
+    if (static_cast<persist::WalOp>(record.payload[0]) ==
+        persist::WalOp::kAlign) {
+      last_align = payloads.size();
+    }
+    payloads.push_back(record.payload);
+  }
+  SP_CHECK(last_align < payloads.size());
+  persist::Decoder dec(payloads[last_align]);
+  dec.GetU8();
+  const uint64_t count = dec.GetU64();
+  SP_CHECK(static_cast<int64_t>(count) + delta >= 0);
+  persist::Encoder enc;
+  enc.PutU8(static_cast<uint8_t>(persist::WalOp::kAlign));
+  enc.PutU64(count + delta);
+  payloads[last_align] = enc.Release();
+  payloads.resize(keep);
+  Result<std::unique_ptr<WriteAheadLog>> wal =
+      WriteAheadLog::Open(to, persist::WalOptions{}, 0);
+  SP_CHECK_OK(wal.status());
+  for (const std::string& payload : payloads) {
+    const Result<uint64_t> appended = wal.value()->Append(payload);
+    SP_CHECK_OK(appended.status());
+  }
+  SP_CHECK_OK(wal.value()->Close());
+}
+
+TEST(OwedAlignmentTest, AlteredAlignCountBeforeRefineFailsOpen) {
+  const RecordedRun run = MakeRun(120);
+  const std::string dir = FreshDir("altered_record");
+  RecordRun(dir, run, FastOptions());
+  size_t ops = 0;
+  {
+    Result<std::unique_ptr<DurableEngine>> opened =
+        DurableEngine::Open(dir, FastOptions());
+    ASSERT_OK(opened.status());
+    ASSERT_OK(opened.value()->Align());
+    ASSERT_OK(opened.value()->Refine().status());
+    ops = opened.value()->next_lsn();
+    ASSERT_OK(opened.value()->Close());
+  }
+  for (const int64_t delta : {-1, 1}) {
+    SCOPED_TRACE(delta);
+    const std::string altered = FreshDir("altered_refine");
+    CopyLogWithAlteredAlign(dir, altered, delta, ops);
+    Result<std::unique_ptr<DurableEngine>> opened =
+        DurableEngine::Open(altered, FastOptions());
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kInternal);
+    EXPECT_NE(opened.status().message().find("Align story count"),
+              std::string::npos)
+        << opened.status().ToString();
+  }
+}
+
+TEST(OwedAlignmentTest, TrailingAlteredAlignRecoversAndNeverReusesAnId) {
+  const RecordedRun run = MakeRun(120);
+  const std::string dir = FreshDir("altered_trailing_record");
+  RecordRun(dir, run, FastOptions());
+  size_t ops = 0;
+  {
+    Result<std::unique_ptr<DurableEngine>> opened =
+        DurableEngine::Open(dir, FastOptions());
+    ASSERT_OK(opened.status());
+    ASSERT_OK(opened.value()->Align());
+    ops = opened.value()->next_lsn();
+    ASSERT_OK(opened.value()->Close());
+  }
+  // -3: the computed alignment holds more ids than the log says were
+  // drawn; +3: fewer. A count past the story total is refused outright.
+  for (const int64_t delta : {-3, 3}) {
+    SCOPED_TRACE(delta);
+    const std::string altered = FreshDir("altered_trailing");
+    CopyLogWithAlteredAlign(dir, altered, delta, ops);
+    Result<std::unique_ptr<DurableEngine>> opened =
+        DurableEngine::Open(altered, FastOptions());
+    ASSERT_OK(opened.status());
+    DurableEngine& durable = *opened.value();
+    ASSERT_TRUE(durable.engine().has_alignment());
+    std::set<StoryId> used;
+    for (const IntegratedStory& story : durable.engine().alignment().stories) {
+      used.insert(story.id);
+    }
+    for (const StorySet* partition : durable.engine().partitions()) {
+      partition->stories().ForEach(
+          [&used](StoryId id, const Story&) { used.insert(id); });
+    }
+    // Every id drawn from here on is new.
+    EXPECT_GT(durable.engine().id_counters().next_story, *used.rbegin());
+    ASSERT_OK(durable.Align());
+    for (const IntegratedStory& story : durable.engine().alignment().stories) {
+      EXPECT_FALSE(used.contains(story.id)) << "id " << story.id;
+    }
+    ASSERT_OK(durable.Close());
+  }
+  const std::string absurd = FreshDir("altered_absurd");
+  CopyLogWithAlteredAlign(dir, absurd, 1 << 30, ops);
+  Result<std::unique_ptr<DurableEngine>> opened =
+      DurableEngine::Open(absurd, FastOptions());
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInternal);
 }
 
 }  // namespace

@@ -553,6 +553,51 @@ TEST(DsvTest, CrLfHandling) {
   EXPECT_EQ(rows.value()[1][0], "c");
 }
 
+TEST(DsvTest, CrLfLineNumbersCountEveryLine) {
+  DsvReader reader(',');
+  auto rows = reader.Parse("a,b\r\nc,d\r\ne,\"unclosed");
+  ASSERT_FALSE(rows.ok());
+  EXPECT_NE(rows.status().message().find("line 3"), std::string::npos)
+      << rows.status().ToString();
+  PermissiveDsv parsed =
+      reader.ParsePermissive("h\r\n\"multi\r\nline\",x\r\nlast,y\r\n");
+  EXPECT_EQ(parsed.row_lines, (std::vector<size_t>{1, 2, 4}));
+  ASSERT_EQ(parsed.rows.size(), 3u);
+  EXPECT_EQ(parsed.rows[1][0], "multi\r\nline");  // Quoted: kept as is.
+}
+
+TEST(DsvTest, VisitReadsRowsInPlace) {
+  const std::string input =
+      "plain,\"quo\"\"ted\",\"multi\nline\"x\n\nlast,\n";
+  DsvReader reader(',');
+  std::vector<std::vector<std::string>> rows;
+  std::vector<size_t> lines;
+  ASSERT_TRUE(reader
+                  .Visit(input,
+                         [&](size_t line,
+                             const std::vector<std::string_view>& fields) {
+                           lines.push_back(line);
+                           rows.emplace_back(fields.begin(), fields.end());
+                           // Unquoted fields are views into the input.
+                           if (line == 1) {
+                             EXPECT_EQ(fields[0].data(), input.data());
+                           }
+                           return Status::OK();
+                         })
+                  .ok());
+  EXPECT_EQ(rows, (std::vector<std::vector<std::string>>{
+                      {"plain", "quo\"ted", "multi\nlinex"}, {"last", ""}}));
+  EXPECT_EQ(lines, (std::vector<size_t>{1, 4}));
+  // A visitor's error stops the parse and is returned.
+  size_t seen = 0;
+  Status stopped = reader.Visit(
+      "a\nb\nc\n", [&seen](size_t, const std::vector<std::string_view>&) {
+        return ++seen == 2 ? Status::Internal("stop") : Status::OK();
+      });
+  EXPECT_EQ(stopped.code(), StatusCode::kInternal);
+  EXPECT_EQ(seen, 2u);
+}
+
 TEST(DsvTest, FileRoundTrip) {
   std::string path = ::testing::TempDir() + "/sp_dsv_test.tsv";
   DsvWriter writer('\t');
