@@ -3,7 +3,10 @@
 //
 //   1. Logged-ingest throughput across fsync policies (every-record,
 //      every-64, on-rotate) against the plain in-memory engine baseline —
-//      the price of the durability guarantee per acknowledged op.
+//      the price of the durability guarantee per acknowledged op. Plain
+//      and logged ingests run in alternating pairs, so slow drift of the
+//      host cancels out of each pair's ratio; the row records the median
+//      and quartiles of those ratios.
 //   2. Recovery latency as a function of WAL length when the whole state
 //      must be replayed (no checkpoint).
 //   3. Recovery latency for the same stream with a checkpoint near the
@@ -16,9 +19,9 @@
 //      tail, then a logged Align(). Recovery owes the alignment; the
 //      first alignment() read pays it.
 //
-// Every time is the median of kRuns runs. Writes BENCH_recovery.json; with
-// --smoke (CI) the corpora shrink and the JSON is printed instead
-// (EmitBenchJson).
+// Every other time is the median of kRuns runs. Writes
+// BENCH_recovery.json; with --smoke (CI) the corpora shrink and the JSON
+// is printed instead (EmitBenchJson).
 
 #include <cstdio>
 #include <cstring>
@@ -40,6 +43,9 @@ namespace {
 
 /// Runs per measurement; every time reported is their median.
 constexpr int kRuns = 5;
+
+/// Plain/logged pairs per fsync policy in experiment 1.
+constexpr int kIngestPairs = 9;
 
 /// Snippets per AddSnippets batch in experiments 4 and 5, as perfbench
 /// ingests.
@@ -84,9 +90,12 @@ void RemoveDirRecursive(const std::string& path) {
 
 struct IngestResult {
   std::string policy;
+  /// Medians of the logged and of the plain runs.
   double ingest_ms = 0.0;
+  double plain_ms = 0.0;
   double ops_per_s = 0.0;
-  double overhead_vs_plain = 0.0;
+  /// Quartiles of the per-pair ratio logged / plain.
+  Quartiles overhead_vs_plain;
   uint64_t wal_bytes = 0;
 };
 
@@ -139,6 +148,22 @@ std::unique_ptr<persist::DurableEngine> OpenDurable(
       persist::DurableEngine::Open(dir, options);
   SP_CHECK_OK(opened.status());
   return std::move(opened).value();
+}
+
+/// Feeds the corpus through a plain in-memory engine; returns the wall
+/// time of the whole ingest.
+double PlainIngestMillis(const datagen::Corpus& corpus) {
+  WallTimer timer;
+  StoryPivotEngine plain;
+  SP_CHECK_OK(plain.ImportVocabularies(*corpus.entity_vocabulary,
+                                       *corpus.keyword_vocabulary));
+  for (const SourceInfo& s : corpus.sources) plain.RegisterSource(s.name);
+  for (const Snippet& snippet : corpus.snippets) {
+    Snippet copy = snippet;
+    copy.id = kInvalidSnippetId;
+    SP_CHECK_OK(plain.AddSnippet(std::move(copy)));
+  }
+  return timer.ElapsedMillis();
 }
 
 /// Feeds the corpus through a DurableEngine under `options`; returns the
@@ -273,21 +298,8 @@ void Run(bool smoke) {
   const size_t total_ops =
       corpus.snippets.size() + corpus.sources.size() + 1;
 
-  // ---- 1. Logged-ingest throughput by fsync policy.
-  const double plain_ms = MedianMillis([&] {
-    StoryPivotEngine plain;
-    SP_CHECK_OK(plain.ImportVocabularies(*corpus.entity_vocabulary,
-                                         *corpus.keyword_vocabulary));
-    for (const SourceInfo& s : corpus.sources) plain.RegisterSource(s.name);
-    for (const Snippet& snippet : corpus.snippets) {
-      Snippet copy = snippet;
-      copy.id = kInvalidSnippetId;
-      SP_CHECK_OK(plain.AddSnippet(std::move(copy)));
-    }
-  });
-  std::printf("plain engine baseline: %zu ops in %.1f ms (%.0f ops/s)\n\n",
-              total_ops, plain_ms, 1000.0 * total_ops / plain_ms);
-
+  // ---- 1. Logged-ingest throughput by fsync policy, each logged ingest
+  // paired with a plain one; the pairs alternate which runs first.
   struct Policy {
     const char* name;
     persist::FsyncPolicy fsync;
@@ -298,28 +310,47 @@ void Run(bool smoke) {
       {"on-rotate", persist::FsyncPolicy::kOnRotate},
   };
   std::vector<IngestResult> ingest;
-  std::printf("%14s %12s %12s %14s %12s\n", "fsync policy", "ingest ms",
-              "ops/s", "vs plain", "wal bytes");
+  std::vector<double> all_plain;
+  std::printf("%zu ops per ingest, %d plain/logged pairs per policy\n\n",
+              total_ops, kIngestPairs);
+  std::printf("%14s %12s %12s %12s %22s %12s\n", "fsync policy",
+              "ingest ms", "plain ms", "ops/s", "vs plain (q1 med q3)",
+              "wal bytes");
   for (const Policy& policy : policies) {
     persist::DurabilityOptions options;
     options.wal.fsync = policy.fsync;
     IngestResult r;
     r.policy = policy.name;
     std::string dir;
-    std::vector<double> ms;
-    for (int run = 0; run < kRuns; ++run) {
+    std::vector<double> logged, plain, ratio;
+    for (int pair = 0; pair < kIngestPairs; ++pair) {
       dir = FreshDir(std::string("ingest_") + policy.name);
-      ms.push_back(LoggedIngestMillis(corpus, dir, options));
+      double plain_ms = 0.0, logged_ms = 0.0;
+      if (pair % 2 == 0) {
+        plain_ms = PlainIngestMillis(corpus);
+        logged_ms = LoggedIngestMillis(corpus, dir, options);
+      } else {
+        logged_ms = LoggedIngestMillis(corpus, dir, options);
+        plain_ms = PlainIngestMillis(corpus);
+      }
+      logged.push_back(logged_ms);
+      plain.push_back(plain_ms);
+      all_plain.push_back(plain_ms);
+      ratio.push_back(logged_ms / plain_ms);
     }
-    r.ingest_ms = Summarize(ms).median;
+    r.ingest_ms = Summarize(logged).median;
+    r.plain_ms = Summarize(plain).median;
     r.ops_per_s = 1000.0 * total_ops / r.ingest_ms;
-    r.overhead_vs_plain = r.ingest_ms / plain_ms;
+    r.overhead_vs_plain = Summarize(ratio);
     r.wal_bytes = DirBytes(dir);
-    std::printf("%14s %12.1f %12.0f %13.2fx %12llu\n", policy.name,
-                r.ingest_ms, r.ops_per_s, r.overhead_vs_plain,
+    std::printf("%14s %12.1f %12.1f %12.0f %8.3f %6.3f %6.3f %12llu\n",
+                policy.name, r.ingest_ms, r.plain_ms, r.ops_per_s,
+                r.overhead_vs_plain.q1, r.overhead_vs_plain.median,
+                r.overhead_vs_plain.q3,
                 static_cast<unsigned long long>(r.wal_bytes));
     ingest.push_back(r);
   }
+  const double plain_ms = Summarize(all_plain).median;
 
   // ---- 2. Full-replay recovery latency vs log length.
   persist::DurabilityOptions options;
@@ -378,16 +409,19 @@ void Run(bool smoke) {
 
   std::string json = StrFormat(
       "{\"bench\":\"recovery\",\"smoke\":%s,\"hardware_threads\":%u,"
-      "\"runs\":%d,\"total_ops\":%zu,\"plain_ingest_ms\":%.2f,\"ingest\":[",
+      "\"runs\":%d,\"ingest_pairs\":%d,\"total_ops\":%zu,"
+      "\"plain_ingest_ms\":%.2f,\"ingest\":[",
       smoke ? "true" : "false", std::thread::hardware_concurrency(), kRuns,
-      total_ops, plain_ms);
+      kIngestPairs, total_ops, plain_ms);
   for (size_t i = 0; i < ingest.size(); ++i) {
     const IngestResult& r = ingest[i];
     json += StrFormat(
-        "%s{\"fsync\":\"%s\",\"ingest_ms\":%.2f,\"ops_per_s\":%.1f,"
-        "\"overhead_vs_plain\":%.3f,\"wal_bytes\":%llu}",
-        i == 0 ? "" : ",", r.policy.c_str(), r.ingest_ms, r.ops_per_s,
-        r.overhead_vs_plain, static_cast<unsigned long long>(r.wal_bytes));
+        "%s{\"fsync\":\"%s\",\"ingest_ms\":%.2f,\"plain_ms\":%.2f,"
+        "\"ops_per_s\":%.1f,\"overhead_vs_plain\":%.3f,"
+        "\"overhead_q1\":%.3f,\"overhead_q3\":%.3f,\"wal_bytes\":%llu}",
+        i == 0 ? "" : ",", r.policy.c_str(), r.ingest_ms, r.plain_ms,
+        r.ops_per_s, r.overhead_vs_plain.median, r.overhead_vs_plain.q1,
+        r.overhead_vs_plain.q3, static_cast<unsigned long long>(r.wal_bytes));
   }
   json += "],\"recovery\":[";
   for (size_t i = 0; i < recoveries.size(); ++i) {

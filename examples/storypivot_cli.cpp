@@ -271,10 +271,11 @@ void PrintEngineSummary(StoryPivotEngine& engine) {
   integrated.resize(shown);
   std::printf("%s", viz::RenderStoryTable(integrated).c_str());
   std::printf("\n%zu snippets, %zu per-source stories, %zu integrated "
-              "stories; SI %.1f ms, align %.1f ms\n",
+              "stories; SI %.1f ms wall (%.1f ms summed over shards), "
+              "align %.1f ms\n",
               engine.store().size(), engine.TotalStories(),
               engine.alignment().stories.size(),
-              engine.stats().identify_time_ms,
+              engine.stats().identify_time_ms, engine.stats().identify_cpu_ms,
               engine.stats().align_time_ms);
   // Quality, when the corpus carried ground truth.
   bool has_truth = false;

@@ -203,11 +203,12 @@ int main(int argc, char** argv) {
       engine->Align();
     } else if (command == "stats") {
       const EngineStats& stats = engine->stats();
-      std::printf("  ingested %llu, removed %llu, SI %.1f ms, "
-                  "%llu aligns (%.1f ms), %llu refines\n",
+      std::printf("  ingested %llu, removed %llu, SI %.1f ms wall (%.1f ms "
+                  "summed over shards), %llu aligns (%.1f ms), %llu "
+                  "refines\n",
                   static_cast<unsigned long long>(stats.snippets_ingested),
                   static_cast<unsigned long long>(stats.snippets_removed),
-                  stats.identify_time_ms,
+                  stats.identify_time_ms, stats.identify_cpu_ms,
                   static_cast<unsigned long long>(stats.alignments_run),
                   stats.align_time_ms,
                   static_cast<unsigned long long>(stats.refinements_run));

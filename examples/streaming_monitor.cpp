@@ -226,11 +226,11 @@ int main(int argc, char** argv) {
                   t.burst_ratio, t.recent_count, entities.c_str());
     }
   }
-  std::printf("engine totals: %llu ingested, SI %.1f ms, %llu alignments "
-              "(%.1f ms)\n",
+  std::printf("engine totals: %llu ingested, SI %.1f ms wall (%.1f ms "
+              "summed over shards), %llu alignments (%.1f ms)\n",
               static_cast<unsigned long long>(
                   engine.stats().snippets_ingested),
-              engine.stats().identify_time_ms,
+              engine.stats().identify_time_ms, engine.stats().identify_cpu_ms,
               static_cast<unsigned long long>(engine.stats().alignments_run),
               engine.stats().align_time_ms);
   if (durable) {

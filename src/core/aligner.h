@@ -60,6 +60,53 @@ struct IntegratedStory {
   Story merged;
 };
 
+/// What one Align() leaves for a later Align() over the same snippets
+/// under the same DF, such as the re-alignment that ends Refine(): the
+/// counterpart graph and, from a run given no previous result, each story
+/// node's (source, story id, stamp) and integrated story, its band keys
+/// and keyword norm, and every candidate pair the run considered, with
+/// whether the story kernel ran and whether the pair was an edge. The
+/// later run reuses the entries of every story whose stamp is unchanged
+/// and finds and scores only the pairs that involve a changed story
+/// (DESIGN.md §4.3). Only StoryAligner reads or writes it.
+class AlignmentRecord {
+ private:
+  friend class StoryAligner;
+
+  struct Node {
+    SourceId source = kInvalidSourceId;
+    /// Index of the node's integrated story in the run's result.
+    uint32_t integrated = 0;
+    StoryId story = kInvalidStoryId;
+    uint64_t stamp = 0;
+  };
+  /// Candidate pair (i, j) of node indices; `flags` holds kKernel and
+  /// kEdge. Eight bytes: a run has fewer than 2^30 nodes.
+  struct Pair {
+    uint32_t i = 0;
+    uint32_t j : 30 = 0;
+    uint32_t flags : 2 = 0;
+  };
+  /// The story kernel ran (the spans are within kTemporalTolerance), so
+  /// SimilarityModel::num_comparisons() counted the pair.
+  static constexpr uint8_t kKernel = 1;
+  /// The pair scored at or above the alignment threshold.
+  static constexpr uint8_t kEdge = 2;
+
+  /// Which candidate generator the run used (more than kLshMinStories
+  /// nodes). A later run reuses the record only with the same generator.
+  bool lsh_mode = false;
+  /// Empty in the record of a run that was given a previous result.
+  std::vector<Node> nodes;
+  /// kLshBands keys per node, node-major; empty in all-pairs mode.
+  std::vector<uint64_t> band_keys;
+  std::vector<double> keyword_norms;
+  std::vector<Pair> pairs;
+  /// The counterpart graph of the run, owned here so that the result's
+  /// `graph` and `record` are two handles on one record.
+  std::shared_ptr<const CounterpartGraph> graph;
+};
+
 /// Output of one alignment run.
 struct AlignmentResult {
   std::vector<IntegratedStory> stories;
@@ -71,13 +118,21 @@ struct AlignmentResult {
   std::unordered_map<SnippetId, SnippetId> counterpart;
   /// (source, story) -> index into `stories`.
   std::unordered_map<uint64_t, size_t> member_index;
-  /// Story pairs actually scored (work indicator for the benches).
+  /// Story pairs actually scored (work indicator for the benches). A pair
+  /// taken from a record counts as scored, so the count equals a fresh
+  /// run's.
   uint64_t num_pairs_scored = 0;
+  /// Of num_pairs_scored, the pairs of two unchanged stories whose
+  /// candidate status and edge bit came from a previous result's record.
+  uint64_t num_pairs_reused = 0;
   /// The snippet counterpart graph the roles came from, kept for the
   /// Refine() that follows. Align() always sets it. Valid only while the
   /// snippet set and DF are unchanged; the engine drops it at the next
   /// snippet mutation.
   std::shared_ptr<const CounterpartGraph> graph;
+  /// This run's reuse record. It owns `graph`, which is a handle on it:
+  /// neither outlives the other, and the engine drops both together.
+  std::shared_ptr<const AlignmentRecord> record;
 
   /// Integrated story containing per-source story (source, id), or
   /// SIZE_MAX.
@@ -122,13 +177,19 @@ class StoryAligner {
   /// counterpart graph's rows fan out across the pool; candidate pairs
   /// are enumerated in a fixed order and edges applied in that order, so
   /// the result is bit-identical to the serial path for every thread
-  /// count (see DESIGN.md §9). A non-null `graph` is used instead of
-  /// building one; it must cover the same snippets under the same DF.
-  AlignmentResult Align(
-      const std::vector<const StorySet*>& partitions,
-      const SnippetStore& store, StoryId* next_story_id,
-      ThreadPool* pool = nullptr,
-      std::shared_ptr<const CounterpartGraph> graph = nullptr) const;
+  /// count (see DESIGN.md §9). A `previous` result with a record, from
+  /// an earlier Align() over the same snippets under the same DF, is taken
+  /// apart: its record supplies the counterpart graph and, when both runs
+  /// use the same candidate generator, the keys, norms and pair outcomes
+  /// of every story whose stamp is unchanged, and an integrated story
+  /// whose member stories all kept their stamps and made up one whole
+  /// integrated story of `previous` takes over that story's merged view.
+  /// The result's record then holds only the graph. The result equals a
+  /// fresh run's either way, num_pairs_reused aside.
+  AlignmentResult Align(const std::vector<const StorySet*>& partitions,
+                        const SnippetStore& store, StoryId* next_story_id,
+                        ThreadPool* pool = nullptr,
+                        AlignmentResult previous = {}) const;
 
   const AlignmentConfig& config() const { return config_; }
 
@@ -139,9 +200,11 @@ class StoryAligner {
 
   /// StoryPairScore(a, b) through SimilarityModel's cached story kernel,
   /// with each story's keyword norm from `idf.SquaredNorm`: the same
-  /// bits.
+  /// bits. A non-null `kernel_ran` is set to whether the spans met, so
+  /// that the story kernel ran and counted a comparison.
   double StoryPairScore(const Story& a, double a_norm, const Story& b,
-                        double b_norm, const IdfTable& idf) const;
+                        double b_norm, const IdfTable& idf,
+                        bool* kernel_ran = nullptr) const;
 
  private:
   const SimilarityModel* model_;

@@ -243,7 +243,9 @@ Result<SnippetId> StoryPivotEngine::AddSnippet(Snippet snippet) {
   StoryId cursor = next_story_id_.load(std::memory_order_relaxed);
   identifier_->Identify(*stored, partition, store_, &cursor);
   next_story_id_.store(cursor, std::memory_order_relaxed);
-  stats_.identify_time_ms += timer.ElapsedMillis();
+  const double identify_ms = timer.ElapsedMillis();
+  stats_.identify_time_ms += identify_ms;
+  stats_.identify_cpu_ms += identify_ms;
   ++stats_.snippets_ingested;
   DropCounterpartGraph();
   MarkStale();
@@ -329,13 +331,10 @@ Result<std::vector<SnippetId>> StoryPivotEngine::AddSnippets(
   // Serial epilogue: advance the id space past every shard's block and
   // merge per-shard outcomes in shard order (deterministic).
   next_story_id_.store(block_base + offset, std::memory_order_relaxed);
-  double identify_ms = 0.0;
+  stats_.identify_time_ms += batch_wall_ms;
   for (size_t i = 0; i < shards.size(); ++i) {
-    identify_ms += results[i].identify_time_ms;
+    stats_.identify_cpu_ms += results[i].identify_time_ms;
   }
-  // Report the larger of summed per-shard time and batch wall time: with
-  // one thread they coincide; with several, the sum is the work done.
-  stats_.identify_time_ms += std::max(identify_ms, batch_wall_ms);
   stats_.snippets_ingested += stored.size();
   DropCounterpartGraph();
   MarkStale();
@@ -420,17 +419,16 @@ Status StoryPivotEngine::RemoveSnippet(SnippetId id) {
   return Status::OK();
 }
 
-const AlignmentResult& StoryPivotEngine::Align() { return AlignWith(nullptr); }
+const AlignmentResult& StoryPivotEngine::Align() { return AlignWith({}); }
 
-const AlignmentResult& StoryPivotEngine::AlignWith(
-    std::shared_ptr<const CounterpartGraph> graph) {
+const AlignmentResult& StoryPivotEngine::AlignWith(AlignmentResult previous) {
   serial_.AssertInSection();  // Mutator: single-writer serial section.
   WallTimer timer;
   owed_alignment_.reset();  // Replaced: this alignment draws fresh ids.
   DropCounterpartGraph();  // At most one graph alive while building.
   StoryId cursor = next_story_id_.load(std::memory_order_relaxed);
   alignment_ = aligner_.Align(partitions(), store_, &cursor, pool_.get(),
-                              std::move(graph));
+                              std::move(previous));
   next_story_id_.store(cursor, std::memory_order_relaxed);
   stats_.align_time_ms += timer.ElapsedMillis();
   ++stats_.alignments_run;
@@ -514,8 +512,9 @@ RefinementStats StoryPivotEngine::Refine() {
   ++stats_.refinements_run;
   MarkStale();
   // Refinement moved snippets between stories but changed neither the
-  // snippet set nor DF, so the graph still holds.
-  AlignWith(alignment_->graph);
+  // snippet set nor DF, so the alignment's graph still holds, and so does
+  // its work on every story the pass left unchanged.
+  AlignWith(std::move(*alignment_));
   return stats;
 }
 

@@ -53,7 +53,14 @@ struct EngineStats {
   uint64_t documents_ingested = 0;
   uint64_t alignments_run = 0;
   uint64_t refinements_run = 0;
+  /// Wall-clock time of story identification: each AddSnippet's, and
+  /// each AddSnippets batch's from the start of its identification phase
+  /// to the end of its last shard.
   double identify_time_ms = 0.0;
+  /// The per-shard identification times summed. Equals identify_time_ms
+  /// for AddSnippet; with several engine threads, shards overlap and the
+  /// sum exceeds the wall time.
+  double identify_cpu_ms = 0.0;
   double align_time_ms = 0.0;
   double refine_time_ms = 0.0;
 };
@@ -232,7 +239,8 @@ class StoryPivotEngine {
 
   /// One refinement pass using the current alignment (computing it if
   /// needed, from its owed ids if it is owed), then re-aligns. The pass
-  /// and the re-alignment reuse the alignment's counterpart graph.
+  /// and the re-alignment reuse the alignment's counterpart graph, and
+  /// the re-alignment recomputes only the stories the pass changed.
   /// Returns what the pass changed.
   RefinementStats Refine();
 
@@ -310,16 +318,20 @@ class StoryPivotEngine {
   /// Removes `snippet` and split-checks the story it leaves.
   void RemoveSnippetInternal(const Snippet& snippet) SP_REQUIRES(serial_);
 
-  /// Align() with `graph` (when non-null) in place of a fresh counterpart
-  /// graph; it must cover the current snippets under the current DF.
-  const AlignmentResult& AlignWith(
-      std::shared_ptr<const CounterpartGraph> graph);
+  /// Align(), reusing `previous` (when it has a record): the alignment
+  /// over the current snippets under the current DF that this one
+  /// replaces. Its graph, its per-story work and the merged views of the
+  /// integrated stories left whole are taken over.
+  const AlignmentResult& AlignWith(AlignmentResult previous);
 
-  /// Frees the last alignment's counterpart graph. Snippet mutations call
-  /// it: the graph no longer matches the snippet set, and a serving
-  /// engine should not hold one between writes.
+  /// Frees the last alignment's counterpart graph and the reuse record
+  /// that shares its allocation. Snippet mutations call it: neither
+  /// matches the new snippet set and DF, and a serving engine should not
+  /// hold them between writes.
   void DropCounterpartGraph() {
-    if (alignment_.has_value()) alignment_->graph.reset();
+    if (!alignment_.has_value()) return;
+    alignment_->graph.reset();
+    alignment_->record.reset();
   }
 
   /// Marks the alignment stale after a mutation; an owed one is dropped

@@ -31,8 +31,8 @@ struct IngestShard {
 
 /// What identifying one shard produced.
 struct IngestShardResult {
-  /// Wall-clock this shard spent in identification. Accumulated
-  /// per-shard (per-thread) and summed into EngineStats serially.
+  /// Wall-clock this shard spent in identification, on whichever thread
+  /// ran it. Summed serially into EngineStats::identify_cpu_ms.
   double identify_time_ms = 0.0;
 };
 

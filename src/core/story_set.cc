@@ -10,6 +10,7 @@ namespace storypivot {
 Story& StorySet::CreateStory(StoryId id) {
   auto [story, inserted] = stories_.Emplace(id, Story(id));
   SP_CHECK(inserted);
+  story->set_stamp(++last_stamp_);
   return *story;
 }
 
@@ -18,6 +19,7 @@ void StorySet::AddSnippetToStory(const Snippet& snippet, StoryId story_id) {
   SP_CHECK(story != nullptr);
   SP_CHECK(!story_of_.contains(snippet.id));
   story->AddSnippet(snippet);
+  story->set_stamp(++last_stamp_);
   story_of_.Emplace(snippet.id, story_id);
   snippet_times_.Insert(snippet.timestamp, snippet.id);
   entity_index_.Add(snippet.id, snippet.entities);
@@ -41,6 +43,7 @@ void StorySet::RemoveSnippet(const Snippet& snippet,
     survivors.push_back(s);
   }
   story->RemoveSnippet(snippet, survivors);
+  story->set_stamp(++last_stamp_);
   const bool story_empty = story->empty();
   story_of_.Erase(snippet.id);
   // The snippet was assigned, so the temporal index must know it.
@@ -66,6 +69,7 @@ StoryId StorySet::MergeStories(const std::vector<StoryId>& ids) {
     }
     Story* survivor = stories_.FindMutable(survivor_id);
     survivor->MergeFrom(victim);
+    survivor->set_stamp(++last_stamp_);
   }
   return survivor_id;
 }
@@ -90,7 +94,7 @@ std::vector<StoryId> StorySet::SplitStory(
   stories_.Erase(story_id);
   for (size_t c = 0; c < components.size(); ++c) {
     StoryId id = (c == 0) ? story_id : (*next_story_id)++;
-    Story& story = CreateStory(id);
+    Story& story = CreateStory(id);  // A fresh stamp, the first id's too.
     for (SnippetId sid : components[c]) {
       const Snippet* snippet = store.Find(sid);
       SP_CHECK(snippet != nullptr);
@@ -132,6 +136,7 @@ StorySet StorySet::Freeze() const {
   frozen.story_of_ = story_of_;
   frozen.snippet_times_ = snippet_times_;
   frozen.entity_index_ = entity_index_.Freeze();
+  frozen.last_stamp_ = last_stamp_;
   return frozen;
 }
 

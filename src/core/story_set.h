@@ -18,7 +18,9 @@ namespace storypivot {
 /// a temporal index over the source's snippets and an entity inverted
 /// index for candidate pruning. Maintains the snippet -> story assignment
 /// and keeps every Story's aggregates in sync through adds, removals,
-/// merges and splits.
+/// merges and splits. Each story it creates or mutates gets the next
+/// value of a partition-wide counter as its stamp (Story::stamp), which
+/// the re-alignment after Refine() compares to skip unchanged stories.
 ///
 /// All state is held in copy-on-write persistent structures, so Freeze()
 /// produces an O(1) snapshot that later mutations cannot reach
@@ -97,6 +99,9 @@ class StorySet {
   cow::PersistentMap<SnippetId, StoryId> story_of_;
   TemporalIndex snippet_times_;
   InvertedIndex entity_index_;
+  /// The last stamp handed out. Only goes up, so a story re-created
+  /// under an old id (SplitStory) never gets back a stamp it had before.
+  uint64_t last_stamp_ = 0;
 };
 
 }  // namespace storypivot

@@ -267,9 +267,6 @@ Corpus CorpusGenerator::Generate() {
     std::vector<double> word_cum = PrefixSums(ep.word_weights);
     int domain = world.topics()[story.topic].domain;
 
-    // Index into `pending` of this event's first report (for syndication
-    // copies). An index, not a pointer: push_back reallocates.
-    ptrdiff_t first_report_index = -1;
     for (int s = 0; s < config_.num_sources; ++s) {
       const SourceSpec& spec = specs[s];
       double p = config_.coverage_base * spec.domain_affinity[domain];
@@ -287,22 +284,6 @@ Corpus CorpusGenerator::Generate() {
       out.arrival = event.time + static_cast<Timestamp>(
                                      rng.NextExponential(
                                          spec.delay_mean_secs));
-
-      // Syndication: run the first report's copy verbatim (same content
-      // and event timestamp; only source and arrival differ).
-      if (first_report_index >= 0 &&
-          rng.NextBernoulli(config_.syndication_rate)) {
-        const Snippet& first_report = pending[first_report_index].snippet;
-        snip.timestamp = first_report.timestamp;
-        snip.entities = first_report.entities;
-        snip.keywords = first_report.keywords;
-        snip.description = first_report.description;
-        snip.document_url =
-            StrFormat("http://%s.example.com/%d-%d", "wire",
-                      static_cast<int>(pending.size()), s);
-        pending.push_back(std::move(out));
-        continue;
-      }
 
       // Entities with drop/add noise.
       std::vector<text::TermVector::Entry> ents;
@@ -375,9 +356,6 @@ Corpus CorpusGenerator::Generate() {
                                  " " + body);
       }
       pending.push_back(std::move(out));
-      if (first_report_index < 0) {
-        first_report_index = static_cast<ptrdiff_t>(pending.size()) - 1;
-      }
     }
   }
 

@@ -51,12 +51,6 @@ struct CorpusConfig {
   int keywords_per_snippet = 8;
   /// Per-source disagreement about the event time, in hours (uniform ±).
   double timestamp_jitter_hours = 4.0;
-  /// Probability that a source runs *syndicated wire copy* of an event —
-  /// an exact duplicate of the first report's content — instead of
-  /// independently paraphrasing it. Models agency copy shared across
-  /// outlets.
-  double syndication_rate = 0.0;
-
   /// Also render raw document text for every snippet (slower; exercises
   /// the full annotation pipeline end-to-end).
   bool emit_raw_text = false;

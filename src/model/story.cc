@@ -66,17 +66,34 @@ bool Story::Contains(SnippetId id) const {
 }
 
 void Story::MergeFrom(const Story& other) {
-  for (size_t i = 0; i < other.snippets_.size(); ++i) {
-    InsertSorted(other.snippets_[i], other.snippet_times_[i]);
-  }
   if (!other.snippets_.empty()) {
-    if (snippets_.size() == other.snippets_.size()) {
-      // This story was empty before the merge.
+    if (snippets_.empty()) {
       start_time_ = other.start_time_;
       end_time_ = other.end_time_;
     } else {
       start_time_ = std::min(start_time_, other.start_time_);
       end_time_ = std::max(end_time_, other.end_time_);
+    }
+    // Merge the two (timestamp, id)-sorted lists in place, from the back:
+    // the larger of the two tails moves to the end of the grown list.
+    size_t a = snippets_.size();
+    size_t b = other.snippets_.size();
+    snippets_.resize(a + b);
+    snippet_times_.resize(a + b);
+    for (size_t out = a + b; b > 0; --out) {
+      const bool take_this =
+          a > 0 && (snippet_times_[a - 1] != other.snippet_times_[b - 1]
+                        ? snippet_times_[a - 1] > other.snippet_times_[b - 1]
+                        : snippets_[a - 1] > other.snippets_[b - 1]);
+      if (take_this) {
+        --a;
+        snippets_[out - 1] = snippets_[a];
+        snippet_times_[out - 1] = snippet_times_[a];
+      } else {
+        --b;
+        snippets_[out - 1] = other.snippets_[b];
+        snippet_times_[out - 1] = other.snippet_times_[b];
+      }
     }
   }
   sources_.insert(other.sources_.begin(), other.sources_.end());

@@ -62,12 +62,23 @@ class Story {
   bool Contains(SnippetId id) const;
 
   /// Merges `other` into this story (set union of members + aggregates).
+  /// The two member lists are merged in one pass, so building a story of
+  /// k snippets from its parts costs O(k) per merge, not O(k^2).
   void MergeFrom(const Story& other);
+
+  /// Content version. StorySet writes its partition's next counter value
+  /// here whenever it creates or mutates the story, so within one
+  /// partition an unchanged (id, stamp) means unchanged content
+  /// (DESIGN.md §4.3). Copies keep it; fingerprints, checkpoints and the
+  /// WAL never see it.
+  uint64_t stamp() const { return stamp_; }
+  void set_stamp(uint64_t stamp) { stamp_ = stamp; }
 
  private:
   void InsertSorted(SnippetId id, Timestamp ts);
 
   StoryId id_ = kInvalidStoryId;
+  uint64_t stamp_ = 0;
   std::vector<SnippetId> snippets_;
   std::vector<Timestamp> snippet_times_;  // Parallel to snippets_.
   std::set<SourceId> sources_;

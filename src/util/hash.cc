@@ -2,15 +2,6 @@
 
 namespace storypivot {
 
-uint64_t Fnv1a64(std::string_view data) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 namespace {
 
 struct Crc32Table {

@@ -6,10 +6,6 @@
 
 namespace storypivot {
 
-/// 64-bit FNV-1a hash of a byte string. Stable across platforms and runs;
-/// used for vocabulary interning and sketch seeding.
-uint64_t Fnv1a64(std::string_view data);
-
 /// SplitMix64 finalizer: a cheap, high-quality 64-bit mixing function.
 /// Useful for deriving independent hash functions from an index. Inline
 /// and constexpr, so per-element loops (the story band keys of

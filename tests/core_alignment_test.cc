@@ -1,16 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <map>
 #include <memory>
 #include <set>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
 #include "core/aligner.h"
+#include "core/engine.h"
 #include "core/refiner.h"
 #include "core/story_set.h"
+#include "datagen/corpus.h"
 #include "sketch/band_keys.h"
 #include "util/hash.h"
 #include "util/rng.h"
@@ -441,6 +445,212 @@ TEST_P(BandedAlignment, ScoresExactlyTheBucketMates) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BandedAlignment,
                          ::testing::Values(41u, 42u, 43u));
+
+/// `a` and `b` agree in every field a fresh Align() defines: stories,
+/// ids, members, merged aggregates (weights bit for bit), the snippet and
+/// member indexes, roles, counterparts and the scored-pair count.
+void ExpectSameAlignment(const AlignmentResult& a, const AlignmentResult& b) {
+  ASSERT_EQ(a.stories.size(), b.stories.size());
+  for (size_t s = 0; s < a.stories.size(); ++s) {
+    const IntegratedStory& x = a.stories[s];
+    const IntegratedStory& y = b.stories[s];
+    EXPECT_EQ(x.id, y.id) << "story " << s;
+    EXPECT_EQ(x.members, y.members) << "story " << s;
+    EXPECT_EQ(x.merged.id(), y.merged.id());
+    EXPECT_EQ(x.merged.snippets(), y.merged.snippets()) << "story " << s;
+    EXPECT_EQ(x.merged.start_time(), y.merged.start_time());
+    EXPECT_EQ(x.merged.end_time(), y.merged.end_time());
+    EXPECT_EQ(x.merged.sources(), y.merged.sources());
+    for (auto terms : {&Story::entities, &Story::keywords}) {
+      const auto& p = (x.merged.*terms)().entries();
+      const auto& q = (y.merged.*terms)().entries();
+      ASSERT_EQ(p.size(), q.size()) << "story " << s;
+      for (size_t k = 0; k < p.size(); ++k) {
+        EXPECT_EQ(p[k].first, q[k].first);
+        EXPECT_EQ(std::bit_cast<uint64_t>(p[k].second),
+                  std::bit_cast<uint64_t>(q[k].second))
+            << "story " << s << " term " << p[k].first;
+      }
+    }
+  }
+  EXPECT_EQ(a.integrated_of, b.integrated_of);
+  EXPECT_EQ(a.member_index, b.member_index);
+  EXPECT_EQ(a.roles, b.roles);
+  EXPECT_EQ(a.counterpart, b.counterpart);
+  EXPECT_EQ(a.num_pairs_scored, b.num_pairs_scored);
+}
+
+/// Every non-empty story of `partitions` as (source, id) -> stamp.
+std::map<std::pair<SourceId, StoryId>, uint64_t> Stamps(
+    const std::vector<const StorySet*>& partitions) {
+  std::map<std::pair<SourceId, StoryId>, uint64_t> out;
+  for (const StorySet* partition : partitions) {
+    for (const auto& [id, story] : partition->stories()) {
+      if (!story.empty()) out[{partition->source(), id}] = story.stamp();
+    }
+  }
+  return out;
+}
+
+// Property: after Refine(), Align() given the result of the Align() before
+// it, as the re-alignment in Refine() gets it, equals a fresh Align() over
+// the same partitions from the same id base, in every field and in the
+// comparisons it counts, at 1 and 4 threads, below and above
+// kLshMinStories, over refinements that split, empty and create stories.
+// The re-alignment's own record holds only the graph: a run given its
+// result reuses no pair and equals a fresh run too.
+TEST(AlignmentReuseProperty, RecordEqualsFreshAlignmentAfterRefine) {
+  int modes[2] = {0, 0};  // Runs in all-pairs and in LSH mode.
+  int splits = 0, created = 0, emptied = 0, taken_over = 0;
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    for (int snippets : {300, 1500}) {
+      datagen::CorpusConfig config = datagen::GdeltScalePreset();
+      config.seed = seed;
+      config.num_stories = snippets / 15;
+      config.end_time = config.start_time + 30 * kSecondsPerDay;
+      config.target_num_snippets = snippets;
+      const datagen::Corpus corpus =
+          datagen::CorpusGenerator(config).Generate();
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed << ", "
+                                        << snippets << " snippets, "
+                                        << threads << " threads");
+        EngineConfig engine_config;
+        engine_config.num_threads = threads;
+        StoryPivotEngine engine(engine_config);
+        SP_CHECK_OK(engine.ImportVocabularies(*corpus.entity_vocabulary,
+                                              *corpus.keyword_vocabulary));
+        for (const SourceInfo& s : corpus.sources) {
+          engine.RegisterSource(s.name);
+        }
+        SP_CHECK_OK(engine.AddSnippets(corpus.snippets));
+        engine.Align();
+        const AlignmentResult first = engine.alignment();
+        ASSERT_NE(first.record, nullptr);
+        const auto before = Stamps(engine.partitions());
+        const RefinementStats stats = engine.Refine();
+        const auto after = Stamps(engine.partitions());
+        ASSERT_NE(engine.alignment().record, nullptr);
+
+        bool kept = false;
+        for (const auto& [key, stamp] : before) {
+          auto it = after.find(key);
+          if (it == after.end()) {
+            ++emptied;
+          } else {
+            kept = kept || it->second == stamp;
+          }
+        }
+        splits += stats.stories_split;
+        created += stats.stories_created;
+        const bool lsh = after.size() > kLshMinStories;
+        ++modes[lsh ? 1 : 0];
+
+        const StoryAligner aligner(&engine.similarity(),
+                                   engine.config().alignment);
+        ThreadPool pool(threads);
+        StoryId with_base = 1u << 30;
+        StoryId fresh_base = 1u << 30;
+        const uint64_t c0 = engine.similarity().num_comparisons();
+        // The merged views of `previous`, to see which the run takes over.
+        AlignmentResult previous = first;
+        std::set<const SnippetId*> views;
+        for (const IntegratedStory& story : previous.stories) {
+          views.insert(story.merged.snippets().data());
+        }
+        const AlignmentResult with_record =
+            aligner.Align(engine.partitions(), engine.store(), &with_base,
+                          &pool, std::move(previous));
+        for (const IntegratedStory& story : with_record.stories) {
+          taken_over += views.contains(story.merged.snippets().data());
+        }
+        const uint64_t c1 = engine.similarity().num_comparisons();
+        const AlignmentResult fresh = aligner.Align(
+            engine.partitions(), engine.store(), &fresh_base, &pool);
+        const uint64_t c2 = engine.similarity().num_comparisons();
+        ExpectSameAlignment(with_record, fresh);
+        EXPECT_EQ(with_base, fresh_base);
+        // The fresh run also built a counterpart graph; the run given the
+        // first result used its record's.
+        EXPECT_EQ(c1 - c0, c2 - c1 - fresh.graph->num_scored());
+        if (kept && (before.size() > kLshMinStories) == lsh) {
+          EXPECT_GT(with_record.num_pairs_reused, 0u);
+        }
+        EXPECT_LE(with_record.num_pairs_reused, with_record.num_pairs_scored);
+        EXPECT_EQ(fresh.num_pairs_reused, 0u);
+
+        StoryId again_base = 1u << 30;
+        const AlignmentResult again =
+            aligner.Align(engine.partitions(), engine.store(), &again_base,
+                          &pool, engine.alignment());
+        ExpectSameAlignment(again, fresh);
+        EXPECT_EQ(again.num_pairs_reused, 0u);
+      }
+    }
+  }
+  EXPECT_GT(modes[0], 0);
+  EXPECT_GT(modes[1], 0);
+  EXPECT_GT(splits, 0);
+  EXPECT_GT(created, 0);
+  EXPECT_GT(emptied, 0);
+  EXPECT_GT(taken_over, 0);
+}
+
+// A record made with the other candidate generator is not reused: story
+// merges take a 640-story input below kLshMinStories and splits take it
+// back above, over the same snippets, and each Align() given the previous
+// run's result equals a fresh one.
+TEST(AlignmentReuseProperty, NoReuseAcrossTheLshBoundary) {
+  std::unique_ptr<BandedInput> input = MakeBandedInput(41);
+  SimilarityModel model({}, nullptr);
+  const StoryAligner aligner(&model, {});
+  ThreadPool pool(4);
+  StoryId next_story_id = input->next_story_id;
+  const AlignmentResult lsh_run =
+      aligner.Align(input->views(), input->store, &next_story_id, &pool);
+  ASSERT_GT(Stamps(input->views()).size(), kLshMinStories);
+
+  // Merge story pairs until the input is below the boundary, keeping
+  // each merge's parts for the splits.
+  using Parts = std::vector<std::vector<SnippetId>>;
+  std::vector<std::tuple<SourceId, StoryId, Parts>> merges;
+  size_t stories = Stamps(input->views()).size();
+  for (StorySet& partition : input->partitions) {
+    std::vector<StoryId> ids;
+    for (const auto& [id, story] : partition.stories()) ids.push_back(id);
+    std::sort(ids.begin(), ids.end());
+    for (size_t k = 0; k + 1 < ids.size() && stories > kLshMinStories - 20;
+         k += 2, --stories) {
+      Parts parts;
+      for (StoryId id : {ids[k], ids[k + 1]}) {
+        parts.push_back(partition.FindStory(id)->snippets());
+      }
+      partition.MergeStories({ids[k], ids[k + 1]});
+      merges.emplace_back(partition.source(), ids[k], std::move(parts));
+    }
+  }
+  ASSERT_LE(Stamps(input->views()).size(), kLshMinStories);
+  StoryId with_base = next_story_id, fresh_base = next_story_id;
+  const AlignmentResult below = aligner.Align(
+      input->views(), input->store, &with_base, &pool, lsh_run);
+  const AlignmentResult below_fresh =
+      aligner.Align(input->views(), input->store, &fresh_base, &pool);
+  ExpectSameAlignment(below, below_fresh);
+  EXPECT_EQ(below.num_pairs_reused, 0u);
+
+  StoryId split_id = 1u << 20;
+  for (const auto& [source, id, parts] : merges) {
+    input->partitions[source].SplitStory(id, parts, input->store, &split_id);
+  }
+  ASSERT_GT(Stamps(input->views()).size(), kLshMinStories);
+  with_base = fresh_base = next_story_id;
+  const AlignmentResult above = aligner.Align(
+      input->views(), input->store, &with_base, &pool, below_fresh);
+  const AlignmentResult above_fresh =
+      aligner.Align(input->views(), input->store, &fresh_base, &pool);
+  ExpectSameAlignment(above, above_fresh);
+  EXPECT_EQ(above.num_pairs_reused, 0u);
+}
 
 // Property: raising the alignment threshold can only produce more (or the
 // same number of) integrated stories — union-find over fewer edges.

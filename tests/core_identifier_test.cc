@@ -5,6 +5,7 @@
 #include <iterator>
 #include <memory>
 #include <ostream>
+#include <set>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
@@ -98,6 +99,54 @@ TEST_F(IdentifierFixture, StorySetSplit) {
   EXPECT_EQ(stories_.FindStory(1)->size(), 2u);
   EXPECT_EQ(stories_.FindStory(10)->size(), 1u);
   EXPECT_EQ(stories_.FindStory(10)->start_time(), 300);
+}
+
+// Every creation or mutation stamps the story with a value the partition
+// never handed out before, so an unchanged (id, stamp) means unchanged
+// content, also for an id that was split or emptied and re-created.
+TEST_F(IdentifierFixture, StorySetStampsEveryMutation) {
+  const Snippet& a = Put(100, {{0, 1.0}}, {});
+  const Snippet& b = Put(200, {{1, 1.0}}, {});
+  const Snippet& c = Put(300, {{2, 1.0}}, {});
+  std::set<uint64_t> seen;
+  auto fresh_stamp = [&](StoryId id) {
+    const Story* story = stories_.FindStory(id);
+    return story != nullptr && seen.insert(story->stamp()).second;
+  };
+  stories_.CreateStory(1);
+  EXPECT_TRUE(fresh_stamp(1));
+  stories_.AddSnippetToStory(a, 1);
+  EXPECT_TRUE(fresh_stamp(1));
+  stories_.AddSnippetToStory(b, 1);
+  EXPECT_TRUE(fresh_stamp(1));
+  stories_.CreateStory(2);
+  EXPECT_TRUE(fresh_stamp(2));
+  stories_.AddSnippetToStory(c, 2);
+  EXPECT_TRUE(fresh_stamp(2));
+  stories_.MergeStories({1, 2});
+  EXPECT_TRUE(fresh_stamp(1));
+  stories_.RemoveSnippet(c, store_);
+  EXPECT_TRUE(fresh_stamp(1));
+
+  // SplitStory re-creates its first component under the old id.
+  next_story_id_ = 10;
+  stories_.SplitStory(1, {{a.id}, {b.id}}, store_, &next_story_id_);
+  EXPECT_TRUE(fresh_stamp(1));
+  EXPECT_TRUE(fresh_stamp(10));
+  // An emptied story is deleted; its id comes back with a new stamp.
+  stories_.RemoveSnippet(b, store_);
+  EXPECT_EQ(stories_.FindStory(10), nullptr);
+  stories_.CreateStory(10);
+  EXPECT_TRUE(fresh_stamp(10));
+
+  // A frozen copy keeps every stamp, and later writes do not reach it.
+  const StorySet frozen = stories_.Freeze();
+  const uint64_t stamp = stories_.FindStory(1)->stamp();
+  EXPECT_EQ(frozen.FindStory(1)->stamp(), stamp);
+  EXPECT_EQ(frozen.FindStory(10)->stamp(), stories_.FindStory(10)->stamp());
+  stories_.AddSnippetToStory(b, 1);
+  EXPECT_TRUE(fresh_stamp(1));
+  EXPECT_EQ(frozen.FindStory(1)->stamp(), stamp);
 }
 
 TEST_F(IdentifierFixture, StoriesInWindow) {

@@ -7,12 +7,14 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 
 #include "datagen/corpus.h"
 #include "datagen/gdelt_export.h"
 #include "datagen/mh17.h"
 #include "datagen/word_lists.h"
 #include "datagen/world.h"
+#include "util/hash.h"
 #include "util/strings.h"
 
 namespace storypivot::datagen {
@@ -266,6 +268,21 @@ TEST(GdeltPresetTest, MatchesPaperCard) {
 }
 
 // ------------------------------ GDELT export -------------------------------
+
+// Pins the generator's output: the TSV of a scaled-down GDELT-preset
+// corpus has the size and byte fold the generator produced when its
+// syndicated-copy option still existed (at its default of 0, which drew
+// no random number), so removing the option changed no corpus.
+TEST(GdeltPresetTest, ExportIsByteStable) {
+  CorpusConfig config = GdeltScalePreset();
+  config.seed = 101;
+  config.target_num_snippets = 3000;
+  const std::string tsv = ExportTsv(CorpusGenerator(config).Generate());
+  uint64_t fold = SplitMix64(tsv.size());
+  for (unsigned char c : tsv) fold = HashCombine(fold, c);
+  EXPECT_EQ(tsv.size(), 675414u);
+  EXPECT_EQ(fold, 0x4fc7a7f2d3a06606ULL);
+}
 
 TEST(GdeltExportTest, TsvRoundTrip) {
   CorpusConfig config;

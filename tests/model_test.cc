@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "model/document.h"
 #include "model/snippet.h"
 #include "model/story.h"
@@ -148,6 +152,26 @@ TEST(StoryTest, Contains) {
   EXPECT_FALSE(story.Contains(43));
 }
 
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+/// Every member, span, source and term weight of `a` equals `b`'s, the
+/// weights bit for bit.
+void ExpectSameStory(const Story& a, const Story& b) {
+  EXPECT_EQ(a.snippets(), b.snippets());
+  EXPECT_EQ(a.start_time(), b.start_time());
+  EXPECT_EQ(a.end_time(), b.end_time());
+  EXPECT_EQ(a.sources(), b.sources());
+  for (auto terms : {&Story::entities, &Story::keywords}) {
+    const auto& x = (a.*terms)().entries();
+    const auto& y = (b.*terms)().entries();
+    ASSERT_EQ(x.size(), y.size());
+    for (size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(x[i].first, y[i].first);
+      EXPECT_EQ(Bits(x[i].second), Bits(y[i].second)) << "term " << x[i].first;
+    }
+  }
+}
+
 TEST(StoryTest, MergeFromCombinesEverything) {
   Story a(1), b(2);
   a.AddSnippet(MakeSnippet(1, 0, 100, {{0, 1.0}}, {{5, 1.0}}));
@@ -163,6 +187,34 @@ TEST(StoryTest, MergeFromCombinesEverything) {
   // Members stay time-ordered after merge.
   EXPECT_EQ(a.snippets().front(), 2u);
   EXPECT_EQ(a.snippets().back(), 3u);
+
+  // Interleaved members, some at equal timestamps on both sides: the
+  // one-pass merge orders them by (timestamp, id), as adding the
+  // snippets one at a time does.
+  const std::vector<Snippet> snippets = {
+      MakeSnippet(10, 0, 100, {{0, 0.1}}, {{5, 0.3}}),
+      MakeSnippet(11, 1, 100, {{0, 0.2}}, {{6, 1.0}}),
+      MakeSnippet(12, 0, 200, {{1, 0.7}}, {{5, 0.1}}),
+      MakeSnippet(13, 1, 150, {{0, 0.3}}, {{5, 0.2}}),
+      MakeSnippet(14, 0, 150, {{2, 1.0}}, {}),
+      MakeSnippet(15, 1, 200, {{1, 0.9}}, {{6, 0.4}}),
+      MakeSnippet(16, 0, 90, {{0, 0.5}}, {{7, 2.0}}),
+      MakeSnippet(17, 1, 300, {}, {{5, 0.6}}),
+  };
+  Story left(20), right(21), one_at_a_time(20);
+  for (size_t i = 0; i < snippets.size(); ++i) {
+    (i % 2 == 0 ? left : right).AddSnippet(snippets[i]);
+  }
+  for (size_t i = 0; i < snippets.size(); i += 2) {
+    one_at_a_time.AddSnippet(snippets[i]);
+  }
+  for (size_t i = 1; i < snippets.size(); i += 2) {
+    one_at_a_time.AddSnippet(snippets[i]);
+  }
+  left.MergeFrom(right);
+  ExpectSameStory(left, one_at_a_time);
+  EXPECT_EQ(left.snippets(),
+            (std::vector<SnippetId>{16, 10, 11, 13, 14, 12, 15, 17}));
 }
 
 TEST(StoryTest, MergeIntoEmptyStory) {

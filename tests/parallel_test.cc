@@ -15,6 +15,7 @@
 #include "datagen/corpus.h"
 #include "model/time.h"
 #include "util/logging.h"
+#include "util/timer.h"
 
 namespace storypivot {
 namespace {
@@ -155,6 +156,35 @@ TEST(ParallelAlignTest, MatchesSerialOnIdenticalState) {
   }
   ASSERT_EQ(PartitionFingerprint(*serial), PartitionFingerprint(*parallel));
   ExpectIdenticalAlignment(serial->Align(), parallel->Align());
+}
+
+// identify_time_ms is wall time: a multi-source batch identified on four
+// threads adds no more to it than the wall time around the call, while
+// the summed per-shard times go to identify_cpu_ms.
+TEST(IdentifyTimeTest, BatchAddsAtMostItsWallTime) {
+  datagen::Corpus corpus = TestCorpus();
+  auto engine =
+      MakeEngine(corpus, /*num_threads=*/4, /*prune_with_entities=*/false);
+  std::vector<Snippet> batch = corpus.snippets;
+  ASSERT_GT(corpus.sources.size(), 1u);
+  const double before = engine->stats().identify_time_ms;
+  WallTimer timer;
+  SP_CHECK_OK(engine->AddSnippets(std::move(batch)));
+  const double wall_ms = timer.ElapsedMillis();
+  EXPECT_LE(engine->stats().identify_time_ms - before, wall_ms);
+  EXPECT_GT(engine->stats().identify_cpu_ms, 0.0);
+}
+
+// On one thread the shards run one after another inside the batch, so
+// their summed time cannot exceed the batch's wall time.
+TEST(IdentifyTimeTest, ShardTimesFitTheWallTimeOnOneThread) {
+  datagen::Corpus corpus = TestCorpus();
+  auto engine =
+      MakeEngine(corpus, /*num_threads=*/1, /*prune_with_entities=*/false);
+  FeedBatched(engine.get(), corpus, /*batch_size=*/128);
+  EXPECT_GT(engine->stats().identify_cpu_ms, 0.0);
+  EXPECT_LE(engine->stats().identify_cpu_ms,
+            engine->stats().identify_time_ms);
 }
 
 TEST(AddSnippetsTest, EmptyBatchIsNoOp) {

@@ -343,17 +343,6 @@ INSTANTIATE_TEST_SUITE_P(Bounds, RngBoundSweep,
 
 // --------------------------------- Hash -----------------------------------
 
-TEST(HashTest, Fnv1aKnownValues) {
-  // FNV-1a 64-bit reference values.
-  EXPECT_EQ(Fnv1a64(""), 0xcbf29ce484222325ULL);
-  EXPECT_EQ(Fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
-}
-
-TEST(HashTest, Fnv1aDistinguishesStrings) {
-  EXPECT_NE(Fnv1a64("ukraine"), Fnv1a64("russia"));
-  EXPECT_NE(Fnv1a64("ab"), Fnv1a64("ba"));
-}
-
 TEST(HashTest, SplitMixAvalanche) {
   // Flipping one input bit should flip roughly half the output bits.
   int total = 0;
