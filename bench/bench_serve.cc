@@ -330,7 +330,7 @@ CellResult RunCell(const datagen::Corpus& corpus,
 
 /// One measured point of the capture-cost curve: at `snippets` resident,
 /// the mean wall cost of publishing after ONE acked op via the COW
-/// capture (O(delta)).
+/// capture (O(partitions) pointer copies).
 struct PublishCostPoint {
   size_t snippets = 0;
   double incremental_ms = 0.0;
@@ -339,8 +339,9 @@ struct PublishCostPoint {
 };
 
 /// Grows a plain (WAL-free) engine through the checkpoint sizes and at
-/// each one measures per-op capture cost. COW capture is O(delta), so
-/// the cost must stay flat while the corpus grows 10x.
+/// each one measures per-op capture cost. COW capture is O(partitions)
+/// pointer copies, so the cost must stay flat while the corpus grows
+/// 10x; the bytes the op copies are recorded, not gated.
 std::vector<PublishCostPoint> MeasurePublishCost(
     const std::vector<size_t>& checkpoints, int reps) {
   const size_t max_snippets = checkpoints.back();

@@ -90,23 +90,16 @@ int BadFlag(const Status& status) {
 }
 
 // Time bounds for `search --from/--to`: either a raw Timestamp (epoch
-// seconds) or a YYYY-MM-DD date. False on a malformed value.
+// seconds) or a date as ParseDateTime reads it. False on a malformed value.
 bool FlagTime(const Flags& flags, const char* name, Timestamp def,
               Timestamp* out) {
   std::string value;
   *out = def;
   if (!flags.Get(name, &value)) return true;
-  int year = 0, month = 0, day = 0;
-  if (std::sscanf(value.c_str(), "%d-%d-%d", &year, &month, &day) == 3) {
-    *out = MakeTimestamp(year, month, day);
-    return true;
-  }
-  int64_t seconds = 0;
-  if (ParseInt64(value, &seconds)) {
-    *out = static_cast<Timestamp>(seconds);
-    return true;
-  }
-  std::fprintf(stderr, "bad time for %s: %s (want YYYY-MM-DD or epoch)\n",
+  if (ParseDateTime(value, out) || ParseInt64(value, out)) return true;
+  std::fprintf(stderr,
+               "bad time for %s: %s (want YYYY-MM-DD, YYYY-MM-DD HH:MM or "
+               "epoch seconds)\n",
                name, value.c_str());
   return false;
 }

@@ -62,8 +62,7 @@ StoryPivotEngine::StoryPivotEngine(EngineConfig config)
       gazetteer_(&entity_vocab_),
       annotator_(&gazetteer_, &keyword_vocab_),
       similarity_(config_.similarity, &df_),
-      identifier_(MakeIdentifier(config_.mode, &similarity_,
-                                 config_.identifier)),
+      identifier_(&similarity_, config_.mode, config_.identifier),
       aligner_(&similarity_, config_.alignment),
       refiner_(&similarity_) {
   // Counterpart candidates come only from snippet pairs sharing a term;
@@ -241,7 +240,7 @@ Result<SnippetId> StoryPivotEngine::AddSnippet(Snippet snippet) {
 
   WallTimer timer;
   StoryId cursor = next_story_id_.load(std::memory_order_relaxed);
-  identifier_->Identify(*stored, partition, store_, &cursor);
+  identifier_.Identify(*stored, partition, store_, &cursor);
   next_story_id_.store(cursor, std::memory_order_relaxed);
   const double identify_ms = timer.ElapsedMillis();
   stats_.identify_time_ms += identify_ms;
@@ -324,7 +323,7 @@ Result<std::vector<SnippetId>> StoryPivotEngine::AddSnippets(
   }
 
   WallTimer timer;
-  ParallelIngestor ingestor(identifier_.get(), pool_.get());
+  ParallelIngestor ingestor(&identifier_, pool_.get());
   std::vector<IngestShardResult> results = ingestor.Run(shards, store_);
   const double batch_wall_ms = timer.ElapsedMillis();
 

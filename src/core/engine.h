@@ -379,7 +379,7 @@ class StoryPivotEngine {
   /// phase structure, not by serial_ — see the §13 capability table.
   text::DocumentFrequency df_;
   SimilarityModel similarity_;
-  std::unique_ptr<StoryIdentifier> identifier_;
+  StoryIdentifier identifier_;
   StoryAligner aligner_;
   StoryRefiner refiner_;
   /// Like df_: serial writes, concurrent phase-2 reads (snippets are

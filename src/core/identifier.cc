@@ -1,8 +1,7 @@
 #include "core/identifier.h"
 
-#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
+#include <limits>
 #include <unordered_map>
 
 #include "util/logging.h"
@@ -35,7 +34,8 @@ bool ShareTerm(const text::TermVector& a, const text::TermVector& b) {
 
 StoryId StoryIdentifier::PlaceWithCandidates(
     const Snippet& snippet, const std::vector<SnippetId>& candidates,
-    StorySet* stories, const SnippetStore& store, StoryId* next_story_id) {
+    StorySet* stories, const SnippetStore& store,
+    StoryId* next_story_id) const {
   SP_CHECK(stories != nullptr);
   SP_CHECK(next_story_id != nullptr);
   const SimilarityConfig& sim = model_->config();
@@ -116,57 +116,20 @@ StoryId StoryIdentifier::PlaceWithCandidates(
   return best_story;
 }
 
-StoryId CompleteIdentifier::Identify(const Snippet& snippet,
-                                     StorySet* stories,
-                                     const SnippetStore& store,
-                                     StoryId* next_story_id) {
-  std::vector<SnippetId> candidates;
-  if (config_.prune_with_entities) {
-    candidates = stories->entity_index().Candidates(snippet.entities);
-  } else {
-    candidates.reserve(stories->snippet_times().size());
-    stories->snippet_times().ForEach(
-        [&candidates](Timestamp, SnippetId id) { candidates.push_back(id); });
+StoryId StoryIdentifier::Identify(const Snippet& snippet, StorySet* stories,
+                                  const SnippetStore& store,
+                                  StoryId* next_story_id) const {
+  // Complete mode reads the whole time axis, which lists every entry in
+  // the same (timestamp, id) order as TemporalIndex::ForEach.
+  Timestamp lo = std::numeric_limits<Timestamp>::min();
+  Timestamp hi = std::numeric_limits<Timestamp>::max();
+  if (mode_ == IdentificationMode::kTemporal) {
+    lo = snippet.timestamp - config_.window;
+    hi = snippet.timestamp + config_.window;
   }
-  return PlaceWithCandidates(snippet, candidates, stories, store,
-                             next_story_id);
-}
-
-StoryId TemporalIdentifier::Identify(const Snippet& snippet,
-                                     StorySet* stories,
-                                     const SnippetStore& store,
-                                     StoryId* next_story_id) {
-  const Timestamp lo = snippet.timestamp - config_.window;
-  const Timestamp hi = snippet.timestamp + config_.window;
-  std::vector<SnippetId> candidates;
-
-  if (config_.prune_with_entities) {
-    std::vector<SnippetId> window_ids =
-        stories->snippet_times().IdsInWindow(lo, hi);
-    std::vector<SnippetId> entity_ids =
-        stories->entity_index().Candidates(snippet.entities);
-    std::sort(window_ids.begin(), window_ids.end());
-    std::sort(entity_ids.begin(), entity_ids.end());
-    std::set_intersection(window_ids.begin(), window_ids.end(),
-                          entity_ids.begin(), entity_ids.end(),
-                          std::back_inserter(candidates));
-  } else {
-    candidates = stories->snippet_times().IdsInWindow(lo, hi);
-  }
-  return PlaceWithCandidates(snippet, candidates, stories, store,
-                             next_story_id);
-}
-
-std::unique_ptr<StoryIdentifier> MakeIdentifier(IdentificationMode mode,
-                                                const SimilarityModel* model,
-                                                IdentifierConfig config) {
-  switch (mode) {
-    case IdentificationMode::kComplete:
-      return std::make_unique<CompleteIdentifier>(model, config);
-    case IdentificationMode::kTemporal:
-      return std::make_unique<TemporalIdentifier>(model, config);
-  }
-  std::abort();
+  return PlaceWithCandidates(snippet,
+                             stories->snippet_times().IdsInWindow(lo, hi),
+                             stories, store, next_story_id);
 }
 
 }  // namespace storypivot

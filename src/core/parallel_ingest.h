@@ -45,13 +45,13 @@ struct IngestShardResult {
 /// Shards own disjoint mutable state (their partition and story-id
 /// block); the snippet store and document-frequency table are
 /// frozen for the duration of the run (all writes happen in the engine's
-/// serial ingest prologue). The identifier must be re-entrant: it may
-/// not keep per-call mutable state (both built-in identifiers qualify).
-/// Results are therefore bit-identical for every thread count.
+/// serial ingest prologue). The identifier is shared read-only: Identify
+/// is const and keeps no per-call state. Results are therefore
+/// bit-identical for every thread count.
 class ParallelIngestor {
  public:
   /// `pool` may be nullptr for the serial path.
-  ParallelIngestor(StoryIdentifier* identifier, ThreadPool* pool)
+  ParallelIngestor(const StoryIdentifier* identifier, ThreadPool* pool)
       : identifier_(identifier), pool_(pool) {}
 
   ParallelIngestor(const ParallelIngestor&) = delete;
@@ -66,7 +66,7 @@ class ParallelIngestor {
   void RunShard(const IngestShard& shard, const SnippetStore& store,
                 IngestShardResult* result) const;
 
-  StoryIdentifier* identifier_;
+  const StoryIdentifier* identifier_;
   ThreadPool* pool_;
 };
 

@@ -22,7 +22,6 @@ void StorySet::AddSnippetToStory(const Snippet& snippet, StoryId story_id) {
   story->set_stamp(++last_stamp_);
   story_of_.Emplace(snippet.id, story_id);
   snippet_times_.Insert(snippet.timestamp, snippet.id);
-  entity_index_.Add(snippet.id, snippet.entities);
 }
 
 void StorySet::RemoveSnippet(const Snippet& snippet,
@@ -48,7 +47,6 @@ void StorySet::RemoveSnippet(const Snippet& snippet,
   story_of_.Erase(snippet.id);
   // The snippet was assigned, so the temporal index must know it.
   SP_CHECK(snippet_times_.Erase(snippet.timestamp, snippet.id));
-  entity_index_.Remove(snippet.id, snippet.entities);
   if (story_empty) stories_.Erase(story_id);
 }
 
@@ -135,7 +133,6 @@ StorySet StorySet::Freeze() const {
   frozen.stories_ = stories_;            // O(1) structural shares.
   frozen.story_of_ = story_of_;
   frozen.snippet_times_ = snippet_times_;
-  frozen.entity_index_ = entity_index_.Freeze();
   frozen.last_stamp_ = last_stamp_;
   return frozen;
 }

@@ -7,20 +7,19 @@
 #include "model/ids.h"
 #include "model/snippet.h"
 #include "model/story.h"
-#include "storage/inverted_index.h"
 #include "storage/snippet_store.h"
 #include "storage/temporal_index.h"
 
 namespace storypivot {
 
 /// The per-source story partition: the set of stories C_i identified for a
-/// data source s_i (§2.1), plus the indexes story identification needs —
-/// a temporal index over the source's snippets and an entity inverted
-/// index for candidate pruning. Maintains the snippet -> story assignment
-/// and keeps every Story's aggregates in sync through adds, removals,
-/// merges and splits. Each story it creates or mutates gets the next
-/// value of a partition-wide counter as its stamp (Story::stamp), which
-/// the re-alignment after Refine() compares to skip unchanged stories.
+/// data source s_i (§2.1), plus the temporal index over the source's
+/// snippets that story identification reads its candidates from.
+/// Maintains the snippet -> story assignment and keeps every Story's
+/// aggregates in sync through adds, removals, merges and splits. Each
+/// story it creates or mutates gets the next value of a partition-wide
+/// counter as its stamp (Story::stamp), which the re-alignment after
+/// Refine() compares to skip unchanged stories.
 ///
 /// All state is held in copy-on-write persistent structures, so Freeze()
 /// produces an O(1) snapshot that later mutations cannot reach
@@ -47,11 +46,11 @@ class StorySet {
   Story& CreateStory(StoryId id);
 
   /// Adds `snippet` to story `story_id` (which must exist) and registers
-  /// the snippet in the partition indexes.
+  /// the snippet in the temporal index.
   void AddSnippetToStory(const Snippet& snippet, StoryId story_id);
 
-  /// Removes a snippet from its story and the indexes. Empty stories are
-  /// deleted. Requires the snippet to be assigned.
+  /// Removes a snippet from its story and the temporal index. Empty
+  /// stories are deleted. Requires the snippet to be assigned.
   void RemoveSnippet(const Snippet& snippet, const SnippetStore& store);
 
   /// Merges all of `ids` (>= 2 stories) into the first one; the surviving
@@ -78,9 +77,6 @@ class StorySet {
   /// All snippets of the source ordered by time.
   const TemporalIndex& snippet_times() const { return snippet_times_; }
 
-  /// Entity -> snippet candidates.
-  const InvertedIndex& entity_index() const { return entity_index_; }
-
   /// Distinct stories having at least one snippet in [lo, hi].
   std::vector<StoryId> StoriesInWindow(Timestamp lo, Timestamp hi) const;
 
@@ -98,7 +94,6 @@ class StorySet {
   StoryMap stories_;
   cow::PersistentMap<SnippetId, StoryId> story_of_;
   TemporalIndex snippet_times_;
-  InvertedIndex entity_index_;
   /// The last stamp handed out. Only goes up, so a story re-created
   /// under an old id (SplitStory) never gets back a stamp it had before.
   uint64_t last_stamp_ = 0;

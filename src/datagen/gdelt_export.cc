@@ -73,19 +73,10 @@ Status ImportRow(const std::vector<std::string>& row, ImportedCorpus* out,
   }
   s.id = static_cast<SnippetId>(id);
 
-  // Parse "YYYY-MM-DD HH:MM".
-  const std::string& dt = row[3];
-  int64_t y = 0, mo = 0, d = 0, h = 0, mi = 0;
-  if (dt.size() < 16 || !ParseInt64(dt.substr(0, 4), &y) ||
-      !ParseInt64(dt.substr(5, 2), &mo) ||
-      !ParseInt64(dt.substr(8, 2), &d) ||
-      !ParseInt64(dt.substr(11, 2), &h) ||
-      !ParseInt64(dt.substr(14, 2), &mi)) {
-    return Status::InvalidArgument("bad date \"" + dt + "\"");
+  if (!ParseDateTime(row[3], &s.timestamp)) {
+    return Status::InvalidArgument("bad date \"" + row[3] +
+                                   "\": want YYYY-MM-DD HH:MM or YYYY-MM-DD");
   }
-  s.timestamp = MakeTimestamp(static_cast<int>(y), static_cast<int>(mo),
-                              static_cast<int>(d), static_cast<int>(h),
-                              static_cast<int>(mi));
 
   std::vector<std::pair<std::string_view, double>> keywords;
   if (!row[5].empty()) {

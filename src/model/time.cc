@@ -29,6 +29,24 @@ void CivilFromDays(int64_t z, int* y, unsigned* m, unsigned* d) {
   *y = static_cast<int>(yy + (*m <= 2));
 }
 
+/// Reads the `width` ASCII digits at `pos`; false on any other byte.
+bool ParseDigits(std::string_view text, size_t pos, size_t width, int* out) {
+  int value = 0;
+  for (size_t i = pos; i < pos + width; ++i) {
+    if (text[i] < '0' || text[i] > '9') return false;
+    value = value * 10 + (text[i] - '0');
+  }
+  *out = value;
+  return true;
+}
+
+int DaysInMonth(int year, int month) {
+  static constexpr int kDays[] = {31, 28, 31, 30, 31, 30,
+                                  31, 31, 30, 31, 30, 31};
+  const bool leap = (year % 4 == 0 && year % 100 != 0) || year % 400 == 0;
+  return month == 2 && leap ? 29 : kDays[month - 1];
+}
+
 }  // namespace
 
 Timestamp TimestampFromCivil(const CivilDate& date) {
@@ -63,6 +81,27 @@ std::string FormatDateTime(Timestamp ts) {
   int minute = static_cast<int>((secs_of_day % kSecondsPerHour) /
                                 kSecondsPerMinute);
   return FormatDate(ts) + StrFormat(" %02d:%02d", hour, minute);
+}
+
+bool ParseDateTime(std::string_view text, Timestamp* out) {
+  if (text.size() != 10 && text.size() != 16) return false;
+  int year = 0, month = 0, day = 0, hour = 0, minute = 0;
+  if (!ParseDigits(text, 0, 4, &year) || text[4] != '-' ||
+      !ParseDigits(text, 5, 2, &month) || text[7] != '-' ||
+      !ParseDigits(text, 8, 2, &day)) {
+    return false;
+  }
+  if (text.size() == 16 &&
+      (text[10] != ' ' || !ParseDigits(text, 11, 2, &hour) ||
+       text[13] != ':' || !ParseDigits(text, 14, 2, &minute))) {
+    return false;
+  }
+  if (month < 1 || month > 12 || day < 1 ||
+      day > DaysInMonth(year, month) || hour > 23 || minute > 59) {
+    return false;
+  }
+  *out = MakeTimestamp(year, month, day, hour, minute);
+  return true;
 }
 
 }  // namespace storypivot

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace storypivot {
 
@@ -40,6 +41,12 @@ std::string FormatDate(Timestamp ts);
 
 /// Formats as "YYYY-MM-DD HH:MM".
 std::string FormatDateTime(Timestamp ts);
+
+/// Parses "YYYY-MM-DD" (UTC midnight) or "YYYY-MM-DD HH:MM": exactly
+/// that length, zero-padded digits, a day that exists in its month (leap
+/// years included), hour 0-23 and minute 0-59. Returns false and leaves
+/// `out` unchanged on anything else.
+bool ParseDateTime(std::string_view text, Timestamp* out);
 
 }  // namespace storypivot
 

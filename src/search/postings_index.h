@@ -50,9 +50,10 @@ struct Posting {
 /// crash/rebuild cycles).
 ///
 /// Posting lists are CowBox'd vectors hung off persistent (HAMT) maps,
-/// so Freeze() is an O(1) structural share and a post/unpost after a
-/// freeze copies only the touched list plus a trie path — the serving
-/// tier's O(delta) capture rides on this (DESIGN.md §15).
+/// so Freeze() is an O(1) structural share. The first post/unpost to a
+/// term after a freeze copies that term's whole list plus a trie path:
+/// most of the bytes the serving tier's writer copies per epoch
+/// (DESIGN.md §15).
 class PostingsIndex {
  public:
   PostingsIndex() = default;

@@ -100,7 +100,6 @@ size_t ReadSnapshot::ApproxBytes() const {
              (sizeof(TemporalIndex::Entry) + sizeof(SnippetId) +
               sizeof(StoryId));
     bytes += part.stories().size() * sizeof(Story);
-    bytes += part.entity_index().num_postings() * sizeof(SnippetId);
   }
   return bytes;
 }

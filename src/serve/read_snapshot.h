@@ -58,12 +58,13 @@ class CaptureContext {
 /// acked prefix, so reads pinned to a snapshot are byte-identical to a
 /// serial engine at that prefix (DESIGN.md §14).
 ///
-/// Since PR 8 the freeze is copy-on-write (DESIGN.md §15): Capture()
-/// structurally shares posting lists, partitions and text state with
-/// the live engine in O(partitions) pointer copies, and the writer's
-/// later mutations path-copy away from the shared nodes instead of
-/// touching them — so capture cost is O(ops since the last publish),
-/// not O(corpus).
+/// The freeze is copy-on-write (DESIGN.md §15): Capture() structurally
+/// shares posting lists, partitions and text state with the live engine
+/// in O(partitions) pointer copies, and the writer's later mutations
+/// copy away from the shared nodes instead of touching them. That
+/// writer cost is not bounded by the ops since the last publish: the
+/// first post to a term after a capture clones the term's whole posting
+/// list (§15 has the measured bytes).
 ///
 /// Snapshots are immutable after capture and therefore safe to read
 /// from any number of threads concurrently with no synchronization;
@@ -72,7 +73,8 @@ class CaptureContext {
 /// publish time.
 class ReadSnapshot {
  public:
-  /// Captures a frozen view by structural sharing (O(delta)). Must run
+  /// Captures a frozen view by structural sharing, O(partitions) pointer
+  /// copies (DESIGN.md §15). Must run
   /// inside the writer's serial section (it reads serial-guarded engine
   /// state; the caller holds the role — commit hooks and factories do).
   /// `context` carries the text-state cache across captures; it must
@@ -82,7 +84,7 @@ class ReadSnapshot {
       CaptureContext* context);
 
   /// Convenience overload with a throwaway context (tests, one-shot
-  /// captures): still O(delta) for the indexes, but rebuilds the text
+  /// captures): still O(partitions) for the indexes, but rebuilds the text
   /// state every call.
   [[nodiscard]] static std::unique_ptr<ReadSnapshot> Capture(
       const StoryPivotEngine& engine, const search::PostingsIndex& index);

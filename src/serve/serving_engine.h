@@ -16,10 +16,11 @@ namespace storypivot::serve {
 
 /// When the serving engine publishes a fresh epoch (DESIGN.md §15).
 /// The default (every op) means readers always see the latest acked
-/// prefix. Batching trades snapshot freshness for publish amortization —
-/// with COW capture already O(delta), batching mostly matters for
-/// capping epoch churn (and hence query-cache invalidation) under write
-/// bursts.
+/// prefix. Batching trades snapshot freshness for fewer publishes. The
+/// capture itself is O(partitions) pointer copies, but after each one
+/// the writer's first post to a term clones that term's posting list,
+/// and each new epoch invalidates query-cache entries; batching pays
+/// both once per batch instead of once per op.
 struct PublishPolicy {
   /// Publish after this many acked ops (>= 1). 1 = every op. Under
   /// batching, Flush() publishes the pending tail.
@@ -40,8 +41,9 @@ struct PublishPolicy {
 /// a mid-batch state. Recovery (Reopen) always publishes immediately,
 /// whatever the policy: the rebuilt prefix must become visible.
 ///
-/// Captures are copy-on-write (O(ops since last publish), DESIGN.md
-/// §15); per-publish capture time and bytes copied vs shared are
+/// Captures are copy-on-write: O(partitions) pointer copies, after which
+/// the writer's first post to a term clones its posting list (DESIGN.md
+/// §15). Per-publish capture time and bytes copied vs shared are
 /// recorded in EpochManager::Stats.
 ///
 /// Threading contract: all mutations go through the single writer

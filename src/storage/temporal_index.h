@@ -14,16 +14,16 @@
 namespace storypivot {
 
 /// An ordered index of snippet ids by timestamp, supporting out-of-order
-/// insertion, deletion, and the sliding-window scans that temporal story
-/// identification relies on (§2.2, Fig. 2b).
+/// insertion, deletion, and the window scans story identification reads
+/// its candidates from (§2.2, Fig. 2): [t-w, t+w] in temporal mode, the
+/// whole time axis in complete mode.
 ///
 /// Backed by sorted fixed-capacity chunks (CowBox'd runs) hung off a
 /// persistent-vector spine, so the index is copy-on-write: copying it is
-/// O(1) structural sharing, and a mutation after a copy touches one
-/// chunk plus a spine path instead of the whole index. That keeps
-/// serving-tier snapshot captures O(delta) while preserving the old
-/// sorted-vector behavior — arrivals near the end of the time axis stay
-/// amortised cheap, window scans stay sequential runs.
+/// O(1) structural sharing, and a mutation after a copy clones one chunk
+/// (at most kMaxChunk entries) plus a spine path instead of the whole
+/// index (DESIGN.md §15). Arrivals near the end of the time axis stay
+/// amortised cheap, and window scans stay sequential runs.
 class TemporalIndex {
  public:
   using Entry = std::pair<Timestamp, SnippetId>;
@@ -50,7 +50,8 @@ class TemporalIndex {
   /// Calls `fn` for every entry, in time order.
   void ForEach(const std::function<void(Timestamp, SnippetId)>& fn) const;
 
-  /// Returns the ids in [lo, hi], in time order.
+  /// Returns the ids in [lo, hi], in (timestamp, id) order. The window
+  /// over the whole Timestamp range lists exactly ForEach's entries.
   std::vector<SnippetId> IdsInWindow(Timestamp lo, Timestamp hi) const;
 
   /// Number of entries with lo <= timestamp <= hi.

@@ -436,13 +436,9 @@ TEST_F(QueryFixture, SnippetViewsAreTimeOrdered) {
 }
 
 // Determinism: the same ingest sequence yields identical clustering, for
-// every identification mode, with and without entity pruning.
-struct ModeParam {
-  IdentificationMode mode;
-  bool prune_with_entities;
-};
-
-class EngineDeterminism : public ::testing::TestWithParam<ModeParam> {};
+// every identification mode.
+class EngineDeterminism
+    : public ::testing::TestWithParam<IdentificationMode> {};
 
 TEST_P(EngineDeterminism, SameInputSameStories) {
   datagen::CorpusConfig corpus_config;
@@ -455,8 +451,7 @@ TEST_P(EngineDeterminism, SameInputSameStories) {
 
   auto run = [&]() {
     EngineConfig config;
-    config.mode = GetParam().mode;
-    config.identifier.prune_with_entities = GetParam().prune_with_entities;
+    config.mode = GetParam();
     auto engine = std::make_unique<StoryPivotEngine>(config);
     SP_CHECK(engine
                  ->ImportVocabularies(*corpus.entity_vocabulary,
@@ -484,10 +479,8 @@ TEST_P(EngineDeterminism, SameInputSameStories) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, EngineDeterminism,
-    ::testing::Values(ModeParam{IdentificationMode::kTemporal, false},
-                      ModeParam{IdentificationMode::kTemporal, true},
-                      ModeParam{IdentificationMode::kComplete, false},
-                      ModeParam{IdentificationMode::kComplete, true}));
+    ::testing::Values(IdentificationMode::kTemporal,
+                      IdentificationMode::kComplete));
 
 }  // namespace
 }  // namespace storypivot

@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <iterator>
-#include <memory>
 #include <ostream>
 #include <set>
 #include <tuple>
@@ -37,7 +34,7 @@ class IdentifierFixture : public ::testing::Test {
     return *store_.Find(id);
   }
 
-  StoryId Identify(StoryIdentifier& identifier, const Snippet& snippet) {
+  StoryId Identify(const StoryIdentifier& identifier, const Snippet& snippet) {
     return identifier.Identify(snippet, &stories_, store_, &next_story_id_);
   }
 
@@ -63,7 +60,6 @@ TEST_F(IdentifierFixture, StorySetCreateAddRemove) {
   EXPECT_EQ(stories_.StoryOf(a.id), kInvalidStoryId);
   EXPECT_EQ(stories_.FindStory(7), nullptr);  // Empty stories are deleted.
   EXPECT_TRUE(stories_.snippet_times().empty());
-  EXPECT_EQ(stories_.entity_index().num_postings(), 0u);
 }
 
 TEST_F(IdentifierFixture, StorySetMerge) {
@@ -164,7 +160,7 @@ TEST_F(IdentifierFixture, StoriesInWindow) {
 // ---------------------------- Identification -------------------------------
 
 TEST_F(IdentifierFixture, FirstSnippetOpensStory) {
-  TemporalIdentifier identifier(&model_, {});
+  StoryIdentifier identifier(&model_, IdentificationMode::kTemporal, {});
   const Snippet& a = Put(0, {{0, 1.0}}, {{5, 1.0}});
   StoryId s = Identify(identifier, a);
   EXPECT_EQ(s, 0u);
@@ -172,7 +168,7 @@ TEST_F(IdentifierFixture, FirstSnippetOpensStory) {
 }
 
 TEST_F(IdentifierFixture, SimilarSnippetsJoinSameStory) {
-  TemporalIdentifier identifier(&model_, {});
+  StoryIdentifier identifier(&model_, IdentificationMode::kTemporal, {});
   const Snippet& a = Put(0, {{0, 1.0}, {1, 1.0}}, {{5, 1.0}, {6, 1.0}});
   const Snippet& b =
       Put(kSecondsPerDay, {{0, 1.0}, {1, 1.0}}, {{5, 1.0}, {7, 1.0}});
@@ -182,7 +178,7 @@ TEST_F(IdentifierFixture, SimilarSnippetsJoinSameStory) {
 }
 
 TEST_F(IdentifierFixture, DissimilarSnippetsOpenSeparateStories) {
-  TemporalIdentifier identifier(&model_, {});
+  StoryIdentifier identifier(&model_, IdentificationMode::kTemporal, {});
   const Snippet& a = Put(0, {{0, 1.0}}, {{5, 1.0}});
   const Snippet& b = Put(kSecondsPerDay, {{9, 1.0}}, {{8, 1.0}});
   EXPECT_NE(Identify(identifier, a), Identify(identifier, b));
@@ -192,7 +188,7 @@ TEST_F(IdentifierFixture, DissimilarSnippetsOpenSeparateStories) {
 TEST_F(IdentifierFixture, TemporalModeIgnoresSnippetsOutsideWindow) {
   IdentifierConfig config;
   config.window = 2 * kSecondsPerDay;
-  TemporalIdentifier identifier(&model_, config);
+  StoryIdentifier identifier(&model_, IdentificationMode::kTemporal, config);
   const Snippet& a = Put(0, {{0, 1.0}, {1, 1.0}}, {{5, 1.0}});
   // Identical content, but 30 days later — outside the window.
   const Snippet& b = Put(30 * kSecondsPerDay, {{0, 1.0}, {1, 1.0}},
@@ -203,7 +199,7 @@ TEST_F(IdentifierFixture, TemporalModeIgnoresSnippetsOutsideWindow) {
 }
 
 TEST_F(IdentifierFixture, CompleteModeSeesEverything) {
-  CompleteIdentifier identifier(&model_, {});
+  StoryIdentifier identifier(&model_, IdentificationMode::kComplete, {});
   const Snippet& a = Put(0, {{0, 1.0}, {1, 1.0}}, {{5, 1.0}});
   const Snippet& b = Put(300 * kSecondsPerDay, {{0, 1.0}, {1, 1.0}},
                          {{5, 1.0}});
@@ -218,7 +214,7 @@ TEST_F(IdentifierFixture, BridgingSnippetMergesStories) {
   SimilarityConfig sim;
   sim.merge_threshold = 0.40;
   SimilarityModel model(sim, nullptr);
-  TemporalIdentifier identifier(&model, {});
+  StoryIdentifier identifier(&model, IdentificationMode::kTemporal, {});
 
   const Snippet& a = Put(0, {{0, 1.0}, {1, 1.0}}, {{5, 1.0}});
   const Snippet& b = Put(kSecondsPerDay, {{2, 1.0}, {3, 1.0}}, {{6, 1.0}});
@@ -236,35 +232,26 @@ TEST_F(IdentifierFixture, BridgingSnippetMergesStories) {
   EXPECT_EQ(stories_.StoryOf(b.id), merged);
 }
 
-TEST_F(IdentifierFixture, EntityPruningFindsSameStories) {
-  IdentifierConfig pruned;
-  pruned.prune_with_entities = true;
-  TemporalIdentifier identifier(&model_, pruned);
-  const Snippet& a = Put(0, {{0, 1.0}, {1, 1.0}}, {{5, 1.0}});
-  const Snippet& b = Put(kSecondsPerDay, {{0, 1.0}, {1, 1.0}}, {{5, 1.0}});
-  EXPECT_EQ(Identify(identifier, a), Identify(identifier, b));
-}
-
-TEST_F(IdentifierFixture, FactorySelectsMode) {
-  // Behavioural check (RTTI is disabled): the complete identifier links
-  // identical snippets across any gap, the temporal one does not.
+TEST_F(IdentifierFixture, ModeSelectsWindow) {
+  // With the same config, complete mode links identical snippets across
+  // any gap, temporal mode only inside its window.
   IdentifierConfig config;
   config.window = kSecondsPerDay;
-  auto complete =
-      MakeIdentifier(IdentificationMode::kComplete, &model_, config);
-  auto temporal =
-      MakeIdentifier(IdentificationMode::kTemporal, &model_, config);
+  const StoryIdentifier complete(&model_, IdentificationMode::kComplete,
+                                 config);
+  const StoryIdentifier temporal(&model_, IdentificationMode::kTemporal,
+                                 config);
   const Snippet& a = Put(0, {{0, 1.0}, {1, 1.0}}, {{5, 1.0}});
   const Snippet& b =
       Put(100 * kSecondsPerDay, {{0, 1.0}, {1, 1.0}}, {{5, 1.0}});
 
-  StoryId ca = complete->Identify(a, &stories_, store_, &next_story_id_);
-  StoryId cb = complete->Identify(b, &stories_, store_, &next_story_id_);
+  StoryId ca = complete.Identify(a, &stories_, store_, &next_story_id_);
+  StoryId cb = complete.Identify(b, &stories_, store_, &next_story_id_);
   EXPECT_EQ(ca, cb);
 
   StorySet fresh(0);
-  StoryId ta = temporal->Identify(a, &fresh, store_, &next_story_id_);
-  StoryId tb = temporal->Identify(b, &fresh, store_, &next_story_id_);
+  StoryId ta = temporal.Identify(a, &fresh, store_, &next_story_id_);
+  StoryId tb = temporal.Identify(b, &fresh, store_, &next_story_id_);
   EXPECT_NE(ta, tb);
 }
 
@@ -273,44 +260,29 @@ TEST_F(IdentifierFixture, FactorySelectsMode) {
 /// identifier.cc's blend of member and centroid scores.
 constexpr double kCentroidBlend = 0.3;
 
-/// Identification as it was before the kernel skip: the same candidates
-/// as the mode's identifier, and every candidate and every candidate
-/// story scored by both kernels. The real identifiers must place every
-/// snippet exactly where this one does.
-class OracleIdentifier : public StoryIdentifier {
+/// Identification as it was before the kernel skip and the merged
+/// window: complete mode lists every snippet of the partition with
+/// ForEach, temporal mode reads [t - w, t + w], and every candidate and
+/// every candidate story is scored by both kernels. The real identifier
+/// must place every snippet exactly where this one does.
+class OracleIdentifier {
  public:
-  OracleIdentifier(const SimilarityModel* model, IdentifierConfig config,
-                   IdentificationMode mode)
-      : StoryIdentifier(model, config), mode_(mode) {}
+  OracleIdentifier(const SimilarityModel* model, IdentificationMode mode,
+                   IdentifierConfig config)
+      : model_(model), mode_(mode), config_(config) {}
 
   StoryId Identify(const Snippet& snippet, StorySet* stories,
-                   const SnippetStore& store,
-                   StoryId* next_story_id) override {
+                   const SnippetStore& store, StoryId* next_story_id) {
     std::vector<SnippetId> candidates;
     if (mode_ == IdentificationMode::kComplete) {
-      if (config_.prune_with_entities) {
-        candidates = stories->entity_index().Candidates(snippet.entities);
-      } else {
-        stories->snippet_times().ForEach(
-            [&candidates](Timestamp, SnippetId id) {
-              candidates.push_back(id);
-            });
-      }
+      stories->snippet_times().ForEach(
+          [&candidates](Timestamp, SnippetId id) {
+            candidates.push_back(id);
+          });
     } else {
       const Timestamp lo = snippet.timestamp - config_.window;
       const Timestamp hi = snippet.timestamp + config_.window;
       candidates = stories->snippet_times().IdsInWindow(lo, hi);
-      if (config_.prune_with_entities) {
-        std::vector<SnippetId> entity_ids =
-            stories->entity_index().Candidates(snippet.entities);
-        std::sort(candidates.begin(), candidates.end());
-        std::sort(entity_ids.begin(), entity_ids.end());
-        std::vector<SnippetId> both;
-        std::set_intersection(candidates.begin(), candidates.end(),
-                              entity_ids.begin(), entity_ids.end(),
-                              std::back_inserter(both));
-        candidates = std::move(both);
-      }
     }
     return Place(snippet, candidates, stories, store, next_story_id);
   }
@@ -364,18 +336,18 @@ class OracleIdentifier : public StoryIdentifier {
     return best_story;
   }
 
+  const SimilarityModel* model_;
   IdentificationMode mode_;
+  IdentifierConfig config_;
 };
 
 struct KernelSkipCase {
   bool news_prose;  // NewsProseEngineConfig thresholds, else defaults.
-  bool prune_with_entities;
   IdentificationMode mode;
 };
 
 void PrintTo(const KernelSkipCase& c, std::ostream* os) {
   *os << (c.news_prose ? "news-prose" : "default") << " thresholds, "
-      << (c.prune_with_entities ? "entity-pruned " : "")
       << (c.mode == IdentificationMode::kComplete ? "complete" : "temporal");
 }
 
@@ -392,13 +364,11 @@ TEST_P(KernelSkipOracle, SameStoriesAsUnprunedPlacement) {
   const auto& [seed, c] = GetParam();
   const EngineConfig engine_config =
       c.news_prose ? NewsProseEngineConfig() : EngineConfig();
-  IdentifierConfig config = engine_config.identifier;
-  config.prune_with_entities = c.prune_with_entities;
+  const IdentifierConfig config = engine_config.identifier;
   text::DocumentFrequency df;
   SimilarityModel model(engine_config.similarity, &df);
-  std::unique_ptr<StoryIdentifier> real =
-      MakeIdentifier(c.mode, &model, config);
-  OracleIdentifier oracle(&model, config, c.mode);
+  const StoryIdentifier real(&model, c.mode, config);
+  OracleIdentifier oracle(&model, c.mode, config);
 
   Pcg32 rng(seed);
   SnippetStore store;
@@ -441,7 +411,7 @@ TEST_P(KernelSkipOracle, SameStoriesAsUnprunedPlacement) {
         oracle.Identify(stored, &oracle_stories, store, &oracle_next);
     const uint64_t between = model.num_comparisons();
     const StoryId got =
-        real->Identify(stored, &real_stories, store, &real_next);
+        real.Identify(stored, &real_stories, store, &real_next);
     ASSERT_EQ(got, want) << "snippet " << k;
     // Skipped pairs still count: the comparison tally is the oracle's.
     ASSERT_EQ(model.num_comparisons() - between, between - before)
@@ -465,14 +435,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(7u, 8u, 9u),
         ::testing::Values(
-            KernelSkipCase{false, false, IdentificationMode::kTemporal},
-            KernelSkipCase{false, true, IdentificationMode::kTemporal},
-            KernelSkipCase{true, false, IdentificationMode::kTemporal},
-            KernelSkipCase{true, true, IdentificationMode::kTemporal},
-            KernelSkipCase{false, false, IdentificationMode::kComplete},
-            KernelSkipCase{false, true, IdentificationMode::kComplete},
-            KernelSkipCase{true, false, IdentificationMode::kComplete},
-            KernelSkipCase{true, true, IdentificationMode::kComplete})));
+            KernelSkipCase{false, IdentificationMode::kTemporal},
+            KernelSkipCase{true, IdentificationMode::kTemporal},
+            KernelSkipCase{false, IdentificationMode::kComplete},
+            KernelSkipCase{true, IdentificationMode::kComplete})));
 
 TEST_F(IdentifierFixture, CentroidAloneCanWinUnderNewsProseThresholds) {
   // A story whose only in-window member shares no term with the probe
@@ -482,7 +448,8 @@ TEST_F(IdentifierFixture, CentroidAloneCanWinUnderNewsProseThresholds) {
   // every window story and skips only the kernels.
   const EngineConfig config = NewsProseEngineConfig();
   SimilarityModel model(config.similarity, nullptr);
-  TemporalIdentifier identifier(&model, config.identifier);
+  StoryIdentifier identifier(&model, IdentificationMode::kTemporal,
+                             config.identifier);
   stories_.CreateStory(1);
   for (int day = 0; day < 9; ++day) {  // Out of the 45-day window.
     stories_.AddSnippetToStory(
@@ -506,7 +473,8 @@ TEST_F(IdentifierFixture, CentroidAloneCanWinUnderNewsProseThresholds) {
   for (SnippetId id : stories_.FindStory(1)->snippets()) {
     if (id != probe.id) fresh.AddSnippetToStory(*store_.Find(id), 1);
   }
-  TemporalIdentifier strict(&model_, config.identifier);
+  StoryIdentifier strict(&model_, IdentificationMode::kTemporal,
+                         config.identifier);
   EXPECT_NE(strict.Identify(probe, &fresh, store_, &next_story_id_), 1u);
 }
 

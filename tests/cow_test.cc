@@ -2,7 +2,7 @@
 // CowBox, PersistentMap (HAMT), PersistentVector. The properties pinned
 // here — O(1) freeze, write immunity of frozen copies, content-
 // deterministic iteration order — are what the serving tier's
-// O(delta) snapshot capture is built on (DESIGN.md §15).
+// copy-on-write snapshot capture is built on (DESIGN.md §15).
 
 #include <algorithm>
 #include <cstdint>

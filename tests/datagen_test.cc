@@ -462,6 +462,58 @@ TEST(GdeltExportTest, TruthMustBeEmptyOrAnIntegerOfAtLeastMinusOne) {
   ASSERT_TRUE(ImportTsv(header + row(1, "NYT", "") + row(2, "NYT", "7")).ok());
 }
 
+TEST(GdeltExportTest, DatesMustBeZeroPaddedCalendarTimes) {
+  const std::string header =
+      "id\tsource\tevent_type\tevent_date\tentities\tkeywords"
+      "\tdescription\turl\ttruth\n";
+  auto row = [](size_t id, const char* source, const char* date) {
+    return StrFormat("%zu\t%s\tAccident\t%s\tMH17\twar:1\td\tu\t0\n", id,
+                     source, date);
+  };
+  // Leap days, the last minute of a day and a date alone are valid.
+  std::string tsv = header + row(1, "NYT", "2016-02-29 23:59") +
+                    row(2, "NYT", "2000-02-29 00:00") +
+                    row(3, "NYT", "2014-07-17");
+  const char* bad_dates[] = {
+      "2014-13-45 99:99", "2014-02-31 10:00", "2014-00-00 00:00",
+      "2014--1-17 13:20", "2014x07y17z13w20", "2014-07-17 13:20 trailing",
+      "2015-02-29",       "1900-02-29 00:00", "2014-04-31 12:00",
+      "2014-07-17 24:00", "2014-07-17 13:60", "2014-7-17 13:20",
+      "2014-07-17 1:20",  " 2014-07-17",      "2014-07-17T13:20",
+      "+014-07-17 13:20", "2014-07-17 13:2",  ""};
+  for (size_t i = 0; i < std::size(bad_dates); ++i) {
+    tsv += row(i + 4, "BBC", bad_dates[i]);
+  }
+  ImportReport report;
+  Result<ImportedCorpus> imported = ImportTsvPermissive(tsv, &report);
+  ASSERT_TRUE(imported.ok());
+  const ImportedCorpus& corpus = imported.value();
+  ASSERT_EQ(corpus.snippets.size(), 3u);
+  EXPECT_EQ(corpus.snippets[0].timestamp, MakeTimestamp(2016, 2, 29, 23, 59));
+  EXPECT_EQ(corpus.snippets[1].timestamp, MakeTimestamp(2000, 2, 29));
+  EXPECT_EQ(corpus.snippets[2].timestamp, MakeTimestamp(2014, 7, 17));
+  ASSERT_EQ(report.skipped.size(), std::size(bad_dates));
+  for (size_t i = 0; i < report.skipped.size(); ++i) {
+    EXPECT_EQ(report.skipped[i].line, i + 5);
+    EXPECT_NE(report.skipped[i].reason.find("bad date"), std::string::npos)
+        << report.skipped[i].reason;
+  }
+  // The quarantined rows touched no shared state: BBC never registered.
+  EXPECT_EQ(corpus.sources.size(), 1u);
+  // Strict mode fails the import on the first such row.
+  for (const char* bad : bad_dates) {
+    SCOPED_TRACE(bad);
+    Result<ImportedCorpus> strict =
+        ImportTsv(header + row(1, "NYT", "2014-07-17 13:20") +
+                  row(2, "BBC", bad));
+    ASSERT_FALSE(strict.ok());
+    EXPECT_EQ(strict.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(std::string(strict.status().message()).find("bad date"),
+              std::string::npos)
+        << strict.status().ToString();
+  }
+}
+
 TEST(GdeltExportTest, PermissiveImportStillRejectsEmptyInput) {
   ImportReport report;
   EXPECT_FALSE(ImportTsvPermissive("", &report).ok());

@@ -82,6 +82,31 @@ TEST(TimeTest, ConsecutiveDaysAreContiguous) {
   }
 }
 
+// ParseDateTime reads exactly what FormatDate and FormatDateTime write,
+// and nothing else.
+TEST(TimeTest, ParseDateTimeIsStrict) {
+  Pcg32 rng(4);
+  for (int i = 0; i < 200; ++i) {
+    const Timestamp ts =
+        rng.NextInRange(MakeTimestamp(1900, 1, 1), MakeTimestamp(2100, 1, 1));
+    const Timestamp minute = ts - ((ts % 60) + 60) % 60;
+    Timestamp parsed = 0;
+    ASSERT_TRUE(ParseDateTime(FormatDateTime(ts), &parsed));
+    EXPECT_EQ(parsed, minute);
+    ASSERT_TRUE(ParseDateTime(FormatDate(ts), &parsed));
+    EXPECT_EQ(FormatDate(parsed), FormatDate(ts));
+    EXPECT_EQ(parsed % kSecondsPerDay, 0);
+  }
+  for (const char* bad : {"2014-13-01", "2014-02-29", "2100-02-29",
+                          "2014-06-31", "2014-07-17 24:00", "2014-07-17 07:60",
+                          "2014-7-17", "2014-07-17 ", "2014/07/17",
+                          "-014-07-17", "2014-07-17 13:20:05"}) {
+    Timestamp untouched = 42;
+    EXPECT_FALSE(ParseDateTime(bad, &untouched)) << bad;
+    EXPECT_EQ(untouched, 42) << bad;
+  }
+}
+
 // ---------------------------------- Story ----------------------------------
 
 Snippet MakeSnippet(SnippetId id, SourceId source, Timestamp ts,

@@ -40,12 +40,12 @@ datagen::Corpus TestCorpus() {
   return datagen::CorpusGenerator(config).Generate();
 }
 
-std::unique_ptr<StoryPivotEngine> MakeEngine(const datagen::Corpus& corpus,
-                                             size_t num_threads,
-                                             bool prune_with_entities) {
+std::unique_ptr<StoryPivotEngine> MakeEngine(
+    const datagen::Corpus& corpus, size_t num_threads,
+    IdentificationMode mode = IdentificationMode::kTemporal) {
   EngineConfig config;
   config.num_threads = num_threads;
-  config.identifier.prune_with_entities = prune_with_entities;
+  config.mode = mode;
   auto engine = std::make_unique<StoryPivotEngine>(config);
   SP_CHECK_OK(engine->ImportVocabularies(*corpus.entity_vocabulary,
                                          *corpus.keyword_vocabulary));
@@ -98,15 +98,16 @@ void ExpectIdenticalAlignment(const AlignmentResult& a,
   EXPECT_EQ(a.num_pairs_scored, b.num_pairs_scored);
 }
 
-/// Parameterised over the identification candidate generator: the
-/// window scan (default) or entity pruning.
-class ParallelEquivalence : public ::testing::TestWithParam<bool> {};
+/// Parameterised over the identification mode: the temporal window
+/// (default) or the whole time axis.
+class ParallelEquivalence
+    : public ::testing::TestWithParam<IdentificationMode> {};
 
 TEST_P(ParallelEquivalence, BatchIngestIsThreadCountInvariant) {
-  const bool prune_with_entities = GetParam();
+  const IdentificationMode mode = GetParam();
   datagen::Corpus corpus = TestCorpus();
-  auto serial = MakeEngine(corpus, /*num_threads=*/1, prune_with_entities);
-  auto parallel = MakeEngine(corpus, /*num_threads=*/4, prune_with_entities);
+  auto serial = MakeEngine(corpus, /*num_threads=*/1, mode);
+  auto parallel = MakeEngine(corpus, /*num_threads=*/4, mode);
   FeedBatched(serial.get(), corpus, /*batch_size=*/128);
   FeedBatched(parallel.get(), corpus, /*batch_size=*/128);
 
@@ -134,20 +135,21 @@ TEST_P(ParallelEquivalence, BatchIngestIsThreadCountInvariant) {
   ExpectIdenticalAlignment(serial->alignment(), parallel->alignment());
 }
 
-INSTANTIATE_TEST_SUITE_P(Candidates, ParallelEquivalence,
-                         ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "EntityPruning" : "WindowScan";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Candidates, ParallelEquivalence,
+    ::testing::Values(IdentificationMode::kTemporal,
+                      IdentificationMode::kComplete),
+    [](const ::testing::TestParamInfo<IdentificationMode>& info) {
+      return info.param == IdentificationMode::kTemporal ? "WindowScan"
+                                                         : "Complete";
+    });
 
 TEST(ParallelAlignTest, MatchesSerialOnIdenticalState) {
   // Both engines ingest identically (one snippet at a time); only the
   // alignment pass differs in thread count.
   datagen::Corpus corpus = TestCorpus();
-  auto serial =
-      MakeEngine(corpus, /*num_threads=*/1, /*prune_with_entities=*/false);
-  auto parallel =
-      MakeEngine(corpus, /*num_threads=*/4, /*prune_with_entities=*/false);
+  auto serial = MakeEngine(corpus, /*num_threads=*/1);
+  auto parallel = MakeEngine(corpus, /*num_threads=*/4);
   for (const Snippet& snippet : corpus.snippets) {
     Snippet copy = snippet;
     SP_CHECK_OK(serial->AddSnippet(std::move(copy)));
@@ -163,8 +165,7 @@ TEST(ParallelAlignTest, MatchesSerialOnIdenticalState) {
 // the summed per-shard times go to identify_cpu_ms.
 TEST(IdentifyTimeTest, BatchAddsAtMostItsWallTime) {
   datagen::Corpus corpus = TestCorpus();
-  auto engine =
-      MakeEngine(corpus, /*num_threads=*/4, /*prune_with_entities=*/false);
+  auto engine = MakeEngine(corpus, /*num_threads=*/4);
   std::vector<Snippet> batch = corpus.snippets;
   ASSERT_GT(corpus.sources.size(), 1u);
   const double before = engine->stats().identify_time_ms;
@@ -179,8 +180,7 @@ TEST(IdentifyTimeTest, BatchAddsAtMostItsWallTime) {
 // their summed time cannot exceed the batch's wall time.
 TEST(IdentifyTimeTest, ShardTimesFitTheWallTimeOnOneThread) {
   datagen::Corpus corpus = TestCorpus();
-  auto engine =
-      MakeEngine(corpus, /*num_threads=*/1, /*prune_with_entities=*/false);
+  auto engine = MakeEngine(corpus, /*num_threads=*/1);
   FeedBatched(engine.get(), corpus, /*batch_size=*/128);
   EXPECT_GT(engine->stats().identify_cpu_ms, 0.0);
   EXPECT_LE(engine->stats().identify_cpu_ms,

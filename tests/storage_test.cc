@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <vector>
 
-#include "storage/inverted_index.h"
 #include "storage/snippet_store.h"
 #include "storage/temporal_index.h"
 #include "util/rng.h"
@@ -124,39 +124,75 @@ TEST(TemporalIndexTest, ForEachVisitsInOrder) {
 
 // Property: the index agrees with a naive reference implementation under
 // random out-of-order inserts and erases, with timestamps and windows on
-// both sides of the epoch (negative timestamps are pre-1970 dates).
+// both sides of the epoch (negative timestamps are pre-1970 dates) and a
+// few entries at the two extreme timestamps. The index grows past three
+// chunk capacities (512 entries), so chunks split, then drains to empty,
+// so every chunk empties. At every checkpoint ForEach visits the entries
+// in (timestamp, id) order and the window over the whole time axis lists
+// exactly those ids: complete identification reads its candidates so.
 class TemporalIndexProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(TemporalIndexProperty, MatchesNaiveReference) {
+  constexpr Timestamp kMin = std::numeric_limits<Timestamp>::min();
+  constexpr Timestamp kMax = std::numeric_limits<Timestamp>::max();
   Pcg32 rng(GetParam());
   TemporalIndex index;
-  std::vector<std::pair<Timestamp, SnippetId>> reference;
+  std::vector<TemporalIndex::Entry> reference;
   SnippetId next_id = 0;
-  for (int step = 0; step < 500; ++step) {
-    if (!reference.empty() && rng.NextBernoulli(0.3)) {
-      size_t pick = rng.NextBounded(static_cast<uint32_t>(reference.size()));
-      auto [ts, id] = reference[pick];
-      EXPECT_TRUE(index.Erase(ts, id));
-      reference.erase(reference.begin() + pick);
+
+  auto check = [&]() {
+    Timestamp lo = rng.NextInRange(-600, 1000);
+    Timestamp hi = lo + rng.NextInRange(0, 300);
+    std::set<SnippetId> expected;
+    for (auto [ts, id] : reference) {
+      if (ts >= lo && ts <= hi) expected.insert(id);
+    }
+    std::vector<SnippetId> got = index.IdsInWindow(lo, hi);
+    EXPECT_EQ(std::set<SnippetId>(got.begin(), got.end()), expected);
+    EXPECT_EQ(index.CountInWindow(lo, hi), expected.size());
+
+    std::vector<TemporalIndex::Entry> sorted = reference;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<TemporalIndex::Entry> visited;
+    index.ForEach([&visited](Timestamp ts, SnippetId id) {
+      visited.emplace_back(ts, id);
+    });
+    ASSERT_EQ(visited, sorted);
+    std::vector<SnippetId> all;
+    for (const auto& [ts, id] : visited) all.push_back(id);
+    EXPECT_EQ(index.IdsInWindow(kMin, kMax), all);
+    EXPECT_EQ(index.CountInWindow(kMin, kMax), all.size());
+  };
+  auto erase_one = [&]() {
+    size_t pick = rng.NextBounded(static_cast<uint32_t>(reference.size()));
+    auto [ts, id] = reference[pick];
+    EXPECT_TRUE(index.Erase(ts, id));
+    reference.erase(reference.begin() + static_cast<ptrdiff_t>(pick));
+  };
+
+  size_t peak = 0;
+  for (int step = 0; step < 3000; ++step) {
+    if (!reference.empty() && rng.NextBernoulli(0.2)) {
+      erase_one();
     } else {
-      Timestamp ts = rng.NextInRange(-500, 1000);
+      const uint32_t extreme = rng.NextBounded(100);
+      Timestamp ts = extreme == 0   ? kMin
+                     : extreme == 1 ? kMax
+                                    : rng.NextInRange(-500, 1000);
       SnippetId id = next_id++;
       index.Insert(ts, id);
       reference.push_back({ts, id});
     }
-    if (step % 50 == 0) {
-      Timestamp lo = rng.NextInRange(-600, 1000);
-      Timestamp hi = lo + rng.NextInRange(0, 300);
-      std::set<SnippetId> expected;
-      for (auto [ts, id] : reference) {
-        if (ts >= lo && ts <= hi) expected.insert(id);
-      }
-      std::vector<SnippetId> got = index.IdsInWindow(lo, hi);
-      EXPECT_EQ(std::set<SnippetId>(got.begin(), got.end()), expected);
-      EXPECT_EQ(index.CountInWindow(lo, hi), expected.size());
-    }
+    peak = std::max(peak, reference.size());
+    if (step % 50 == 0) check();
   }
   EXPECT_EQ(index.size(), reference.size());
+  EXPECT_GT(peak, 3u * 512u);  // So at least three chunks split.
+  while (!reference.empty()) {
+    erase_one();
+    if (reference.size() % 50 == 0) check();
+  }
+  EXPECT_TRUE(index.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TemporalIndexProperty,
@@ -229,86 +265,6 @@ TEST(SnippetStoreTest, ForEachVisitsAll) {
   size_t count = 0;
   store.ForEach([&](const Snippet&) { ++count; });
   EXPECT_EQ(count, 5u);
-}
-
-// ------------------------------ InvertedIndex ------------------------------
-
-TEST(InvertedIndexTest, CandidatesShareTerms) {
-  InvertedIndex index;
-  index.Add(1, text::TermVector::FromEntries({{10, 1.0}, {11, 1.0}}));
-  index.Add(2, text::TermVector::FromEntries({{11, 1.0}}));
-  index.Add(3, text::TermVector::FromEntries({{12, 1.0}}));
-  auto candidates =
-      index.Candidates(text::TermVector::FromEntries({{11, 1.0}}));
-  EXPECT_EQ(candidates, (std::vector<SnippetId>{1, 2}));
-}
-
-TEST(InvertedIndexTest, CandidatesDeduplicated) {
-  InvertedIndex index;
-  index.Add(1, text::TermVector::FromEntries({{10, 1.0}, {11, 1.0}}));
-  auto candidates = index.Candidates(
-      text::TermVector::FromEntries({{10, 1.0}, {11, 1.0}}));
-  EXPECT_EQ(candidates, (std::vector<SnippetId>{1}));
-}
-
-TEST(InvertedIndexTest, RemoveErasesPostingsEagerly) {
-  InvertedIndex index;
-  const text::TermVector shared = text::TermVector::FromEntries({{10, 1.0}});
-  const text::TermVector both =
-      text::TermVector::FromEntries({{10, 1.0}, {11, 1.0}});
-  index.Add(1, both);
-  index.Add(2, shared);
-  index.Add(3, both);
-  EXPECT_EQ(index.num_postings(), 5u);
-  index.Remove(1, both);
-  EXPECT_EQ(index.Candidates(shared), (std::vector<SnippetId>{2, 3}));
-  // The postings count is the live count: nothing waits for a compaction.
-  EXPECT_EQ(index.num_postings(), 3u);
-  index.Remove(3, both);
-  EXPECT_EQ(index.num_postings(), 1u);
-  // Term 11's list emptied and is gone.
-  EXPECT_TRUE(
-      index.Candidates(text::TermVector::FromEntries({{11, 1.0}})).empty());
-  index.Remove(2, shared);
-  EXPECT_EQ(index.num_postings(), 0u);
-  EXPECT_TRUE(index.Candidates(both).empty());
-}
-
-TEST(InvertedIndexTest, RemovedThenReaddedIdIsACandidate) {
-  // Refinement moves a snippet between stories of a partition as a
-  // remove followed by an add of the same id.
-  InvertedIndex index;
-  const text::TermVector terms = text::TermVector::FromEntries({{10, 1.0}});
-  index.Add(1, terms);
-  index.Add(2, terms);
-  index.Remove(1, terms);
-  index.Add(1, terms);
-  EXPECT_EQ(index.Candidates(terms), (std::vector<SnippetId>{1, 2}));
-  EXPECT_EQ(index.num_postings(), 2u);
-}
-
-TEST(InvertedIndexTest, FrozenCopyKeepsRemovedId) {
-  InvertedIndex index;
-  const text::TermVector terms =
-      text::TermVector::FromEntries({{10, 1.0}, {11, 1.0}});
-  index.Add(1, terms);
-  index.Add(2, terms);
-  const InvertedIndex frozen = index.Freeze();
-  index.Remove(1, terms);
-  EXPECT_EQ(index.Candidates(terms), (std::vector<SnippetId>{2}));
-  EXPECT_EQ(frozen.Candidates(terms), (std::vector<SnippetId>{1, 2}));
-  EXPECT_EQ(frozen.num_postings(), 4u);
-  EXPECT_EQ(index.num_postings(), 2u);
-}
-
-TEST(InvertedIndexTest, ZeroWeightTermsIgnored) {
-  InvertedIndex index;
-  text::TermVector v;
-  v.Add(10, 1.0);
-  index.Add(1, v);
-  // A probe with only unseen terms finds nothing.
-  EXPECT_TRUE(
-      index.Candidates(text::TermVector::FromEntries({{99, 1.0}})).empty());
 }
 
 }  // namespace

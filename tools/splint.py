@@ -20,6 +20,11 @@ examples/ (and tools/ headers if any appear):
                     util/fs.h so its atomic-replace and fsync guarantees
                     (DESIGN.md §10) hold repo-wide.
   build-artifact    no committed build trees or object/cache files.
+  bench-file        every tracked BENCH_*.json at the repo root is named
+                    as a string literal by exactly one bench/*.cc, and
+                    every BENCH_*.json literal in bench/*.cc names a
+                    tracked file, so each committed number has a command
+                    that writes it.
   full-scan         no partitions() full-story scans outside src/core/
                     and src/search/ — O(all stories) walks (StoryQuery's
                     Find* scan, the RankStoriesScan oracle) stay in the
@@ -268,6 +273,48 @@ def check_build_artifacts(root):
                 break
 
 
+BENCH_FILE_RE = re.compile(r'"(BENCH_[A-Za-z0-9_]+\.json)"')
+
+
+def check_bench_files(root):
+    """Pairs every tracked root BENCH_*.json with the one bench that
+    writes it, in both directions."""
+    try:
+        output = subprocess.run(
+            ["git", "ls-files", "BENCH_*.json"], cwd=root,
+            capture_output=True, text=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return  # Not a git checkout (e.g. a tarball); nothing to check.
+    tracked = {name for name in output.splitlines() if "/" not in name}
+    writers = {}  # BENCH file name -> the bench sources naming it.
+    bench_dir = os.path.join(root, "bench")
+    names = sorted(os.listdir(bench_dir)) if os.path.isdir(bench_dir) else []
+    for name in names:
+        if not name.endswith(".cc"):
+            continue
+        relpath = "bench/" + name
+        with open(os.path.join(bench_dir, name),
+                  encoding="utf-8", errors="replace") as handle:
+            for number, line in enumerate(handle, start=1):
+                for match in BENCH_FILE_RE.finditer(line):
+                    bench_file = match.group(1)
+                    writers.setdefault(bench_file, set()).add(relpath)
+                    if bench_file not in tracked:
+                        yield relpath, number, "bench-file", (
+                            "names %s, which is not a tracked file" %
+                            bench_file)
+    for bench_file in sorted(tracked):
+        sources = sorted(writers.get(bench_file, ()))
+        if not sources:
+            yield bench_file, 0, "bench-file", (
+                "no bench/*.cc names it; commit the bench that writes it "
+                "or delete the file")
+        elif len(sources) > 1:
+            yield bench_file, 0, "bench-file", (
+                "named by %d bench/*.cc files (%s); want exactly the one "
+                "that writes it" % (len(sources), ", ".join(sources)))
+
+
 def iter_source_files(root, paths):
     for path in paths:
         absolute = os.path.join(root, path)
@@ -318,6 +365,7 @@ def main(argv):
                 findings.append((relpath, number, rule, message))
 
     findings.extend(check_build_artifacts(root))
+    findings.extend(check_bench_files(root))
 
     for relpath, number, rule, message in findings:
         print("%s:%d: [%s] %s" % (relpath, number, rule, message))
