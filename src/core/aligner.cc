@@ -117,12 +117,6 @@ constexpr size_t kChunksPerThread = 8;
 
 }  // namespace
 
-size_t AlignmentResult::IndexOfMember(SourceId source, StoryId id) const {
-  auto it = member_index.find(MemberKey(source, id));
-  return it == member_index.end() ? std::numeric_limits<size_t>::max()
-                                  : it->second;
-}
-
 double StoryAligner::StoryPairScore(const Story& a, const Story& b) const {
   double affinity = SimilarityModel::TemporalAffinity(
       a.start_time(), a.end_time(), b.start_time(), b.end_time(),
@@ -155,7 +149,6 @@ AlignmentResult StoryAligner::Align(
   previous.integrated_of.clear();
   previous.roles.clear();
   previous.counterpart.clear();
-  previous.member_index.clear();
   AlignmentResult result;
 
   // Collect all story nodes.
@@ -358,7 +351,6 @@ AlignmentResult StoryAligner::Align(
   // node order; each is the union of its member stories in node order.
   std::vector<uint32_t> story_of_root(n, kNone);
   std::vector<std::vector<const Story*>> parts;
-  result.member_index.reserve(n);
   result.integrated_of.reserve(store.size());
   for (size_t i = 0; i < n; ++i) {
     uint32_t& index = story_of_root[uf.Find(i)];
@@ -373,7 +365,6 @@ AlignmentResult StoryAligner::Align(
     result.stories[index].members.push_back(
         {nodes[i].source, nodes[i].story});
     parts[index].push_back(nodes[i].ptr);
-    result.member_index[MemberKey(nodes[i].source, nodes[i].story)] = index;
     for (SnippetId sid : nodes[i].ptr->snippets()) {
       result.integrated_of[sid] = index;
     }

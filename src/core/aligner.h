@@ -116,8 +116,6 @@ struct AlignmentResult {
   std::unordered_map<SnippetId, SnippetRole> roles;
   /// Best cross-source counterpart of each *aligning* snippet.
   std::unordered_map<SnippetId, SnippetId> counterpart;
-  /// (source, story) -> index into `stories`.
-  std::unordered_map<uint64_t, size_t> member_index;
   /// Story pairs actually scored (work indicator for the benches). A pair
   /// taken from a record counts as scored, so the count equals a fresh
   /// run's.
@@ -133,10 +131,6 @@ struct AlignmentResult {
   /// This run's reuse record. It owns `graph`, which is a handle on it:
   /// neither outlives the other, and the engine drops both together.
   std::shared_ptr<const AlignmentRecord> record;
-
-  /// Integrated story containing per-source story (source, id), or
-  /// SIZE_MAX.
-  size_t IndexOfMember(SourceId source, StoryId id) const;
 };
 
 /// Fills `result->roles` and `result->counterpart` for every snippet of

@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "core/parallel_ingest.h"
 #include "util/logging.h"
 #include "util/strings.h"
 #include "util/timer.h"
@@ -294,16 +293,30 @@ Result<std::vector<SnippetId>> StoryPivotEngine::AddSnippets(
   }
 
   // Phase 2 — shard by source (ascending source id) and identify shards
-  // concurrently. Each shard owns its partition and a private story-id
-  // block, so shards share no mutable state; block layout depends only on
-  // the batch contents, keeping story ids deterministic across thread
-  // counts.
-  std::vector<IngestShard> shards;
+  // concurrently: identification is per source (§2.2). Each shard owns
+  // its partition and a private story-id block, so shards share no
+  // mutable state; block layout depends only on the batch contents,
+  // keeping story ids deterministic across thread counts. The store and
+  // DF stay frozen until the epilogue, and Identify is const, so every
+  // shard reads the same identifier.
+  struct Shard {
+    SourceId source = kInvalidSourceId;
+    StorySet* partition = nullptr;
+    /// The shard's snippets in arrival order (pointers into the store).
+    std::vector<const Snippet*> snippets;
+    /// The block is [story_id_begin, story_id_begin + snippets.size()):
+    /// one id per snippet is the worst case (every snippet opens a new
+    /// story). Unused ids are skipped.
+    StoryId story_id_begin = 0;
+    /// Time identification took, on whichever thread ran the shard.
+    double identify_ms = 0.0;
+  };
+  std::vector<Shard> shards;
   std::unordered_map<SourceId, size_t> shard_of;
   for (const Snippet* snippet : stored) {
     auto [it, inserted] = shard_of.emplace(snippet->source, shards.size());
     if (inserted) {
-      IngestShard shard;
+      Shard shard;
       shard.source = snippet->source;
       shard.partition = MutablePartition(snippet->source);
       SP_CHECK(shard.partition != nullptr);
@@ -312,28 +325,43 @@ Result<std::vector<SnippetId>> StoryPivotEngine::AddSnippets(
     shards[it->second].snippets.push_back(snippet);
   }
   std::sort(shards.begin(), shards.end(),
-            [](const IngestShard& a, const IngestShard& b) {
-              return a.source < b.source;
-            });
+            [](const Shard& a, const Shard& b) { return a.source < b.source; });
   const StoryId block_base = next_story_id_.load(std::memory_order_relaxed);
   StoryId offset = 0;
-  for (IngestShard& shard : shards) {
+  for (Shard& shard : shards) {
     shard.story_id_begin = block_base + offset;
     offset += shard.snippets.size();
   }
 
+  // One chunk per shard: identification order within a source is part of
+  // the algorithm, so a shard is the unit of sequential work. Workers
+  // write only their own shards; stats_ waits for the serial epilogue.
+  auto identify = [this, &shards](size_t, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      Shard& shard = shards[i];
+      WallTimer shard_timer;
+      StoryId cursor = shard.story_id_begin;
+      const StoryId block_end = shard.story_id_begin + shard.snippets.size();
+      for (const Snippet* snippet : shard.snippets) {
+        identifier_.Identify(*snippet, shard.partition, store_, &cursor);
+        SP_CHECK(cursor <= block_end);
+      }
+      shard.identify_ms = shard_timer.ElapsedMillis();
+    }
+  };
   WallTimer timer;
-  ParallelIngestor ingestor(&identifier_, pool_.get());
-  std::vector<IngestShardResult> results = ingestor.Run(shards, store_);
+  if (pool_ != nullptr) {
+    pool_->ParallelFor(shards.size(), shards.size(), identify);
+  } else {
+    identify(0, 0, shards.size());
+  }
   const double batch_wall_ms = timer.ElapsedMillis();
 
   // Serial epilogue: advance the id space past every shard's block and
   // merge per-shard outcomes in shard order (deterministic).
   next_story_id_.store(block_base + offset, std::memory_order_relaxed);
   stats_.identify_time_ms += batch_wall_ms;
-  for (size_t i = 0; i < shards.size(); ++i) {
-    stats_.identify_cpu_ms += results[i].identify_time_ms;
-  }
+  for (const Shard& shard : shards) stats_.identify_cpu_ms += shard.identify_ms;
   stats_.snippets_ingested += stored.size();
   DropCounterpartGraph();
   MarkStale();

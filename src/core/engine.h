@@ -386,8 +386,8 @@ class StoryPivotEngine {
   /// immutable once stored; the map is not resized during phase 2).
   SnippetStore store_;
   std::vector<SourceInfo> sources_;
-  /// The map itself is serial-only; each phase-2 shard mutates ONE
-  /// StorySet through its private IngestShard::partition pointer, and
+  /// The map itself is serial-only; each phase-2 shard of AddSnippets
+  /// mutates ONE StorySet through its shard's partition pointer, and
   /// shards are disjoint by source.
   std::unordered_map<SourceId, StorySet> partitions_;
   /// Next unassigned story id. Atomic so the parallel paths may read it

@@ -1,8 +1,5 @@
 #include "core/story_set.h"
 
-#include <algorithm>
-#include <utility>
-
 #include "util/logging.h"
 
 namespace storypivot {
@@ -113,28 +110,6 @@ const Story* StorySet::FindStory(StoryId id) const {
   return stories_.Find(id);
 }
 
-std::vector<StoryId> StorySet::StoriesInWindow(Timestamp lo,
-                                               Timestamp hi) const {
-  std::vector<StoryId> out;
-  snippet_times_.ForEachInWindow(lo, hi,
-                                 [&](Timestamp, SnippetId sid) {
-                                   const StoryId* story = story_of_.Find(sid);
-                                   if (story != nullptr) {
-                                     out.push_back(*story);
-                                   }
-                                 });
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-StorySet StorySet::Freeze() const {
-  StorySet frozen(source_);
-  frozen.stories_ = stories_;            // O(1) structural shares.
-  frozen.story_of_ = story_of_;
-  frozen.snippet_times_ = snippet_times_;
-  frozen.last_stamp_ = last_stamp_;
-  return frozen;
-}
+StorySet StorySet::Freeze() const { return StorySet(*this); }
 
 }  // namespace storypivot

@@ -34,7 +34,6 @@ class StorySet {
 
   explicit StorySet(SourceId source) : source_(source) {}
 
-  StorySet(const StorySet&) = delete;
   StorySet& operator=(const StorySet&) = delete;
   StorySet(StorySet&&) = default;
   StorySet& operator=(StorySet&&) = default;
@@ -77,9 +76,6 @@ class StorySet {
   /// All snippets of the source ordered by time.
   const TemporalIndex& snippet_times() const { return snippet_times_; }
 
-  /// Distinct stories having at least one snippet in [lo, hi].
-  std::vector<StoryId> StoriesInWindow(Timestamp lo, Timestamp hi) const;
-
   /// Number of snippets assigned in this partition.
   size_t num_snippets() const { return story_of_.size(); }
 
@@ -90,6 +86,10 @@ class StorySet {
   [[nodiscard]] StorySet Freeze() const;
 
  private:
+  /// Freeze()'s member-wise copy: O(1) structural shares, and no
+  /// default-constructed state to build and drop first.
+  StorySet(const StorySet&) = default;
+
   SourceId source_;
   StoryMap stories_;
   cow::PersistentMap<SnippetId, StoryId> story_of_;

@@ -9,12 +9,11 @@ namespace storypivot::cow {
 
 /// Cumulative copy-on-write cost counters for the whole process
 /// (DESIGN.md §15). Every node or payload the cow layer physically
-/// duplicates — a HAMT node clone, a CowBox payload clone, a
-/// PersistentVector path copy — bumps these; structural shares bump
-/// nothing. The serving tier reads the counters around a snapshot
-/// capture to report "bytes copied" per publish; the difference between
-/// a structure's approximate resident size and the copied bytes is the
-/// shared (zero-cost) part of the epoch.
+/// duplicates — a HAMT node clone, a CowBox payload clone — bumps these;
+/// structural shares bump nothing. The serving tier reads the counters
+/// around a snapshot capture to report "bytes copied" per publish; the
+/// difference between a structure's approximate resident size and the
+/// copied bytes is the shared (zero-cost) part of the epoch.
 ///
 /// Relaxed atomics: the counters are monotonic telemetry, not a
 /// synchronization mechanism. All cow mutations happen on the single

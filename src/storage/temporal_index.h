@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "cow/cow_box.h"
-#include "cow/persistent_vector.h"
 #include "model/ids.h"
 #include "model/time.h"
 
@@ -18,12 +17,13 @@ namespace storypivot {
 /// its candidates from (§2.2, Fig. 2): [t-w, t+w] in temporal mode, the
 /// whole time axis in complete mode.
 ///
-/// Backed by sorted fixed-capacity chunks (CowBox'd runs) hung off a
-/// persistent-vector spine, so the index is copy-on-write: copying it is
-/// O(1) structural sharing, and a mutation after a copy clones one chunk
-/// (at most kMaxChunk entries) plus a spine path instead of the whole
-/// index (DESIGN.md §15). Arrivals near the end of the time axis stay
-/// amortised cheap, and window scans stay sequential runs.
+/// Backed by sorted fixed-capacity chunks (CowBox'd runs) in a CowBox'd
+/// vector spine, so the index is copy-on-write: copying it is one
+/// `shared_ptr` bump, and the first mutation after a copy clones the
+/// spine's chunk pointers plus one chunk (at most kMaxChunk entries)
+/// instead of the whole index (DESIGN.md §15). Arrivals near the end of
+/// the time axis stay amortised cheap, and window scans stay sequential
+/// runs.
 class TemporalIndex {
  public:
   using Entry = std::pair<Timestamp, SnippetId>;
@@ -54,9 +54,6 @@ class TemporalIndex {
   /// over the whole Timestamp range lists exactly ForEach's entries.
   std::vector<SnippetId> IdsInWindow(Timestamp lo, Timestamp hi) const;
 
-  /// Number of entries with lo <= timestamp <= hi.
-  size_t CountInWindow(Timestamp lo, Timestamp hi) const;
-
   /// All entries in time order, materialized into a flat vector. O(n) —
   /// prefer ForEach / ForEachInWindow on hot paths.
   std::vector<Entry> entries() const;
@@ -71,8 +68,9 @@ class TemporalIndex {
  private:
   using Chunk = cow::CowBox<std::vector<Entry>>;
 
-  /// Chunk capacity before a split. Splits rebuild the spine (O(#chunks)
-  /// pointer copies) but happen only every ~kMaxChunk/2 inserts per run.
+  /// Chunk capacity before a split. A split inserts a chunk into the
+  /// spine (O(#chunks) pointer moves) but happens only every ~kMaxChunk/2
+  /// inserts per run.
   static constexpr size_t kMaxChunk = 512;
 
   /// Index of the chunk that owns `entry` (first chunk whose last entry
@@ -84,13 +82,7 @@ class TemporalIndex {
   /// of chunks when none).
   size_t FirstChunkNotBefore(Timestamp lo) const;
 
-  /// Replaces chunk `index` with its two halves (spine rebuild).
-  void SplitChunk(size_t index);
-
-  /// Drops the (now empty) chunk at `index` (spine rebuild).
-  void RemoveChunk(size_t index);
-
-  cow::PersistentVector<Chunk> chunks_;  // Sorted, non-overlapping runs.
+  cow::CowBox<std::vector<Chunk>> chunks_;  // Sorted, non-overlapping runs.
   size_t size_ = 0;
 };
 

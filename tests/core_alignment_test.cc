@@ -24,6 +24,20 @@
 namespace storypivot {
 namespace {
 
+/// Index of the integrated story that lists per-source story (source,
+/// id) among its members, or SIZE_MAX.
+size_t IntegratedStoryWith(const AlignmentResult& result, SourceId source,
+                           StoryId id) {
+  const std::pair<SourceId, StoryId> member{source, id};
+  for (size_t i = 0; i < result.stories.size(); ++i) {
+    const auto& members = result.stories[i].members;
+    if (std::find(members.begin(), members.end(), member) != members.end()) {
+      return i;
+    }
+  }
+  return std::numeric_limits<size_t>::max();
+}
+
 /// Builds a two-source fixture mirroring the paper's running example:
 /// story "X" (plane crash: entities {0,1}, keywords {5,6}) and story "Y"
 /// (war-crimes inquiry: entities {8,9}, keywords {15,16}), both reported
@@ -99,7 +113,7 @@ TEST_F(AlignmentFixture, SingletonStoriesSurviveAlignment) {
   Assign(PutY(0, 0), 3);  // Only source 0 covers story Y.
   AlignmentResult result = Align();
   ASSERT_EQ(result.stories.size(), 2u);
-  size_t y_index = result.IndexOfMember(0, 3);
+  size_t y_index = IntegratedStoryWith(result, 0, 3);
   ASSERT_NE(y_index, std::numeric_limits<size_t>::max());
   EXPECT_EQ(result.stories[y_index].members.size(), 1u);
 }
@@ -287,7 +301,8 @@ TEST(LshAlignmentTest, PartitionMatchesAllPairsOracle) {
   // Each integrated story lies inside one oracle component...
   std::vector<std::vector<size_t>> lsh_partition(result.stories.size());
   for (size_t i = 0; i < nodes.size(); ++i) {
-    const size_t index = result.IndexOfMember(nodes[i].source, nodes[i].story);
+    const size_t index =
+        IntegratedStoryWith(result, nodes[i].source, nodes[i].story);
     ASSERT_LT(index, lsh_partition.size());
     lsh_partition[index].push_back(i);
   }
@@ -447,8 +462,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BandedAlignment,
                          ::testing::Values(41u, 42u, 43u));
 
 /// `a` and `b` agree in every field a fresh Align() defines: stories,
-/// ids, members, merged aggregates (weights bit for bit), the snippet and
-/// member indexes, roles, counterparts and the scored-pair count.
+/// ids, members, merged aggregates (weights bit for bit), the snippet
+/// index, roles, counterparts and the scored-pair count.
 void ExpectSameAlignment(const AlignmentResult& a, const AlignmentResult& b) {
   ASSERT_EQ(a.stories.size(), b.stories.size());
   for (size_t s = 0; s < a.stories.size(); ++s) {
@@ -474,7 +489,6 @@ void ExpectSameAlignment(const AlignmentResult& a, const AlignmentResult& b) {
     }
   }
   EXPECT_EQ(a.integrated_of, b.integrated_of);
-  EXPECT_EQ(a.member_index, b.member_index);
   EXPECT_EQ(a.roles, b.roles);
   EXPECT_EQ(a.counterpart, b.counterpart);
   EXPECT_EQ(a.num_pairs_scored, b.num_pairs_scored);

@@ -145,18 +145,6 @@ TEST_F(IdentifierFixture, StorySetStampsEveryMutation) {
   EXPECT_EQ(frozen.FindStory(1)->stamp(), stamp);
 }
 
-TEST_F(IdentifierFixture, StoriesInWindow) {
-  const Snippet& a = Put(100, {{0, 1.0}}, {});
-  const Snippet& b = Put(500, {{1, 1.0}}, {});
-  stories_.CreateStory(1);
-  stories_.CreateStory(2);
-  stories_.AddSnippetToStory(a, 1);
-  stories_.AddSnippetToStory(b, 2);
-  EXPECT_EQ(stories_.StoriesInWindow(0, 200), (std::vector<StoryId>{1}));
-  EXPECT_EQ(stories_.StoriesInWindow(0, 600), (std::vector<StoryId>{1, 2}));
-  EXPECT_TRUE(stories_.StoriesInWindow(201, 499).empty());
-}
-
 // ---------------------------- Identification -------------------------------
 
 TEST_F(IdentifierFixture, FirstSnippetOpensStory) {

@@ -1,5 +1,5 @@
 // Unit tests for the persistent data-structures subsystem (src/cow/):
-// CowBox, PersistentMap (HAMT), PersistentVector. The properties pinned
+// CowBox and PersistentMap (HAMT). The properties pinned
 // here — O(1) freeze, write immunity of frozen copies, content-
 // deterministic iteration order — are what the serving tier's
 // copy-on-write snapshot capture is built on (DESIGN.md §15).
@@ -18,7 +18,6 @@
 
 #include "cow/cow_box.h"
 #include "cow/persistent_map.h"
-#include "cow/persistent_vector.h"
 #include "cow/stats.h"
 
 namespace storypivot::cow {
@@ -59,13 +58,21 @@ TEST(CowBoxTest, SharedMutationRecordsACopy) {
   (void)frozen;
 }
 
+/// "v<i>", built by appending: g++ 12 warns a false -Wrestrict on the
+/// string concatenation `"v" + std::to_string(i)`.
+std::string ValueName(uint32_t i) {
+  std::string name = "v";
+  name += std::to_string(i);
+  return name;
+}
+
 TEST(PersistentMapTest, InsertFindErase) {
   PersistentMap<uint32_t, std::string> map;
   EXPECT_TRUE(map.empty());
   for (uint32_t i = 0; i < 500; ++i) {
-    auto [value, inserted] = map.Emplace(i, "v" + std::to_string(i));
+    auto [value, inserted] = map.Emplace(i, ValueName(i));
     EXPECT_TRUE(inserted);
-    EXPECT_EQ(*value, "v" + std::to_string(i));
+    EXPECT_EQ(*value, ValueName(i));
   }
   EXPECT_EQ(map.size(), 500u);
   auto [existing, inserted] = map.Emplace(42, "other");
@@ -76,7 +83,7 @@ TEST(PersistentMapTest, InsertFindErase) {
   for (uint32_t i = 0; i < 500; ++i) {
     const std::string* found = map.Find(i);
     ASSERT_NE(found, nullptr);
-    EXPECT_EQ(*found, "v" + std::to_string(i));
+    EXPECT_EQ(*found, ValueName(i));
   }
   EXPECT_EQ(map.Find(1000u), nullptr);
   EXPECT_FALSE(map.Erase(1000u));
@@ -241,66 +248,6 @@ TEST(PersistentMapTest, MatchesReferenceUnderRandomizedChurn) {
     frozen.ForEach([&](uint32_t k, uint32_t v) { got[k] = v; });
     EXPECT_EQ(got, expected);
   }
-}
-
-TEST(PersistentVectorTest, PushGetSetPop) {
-  PersistentVector<int> vec;
-  EXPECT_TRUE(vec.empty());
-  // Cross several levels: 32^2 = 1024 < 3000.
-  for (int i = 0; i < 3000; ++i) vec.PushBack(i);
-  EXPECT_EQ(vec.size(), 3000u);
-  for (int i = 0; i < 3000; ++i) EXPECT_EQ(vec.At(i), i);
-  EXPECT_EQ(vec.back(), 2999);
-
-  vec.Set(1500, -1);
-  *vec.Mutable(17) = -2;
-  EXPECT_EQ(vec.At(1500), -1);
-  EXPECT_EQ(vec.At(17), -2);
-
-  for (int i = 0; i < 2990; ++i) vec.PopBack();
-  EXPECT_EQ(vec.size(), 10u);
-  EXPECT_EQ(vec.At(9), 9);
-  vec.PushBack(77);
-  EXPECT_EQ(vec.back(), 77);
-  while (!vec.empty()) vec.PopBack();
-  vec.PushBack(5);  // Usable again after draining.
-  EXPECT_EQ(vec.At(0), 5);
-}
-
-TEST(PersistentVectorTest, FrozenCopyIsWriteImmune) {
-  PersistentVector<int> vec;
-  for (int i = 0; i < 1000; ++i) vec.PushBack(i);
-  const PersistentVector<int> frozen = vec;  // O(1) freeze.
-
-  for (int i = 0; i < 1000; i += 5) vec.Set(i, -i);
-  for (int i = 0; i < 400; ++i) vec.PopBack();
-  for (int i = 0; i < 100; ++i) vec.PushBack(7);
-
-  EXPECT_EQ(frozen.size(), 1000u);
-  for (int i = 0; i < 1000; ++i) EXPECT_EQ(frozen.At(i), i) << i;
-}
-
-TEST(PersistentVectorTest, FromVectorAndForEachPreserveOrder) {
-  std::vector<int> flat;
-  for (int i = 0; i < 2500; ++i) flat.push_back(i * 3);
-  PersistentVector<int> vec = PersistentVector<int>::FromVector(flat);
-  std::vector<int> seen;
-  vec.ForEach([&](int v) { seen.push_back(v); });
-  EXPECT_EQ(seen, flat);
-}
-
-TEST(PersistentVectorTest, InPlaceMutationWhenUnshared) {
-  PersistentVector<int> vec;
-  for (int i = 0; i < 500; ++i) vec.PushBack(i);
-  const CopyCounters before = ReadCopyCounters();
-  for (int i = 0; i < 500; ++i) vec.Set(i, i + 1);
-  EXPECT_EQ(ReadCopyCounters().copies, before.copies);  // No frozen copy.
-
-  const PersistentVector<int> frozen = vec;
-  vec.Set(0, 42);  // Now a path copy must happen.
-  EXPECT_GT(ReadCopyCounters().copies, before.copies);
-  EXPECT_EQ(frozen.At(0), 1);
-  EXPECT_EQ(vec.At(0), 42);
 }
 
 }  // namespace

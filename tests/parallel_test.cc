@@ -94,7 +94,6 @@ void ExpectIdenticalAlignment(const AlignmentResult& a,
   EXPECT_EQ(a.integrated_of, b.integrated_of);
   EXPECT_EQ(a.roles, b.roles);
   EXPECT_EQ(a.counterpart, b.counterpart);
-  EXPECT_EQ(a.member_index, b.member_index);
   EXPECT_EQ(a.num_pairs_scored, b.num_pairs_scored);
 }
 

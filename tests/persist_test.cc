@@ -322,8 +322,7 @@ uint64_t RecordRun(const std::string& dir, const RecordedRun& run,
              << b.id << " (or different members or snippets)";
     }
   }
-  if (got.integrated_of != want.integrated_of ||
-      got.member_index != want.member_index) {
+  if (got.integrated_of != want.integrated_of) {
     return ::testing::AssertionFailure() << "different story membership";
   }
   if (got.roles != want.roles) {

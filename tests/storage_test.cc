@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <set>
+#include <utility>
 #include <vector>
 
+#include "cow/stats.h"
 #include "storage/snippet_store.h"
 #include "storage/temporal_index.h"
 #include "util/rng.h"
@@ -35,7 +38,6 @@ TEST(TemporalIndexTest, WindowQueryInclusive) {
   ASSERT_EQ(ids.size(), 4u);  // 20, 30, 40, 50.
   EXPECT_EQ(ids.front(), 20u);
   EXPECT_EQ(ids.back(), 50u);
-  EXPECT_EQ(index.CountInWindow(20, 50), 4u);
 }
 
 TEST(TemporalIndexTest, EmptyWindow) {
@@ -43,7 +45,6 @@ TEST(TemporalIndexTest, EmptyWindow) {
   index.Insert(100, 1);
   EXPECT_TRUE(index.IdsInWindow(0, 50).empty());
   EXPECT_TRUE(index.IdsInWindow(150, 200).empty());
-  EXPECT_EQ(index.CountInWindow(0, 50), 0u);
 }
 
 TEST(TemporalIndexTest, DuplicateTimestampsAllKept) {
@@ -51,7 +52,7 @@ TEST(TemporalIndexTest, DuplicateTimestampsAllKept) {
   index.Insert(5, 1);
   index.Insert(5, 2);
   index.Insert(5, 3);
-  EXPECT_EQ(index.CountInWindow(5, 5), 3u);
+  EXPECT_EQ(index.IdsInWindow(5, 5), (std::vector<SnippetId>{1, 2, 3}));
 }
 
 TEST(TemporalIndexTest, EraseSpecificEntry) {
@@ -76,18 +77,16 @@ TEST(TemporalIndexTest, WindowBoundariesExactlyInclusive) {
   index.Insert(201, 5);  // hi + 1
   std::vector<SnippetId> ids = index.IdsInWindow(100, 200);
   EXPECT_EQ(ids, (std::vector<SnippetId>{1, 2, 3}));
-  EXPECT_EQ(index.CountInWindow(100, 200), 3u);
   // A degenerate window lo == hi still matches the edge entry.
   EXPECT_EQ(index.IdsInWindow(100, 100), std::vector<SnippetId>{1});
-  EXPECT_EQ(index.CountInWindow(200, 200), 1u);
+  EXPECT_EQ(index.IdsInWindow(200, 200), std::vector<SnippetId>{3});
   // An inverted window (lo > hi) matches nothing.
   EXPECT_TRUE(index.IdsInWindow(200, 100).empty());
-  EXPECT_EQ(index.CountInWindow(200, 100), 0u);
 }
 
-TEST(TemporalIndexTest, CountAgreesWithIdsAcrossWindows) {
-  // CountInWindow must agree with IdsInWindow().size() and with
-  // ForEachInWindow for every window shape, including ties on the edges.
+TEST(TemporalIndexTest, ForEachAgreesWithIdsAcrossWindows) {
+  // ForEachInWindow must visit exactly IdsInWindow's ids, in its order,
+  // for every window shape, including ties on the edges.
   TemporalIndex index;
   const Timestamp times[] = {5, 5, 5, 10, 10, 20, 25, 25, 40};
   SnippetId next = 0;
@@ -96,16 +95,14 @@ TEST(TemporalIndexTest, CountAgreesWithIdsAcrossWindows) {
       {0, 100}, {5, 5},  {5, 10},  {6, 9},   {10, 25},
       {25, 25}, {26, 39}, {40, 40}, {41, 99}, {30, 10}};
   for (const auto& [lo, hi] : windows) {
-    std::vector<SnippetId> ids = index.IdsInWindow(lo, hi);
-    EXPECT_EQ(index.CountInWindow(lo, hi), ids.size())
-        << "window [" << lo << ", " << hi << "]";
-    size_t visited = 0;
-    index.ForEachInWindow(lo, hi, [&](Timestamp ts, SnippetId) {
+    std::vector<SnippetId> visited;
+    index.ForEachInWindow(lo, hi, [&](Timestamp ts, SnippetId id) {
       EXPECT_GE(ts, lo);
       EXPECT_LE(ts, hi);
-      ++visited;
+      visited.push_back(id);
     });
-    EXPECT_EQ(visited, ids.size()) << "window [" << lo << ", " << hi << "]";
+    EXPECT_EQ(visited, index.IdsInWindow(lo, hi))
+        << "window [" << lo << ", " << hi << "]";
   }
 }
 
@@ -130,16 +127,40 @@ TEST(TemporalIndexTest, ForEachVisitsInOrder) {
 // so every chunk empties. At every checkpoint ForEach visits the entries
 // in (timestamp, id) order and the window over the whole time axis lists
 // exactly those ids: complete identification reads its candidates so.
+//
+// Copies taken along the way stay alive through every later insert,
+// erase, split and emptied chunk, and still list what the index held when
+// they were taken: a snapshot's partitions are such copies (DESIGN.md
+// §15). The copy counters show what that isolation costs the writer: a
+// mirror index fed the same operations but never copied records no copy,
+// a write clones at most the spine and one chunk, the first insert after
+// a copy clones exactly those two, and the first erase at least one.
 class TemporalIndexProperty : public ::testing::TestWithParam<uint64_t> {};
+
+std::vector<TemporalIndex::Entry> EntriesOf(const TemporalIndex& index) {
+  std::vector<TemporalIndex::Entry> out;
+  index.ForEach([&out](Timestamp ts, SnippetId id) {
+    out.emplace_back(ts, id);
+  });
+  return out;
+}
 
 TEST_P(TemporalIndexProperty, MatchesNaiveReference) {
   constexpr Timestamp kMin = std::numeric_limits<Timestamp>::min();
   constexpr Timestamp kMax = std::numeric_limits<Timestamp>::max();
   Pcg32 rng(GetParam());
   TemporalIndex index;
+  TemporalIndex unshared;  // The same operations; never copied.
   std::vector<TemporalIndex::Entry> reference;
+  std::vector<std::pair<TemporalIndex, std::vector<TemporalIndex::Entry>>>
+      copies;
   SnippetId next_id = 0;
 
+  auto sorted_reference = [&]() {
+    std::vector<TemporalIndex::Entry> sorted = reference;
+    std::sort(sorted.begin(), sorted.end());
+    return sorted;
+  };
   auto check = [&]() {
     Timestamp lo = rng.NextInRange(-600, 1000);
     Timestamp hi = lo + rng.NextInRange(0, 300);
@@ -149,25 +170,46 @@ TEST_P(TemporalIndexProperty, MatchesNaiveReference) {
     }
     std::vector<SnippetId> got = index.IdsInWindow(lo, hi);
     EXPECT_EQ(std::set<SnippetId>(got.begin(), got.end()), expected);
-    EXPECT_EQ(index.CountInWindow(lo, hi), expected.size());
 
-    std::vector<TemporalIndex::Entry> sorted = reference;
-    std::sort(sorted.begin(), sorted.end());
-    std::vector<TemporalIndex::Entry> visited;
-    index.ForEach([&visited](Timestamp ts, SnippetId id) {
-      visited.emplace_back(ts, id);
-    });
-    ASSERT_EQ(visited, sorted);
+    const std::vector<TemporalIndex::Entry> visited = EntriesOf(index);
+    ASSERT_EQ(visited, sorted_reference());
+    EXPECT_EQ(EntriesOf(unshared), visited);
     std::vector<SnippetId> all;
     for (const auto& [ts, id] : visited) all.push_back(id);
     EXPECT_EQ(index.IdsInWindow(kMin, kMax), all);
-    EXPECT_EQ(index.CountInWindow(kMin, kMax), all.size());
+  };
+  // Applies `op` to both indexes and returns the copies `index` recorded.
+  auto apply = [&](const std::function<void(TemporalIndex*)>& op) {
+    const uint64_t before = cow::ReadCopyCounters().copies;
+    op(&index);
+    const uint64_t recorded = cow::ReadCopyCounters().copies - before;
+    EXPECT_LE(recorded, 2u);  // The spine and one chunk at most.
+    op(&unshared);
+    EXPECT_EQ(cow::ReadCopyCounters().copies, before + recorded);
+    return recorded;
+  };
+  auto insert = [&](Timestamp ts) {
+    const SnippetId id = next_id++;
+    reference.push_back({ts, id});
+    return apply([ts, id](TemporalIndex* i) { i->Insert(ts, id); });
   };
   auto erase_one = [&]() {
     size_t pick = rng.NextBounded(static_cast<uint32_t>(reference.size()));
     auto [ts, id] = reference[pick];
-    EXPECT_TRUE(index.Erase(ts, id));
     reference.erase(reference.begin() + static_cast<ptrdiff_t>(pick));
+    return apply(
+        [ts, id](TemporalIndex* i) { EXPECT_TRUE(i->Erase(ts, id)); });
+  };
+  // The first write after a copy meets a shared spine; it is an insert
+  // and an erase in turn.
+  auto take_copy = [&]() {
+    copies.emplace_back(index, sorted_reference());
+    if (copies.size() % 2 == 0) {
+      EXPECT_GE(erase_one(), 1u) << "copy " << copies.size();
+    } else {
+      EXPECT_EQ(insert(rng.NextInRange(-500, 1000)), 2u)
+          << "copy " << copies.size();
+    }
   };
 
   size_t peak = 0;
@@ -176,23 +218,27 @@ TEST_P(TemporalIndexProperty, MatchesNaiveReference) {
       erase_one();
     } else {
       const uint32_t extreme = rng.NextBounded(100);
-      Timestamp ts = extreme == 0   ? kMin
-                     : extreme == 1 ? kMax
-                                    : rng.NextInRange(-500, 1000);
-      SnippetId id = next_id++;
-      index.Insert(ts, id);
-      reference.push_back({ts, id});
+      insert(extreme == 0   ? kMin
+             : extreme == 1 ? kMax
+                            : rng.NextInRange(-500, 1000));
     }
     peak = std::max(peak, reference.size());
     if (step % 50 == 0) check();
+    if (step % 400 == 399 && !reference.empty()) take_copy();
   }
   EXPECT_EQ(index.size(), reference.size());
   EXPECT_GT(peak, 3u * 512u);  // So at least three chunks split.
-  while (!reference.empty()) {
+  for (int removed = 0; !reference.empty(); ++removed) {
     erase_one();
     if (reference.size() % 50 == 0) check();
+    if (removed % 400 == 399 && !reference.empty()) take_copy();
   }
   EXPECT_TRUE(index.empty());
+  EXPECT_TRUE(unshared.empty());
+  for (const auto& [copy, expected] : copies) {
+    EXPECT_EQ(copy.size(), expected.size());
+    EXPECT_EQ(EntriesOf(copy), expected);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TemporalIndexProperty,
