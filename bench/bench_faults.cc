@@ -1,5 +1,5 @@
 // Fault-injection bench (DESIGN.md §12): what the failpoint framework
-// costs when idle and what faults cost when they strike. Three
+// costs when idle and what a fault costs when it strikes. Two
 // experiments:
 //
 //   1. SP_FAILPOINT evaluation cost: the disarmed fast path (one relaxed
@@ -8,30 +8,27 @@
 //      itself. Built with -DSTORYPIVOT_FAILPOINTS=OFF the macro expands
 //      to nothing and the same loop measures ~0 ns — the release
 //      guarantee that `lint.failpoint_noop` proves at compile time.
-//   2. WAL append latency under transient write faults at rates
-//      {0%, 1%, 10%}: the price of retry/backoff on the ingest path. A
-//      recording no-op sleep is installed so backoff is accounted, not
-//      slept through.
-//   3. Recovery latency after an injected mid-stream crash: a one-shot
-//      permanent fault degrades the engine at a chosen op; we then time
-//      Open() replaying checkpoint + WAL tail back to the acknowledged
-//      prefix.
+//   2. Recovery latency after an injected mid-stream crash: a one-shot
+//      fault degrades the engine at a chosen op; we then time Open()
+//      replaying checkpoint + WAL tail back to the acknowledged prefix,
+//      and SP_CHECK that it lands there.
 //
-// Emits BENCH_faults.json next to the human-readable tables.
+// A full run (from the repo root) writes BENCH_faults.json next to the
+// human-readable tables; --smoke (CI) runs fewer evaluations and a
+// smaller corpus and prints the JSON instead of writing it.
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "persist/durable_engine.h"
-#include "persist/wal.h"
 #include "util/failpoint.h"
 #include "util/fs.h"
 #include "util/logging.h"
-#include "util/retry.h"
 #include "util/strings.h"
 #include "util/timer.h"
 
@@ -96,29 +93,29 @@ struct MacroResult {
   double ns_per_eval = 0.0;
 };
 
-std::vector<MacroResult> RunMacroBench() {
+std::vector<MacroResult> RunMacroBench(bool smoke) {
   // 8M evaluations keep each case under ~50 ms while averaging away
   // timer noise on the ~1 ns fast path.
-  constexpr size_t kEvals = 8'000'000;
+  const size_t evals = smoke ? 1'000'000 : 8'000'000;
   failpoint::Registry& registry = failpoint::Registry::Instance();
   registry.DisarmAll();
 
   std::vector<MacroResult> results;
   std::printf("%28s %14s\n", "macro state", "ns/eval");
 
-  results.push_back({"disarmed", MeasureEvalNs(kEvals)});
+  results.push_back({"disarmed", MeasureEvalNs(evals)});
 
   // Arming a DIFFERENT site forces every evaluation down the slow path
   // (registry lookup) — the cost a disarmed hot site pays while a chaos
   // schedule is live elsewhere in the process.
   registry.Arm("bench.other", failpoint::Probability(0.0, 1));
-  results.push_back({"armed-other-site", MeasureEvalNs(kEvals)});
+  results.push_back({"armed-other-site", MeasureEvalNs(evals)});
   registry.DisarmAll();
 
   // Armed on the hot site itself but never firing: slow path plus the
   // per-site RNG draw.
   registry.Arm("bench.macro", failpoint::Probability(0.0, 1));
-  results.push_back({"armed-zero-probability", MeasureEvalNs(kEvals)});
+  results.push_back({"armed-zero-probability", MeasureEvalNs(evals)});
   registry.DisarmAll();
 
   for (const MacroResult& r : results) {
@@ -132,89 +129,6 @@ std::vector<MacroResult> RunMacroBench() {
   return results;
 }
 
-struct AppendResult {
-  double fault_rate = 0.0;
-  size_t appends = 0;
-  double mean_append_us = 0.0;
-  double appends_per_s = 0.0;
-  uint64_t retries = 0;
-  uint64_t backoff_virtual_us = 0;
-  uint64_t exhausted = 0;
-};
-
-std::vector<AppendResult> RunAppendBench() {
-  constexpr size_t kAppends = 20'000;
-  const std::string payload(64, 'x');
-  std::vector<double> rates = {0.0};
-  if (kFailpointsCompiled) {
-    rates.push_back(0.01);
-    rates.push_back(0.10);
-  } else {
-    std::printf("wal append: failpoints compiled out — measuring the "
-                "fault-free baseline only\n");
-  }
-
-  std::vector<AppendResult> results;
-  std::printf("%12s %10s %14s %12s %10s %14s %10s\n", "fault rate",
-              "appends", "mean us/app", "appends/s", "retries",
-              "backoff us*", "exhausted");
-  for (double rate : rates) {
-    std::string dir = FreshDir(StrFormat("append_%d",
-                                         static_cast<int>(rate * 100)));
-    persist::WalOptions options;
-    options.fsync = persist::FsyncPolicy::kOnRotate;
-    uint64_t virtual_backoff = 0;
-    options.retry_sleep = [&virtual_backoff](uint64_t micros) {
-      virtual_backoff += micros;
-    };
-    Result<std::unique_ptr<persist::WriteAheadLog>> opened =
-        persist::WriteAheadLog::Open(dir, options, 0);
-    SP_CHECK_OK(opened.status());
-    persist::WriteAheadLog& wal = *opened.value();
-
-    failpoint::Registry& registry = failpoint::Registry::Instance();
-    registry.DisarmAll();
-    if (rate > 0.0) {
-      registry.Arm("fs.append.write",
-                   failpoint::Probability(rate, 42, /*transient=*/true));
-    }
-
-    // At 10% with max_attempts=4 about 1 in 10^4 appends exhausts its
-    // retries; the failed append withdrew the record, so the app-level
-    // loop simply re-submits it at the same lsn.
-    uint64_t exhausted = 0;
-    WallTimer timer;
-    for (size_t i = 0; i < kAppends; ++i) {
-      for (;;) {
-        Result<uint64_t> lsn = wal.Append(payload);
-        if (lsn.ok()) break;
-        ++exhausted;
-      }
-    }
-    const double ms = timer.ElapsedMillis();
-    registry.DisarmAll();
-
-    AppendResult r;
-    r.fault_rate = rate;
-    r.appends = kAppends;
-    r.mean_append_us = ms * 1000.0 / static_cast<double>(kAppends);
-    r.appends_per_s = 1000.0 * static_cast<double>(kAppends) / ms;
-    r.retries = wal.retry_stats().retries;
-    r.backoff_virtual_us = virtual_backoff;
-    r.exhausted = exhausted;
-    SP_CHECK_OK(wal.Close());
-    std::printf("%11.0f%% %10zu %14.2f %12.0f %10llu %14llu %10llu\n",
-                rate * 100.0, r.appends, r.mean_append_us, r.appends_per_s,
-                static_cast<unsigned long long>(r.retries),
-                static_cast<unsigned long long>(r.backoff_virtual_us),
-                static_cast<unsigned long long>(r.exhausted));
-    results.push_back(r);
-  }
-  std::printf("  (* backoff is requested from a recording no-op sleep, "
-              "not slept)\n\n");
-  return results;
-}
-
 struct CrashResult {
   uint64_t crash_at_op = 0;
   uint64_t acked_ops = 0;
@@ -222,7 +136,8 @@ struct CrashResult {
   uint64_t tail_ops = 0;
 };
 
-std::vector<CrashResult> RunCrashBench(const datagen::Corpus& corpus) {
+std::vector<CrashResult> RunCrashBench(const datagen::Corpus& corpus,
+                                       bool smoke) {
   std::vector<CrashResult> results;
   if (!kFailpointsCompiled) {
     std::printf("crash recovery: failpoints compiled out — skipped\n\n");
@@ -235,13 +150,15 @@ std::vector<CrashResult> RunCrashBench(const datagen::Corpus& corpus) {
   // Ops 1..11 are vocabularies + sources; the rest are snippets. The
   // engine checkpoints every 500 ops, so the replayed tail length cycles
   // with the crash position.
-  for (uint64_t crash_at : {150ull, 900ull, 1990ull}) {
+  const std::vector<uint64_t> crash_points =
+      smoke ? std::vector<uint64_t>{150, 550}
+            : std::vector<uint64_t>{150, 900, 1990};
+  for (uint64_t crash_at : crash_points) {
     std::string dir = FreshDir(StrFormat("crash_%llu",
                                          static_cast<unsigned long long>(
                                              crash_at)));
     persist::DurabilityOptions options;
     options.wal.fsync = persist::FsyncPolicy::kOnRotate;
-    options.wal.retry_sleep = [](uint64_t) {};
     options.checkpoint_every_ops = 500;
 
     registry.DisarmAll();
@@ -294,38 +211,24 @@ std::vector<CrashResult> RunCrashBench(const datagen::Corpus& corpus) {
   return results;
 }
 
-void Run() {
-  std::printf("== faults: failpoint cost, retry latency, crash recovery "
-              "==\n\n");
-  datagen::CorpusConfig corpus_config = Fig7CorpusConfig(2500);
+void Run(bool smoke) {
+  std::printf("== faults: failpoint cost, crash recovery ==\n\n");
+  datagen::CorpusConfig corpus_config = Fig7CorpusConfig(smoke ? 600 : 2500);
   datagen::Corpus corpus =
       datagen::CorpusGenerator(corpus_config).Generate();
 
-  std::vector<MacroResult> macro = RunMacroBench();
-  std::vector<AppendResult> appends = RunAppendBench();
-  std::vector<CrashResult> crashes = RunCrashBench(corpus);
+  std::vector<MacroResult> macro = RunMacroBench(smoke);
+  std::vector<CrashResult> crashes = RunCrashBench(corpus, smoke);
 
   std::string json = StrFormat(
-      "{\"bench\":\"faults\",\"hardware_threads\":%u,"
+      "{\"bench\":\"faults\",\"smoke\":%s,\"hardware_threads\":%u,"
       "\"failpoints_compiled\":%s,\"macro_overhead\":[",
-      std::thread::hardware_concurrency(),
+      smoke ? "true" : "false", std::thread::hardware_concurrency(),
       kFailpointsCompiled ? "true" : "false");
   for (size_t i = 0; i < macro.size(); ++i) {
     json += StrFormat("%s{\"case\":\"%s\",\"ns_per_eval\":%.3f}",
                       i == 0 ? "" : ",", macro[i].label.c_str(),
                       macro[i].ns_per_eval);
-  }
-  json += "],\"wal_append\":[";
-  for (size_t i = 0; i < appends.size(); ++i) {
-    const AppendResult& r = appends[i];
-    json += StrFormat(
-        "%s{\"fault_rate\":%.2f,\"appends\":%zu,\"mean_append_us\":%.3f,"
-        "\"appends_per_s\":%.1f,\"retries\":%llu,"
-        "\"backoff_virtual_us\":%llu,\"exhausted\":%llu}",
-        i == 0 ? "" : ",", r.fault_rate, r.appends, r.mean_append_us,
-        r.appends_per_s, static_cast<unsigned long long>(r.retries),
-        static_cast<unsigned long long>(r.backoff_virtual_us),
-        static_cast<unsigned long long>(r.exhausted));
   }
   json += "],\"recovery\":[";
   for (size_t i = 0; i < crashes.size(); ++i) {
@@ -339,16 +242,18 @@ void Run() {
         static_cast<unsigned long long>(r.tail_ops));
   }
   json += "]}\n";
-  SP_CHECK_OK(WriteStringToFile("BENCH_faults.json", json));
-  std::printf("wrote BENCH_faults.json\n");
-
   RemoveDirRecursive("bench_faults_tmp");
+  EmitBenchJson("BENCH_faults.json", json, smoke);
 }
 
 }  // namespace
 }  // namespace storypivot::bench
 
-int main() {
-  storypivot::bench::Run();
+int main(int argc, char** argv) {
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+  }
+  storypivot::bench::Run(smoke);
   return 0;
 }

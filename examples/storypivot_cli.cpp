@@ -18,7 +18,7 @@
 //       checkpoint + WAL tail) and print its stories. --checkpoint also
 //       compacts the directory afterwards. A missing or unreadable
 //       directory exits non-zero with a one-line diagnostic that
-//       classifies the failure (transient vs. corruption). Both detect
+//       classifies the failure (corruption or plain error). Both detect
 //       and recover refuse a directory written by the removed sharded
 //       engine (one holding manifest.json) the same way, writing
 //       nothing into it.
@@ -55,7 +55,6 @@
 #include "search/search_engine.h"
 #include "text/knowledge_base.h"
 #include "util/csv.h"
-#include "util/retry.h"
 #include "util/strings.h"
 #include "eval/diagnostics.h"
 #include "examples/flags.h"
@@ -166,19 +165,16 @@ Result<datagen::ImportedCorpus> LoadCorpus(const std::string& path,
 }
 
 /// One-line diagnostic for a failed durability-directory open, with a
-/// non-zero exit for scripting. Classifies the failure: TRANSIENT (a
-/// retry may succeed), CORRUPTION (bytes on disk changed after they
-/// were acknowledged — the message carries segment and byte offset), or
-/// plain permanent error (e.g. the directory does not exist).
+/// non-zero exit for scripting. Classifies the failure: CORRUPTION
+/// (bytes on disk changed after they were acknowledged — the message
+/// carries segment and byte offset) or plain error (e.g. the directory
+/// does not exist).
 int WalOpenFailed(const char* verb, const std::string& dir,
                   const Status& status) {
-  const char* kind = "error";
-  if (IsTransient(status)) {
-    kind = "transient";
-  } else if (std::string(status.message()).find("corruption") !=
-             std::string::npos) {
-    kind = "corruption";
-  }
+  const char* kind =
+      std::string(status.message()).find("corruption") != std::string::npos
+          ? "corruption"
+          : "error";
   std::fprintf(stderr, "%s: %s: [%s] %s\n", verb, dir.c_str(), kind,
                std::string(status.message()).c_str());
   return 1;

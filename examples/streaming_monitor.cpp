@@ -60,14 +60,16 @@ int main(int argc, char** argv) {
   } else {
     plain = std::make_unique<StoryPivotEngine>();
   }
-  StoryPivotEngine& engine = durable ? durable->engine() : *plain;
+  // A pointer, not a reference: a successful Reopen() replaces the
+  // durable engine's engine object.
+  StoryPivotEngine* engine = durable ? &durable->engine() : plain.get();
 
   // Mutations go through the durability layer when it is on; reads always
   // go straight to the engine.
   auto add_snippet = [&](const Snippet& snippet) -> Status {
     Snippet copy = snippet;
     if (durable) return durable->AddSnippet(std::move(copy)).status();
-    return engine.AddSnippet(std::move(copy)).status();
+    return engine->AddSnippet(std::move(copy)).status();
   };
   auto realign = [&] {
     if (durable && !durable->degraded()) {
@@ -75,7 +77,7 @@ int main(int argc, char** argv) {
     } else {
       // Degraded engines are read-only, so nothing further will be
       // logged and an unlogged align cannot desynchronise replay.
-      engine.Align();
+      engine->Align();
     }
   };
 
@@ -87,37 +89,44 @@ int main(int argc, char** argv) {
     }
   } else {
     if (!engine
-             .ImportVocabularies(*corpus.entity_vocabulary,
-                                 *corpus.keyword_vocabulary)
+             ->ImportVocabularies(*corpus.entity_vocabulary,
+                                  *corpus.keyword_vocabulary)
              .ok()) {
       return 1;
     }
     for (const SourceInfo& source : corpus.sources) {
-      engine.RegisterSource(source.name);
+      engine->RegisterSource(source.name);
     }
   }
 
-  StoryQuery query(&engine);
+  StoryQuery query(engine);
   std::set<StoryId> seen_stories;
   const size_t digest_every = corpus.snippets.size() / 5;
 
   for (size_t i = 0; i < corpus.snippets.size(); ++i) {
     Snippet copy = corpus.snippets[i];
     copy.id = kInvalidSnippetId;
+    const uint64_t lsn = durable ? durable->next_lsn() : 0;
     Status added = add_snippet(copy);
     if (added.code() == StatusCode::kDegraded) {
-      // A permanent WAL failure dropped the durable engine into
-      // read-only degraded mode (DESIGN.md §12). Surface the cause, try
-      // ONE in-place recovery — Reopen() rebuilds from the
-      // log-consistent state on disk — and re-ingest the rejected
-      // snippet. If recovery fails too, stop the stream and fall
-      // through to the final digest, which only needs reads.
+      // A WAL failure dropped the durable engine into read-only degraded
+      // mode (DESIGN.md §12). Surface the cause and try ONE in-place
+      // recovery: Reopen() rebuilds from the log-consistent state on
+      // disk, in a new engine object. Re-ingest the rejected snippet
+      // only if recovery dropped it; a failed withdraw can leave its
+      // record in the log, and next_lsn() then moved. If recovery fails
+      // too, stop the stream and fall through to the final digest,
+      // which only needs reads.
       std::fprintf(
           stderr,
           "monitor: durable engine degraded at snippet %zu (%s); "
           "attempting in-place recovery\n",
           i, std::string(durable->degraded_cause().message()).c_str());
-      if (durable->Reopen().ok()) added = add_snippet(copy);
+      if (durable->Reopen().ok()) {
+        engine = &durable->engine();
+        query = StoryQuery(engine);
+        added = durable->next_lsn() == lsn ? add_snippet(copy) : Status::OK();
+      }
     }
     if (!added.ok()) {
       std::fprintf(stderr,
@@ -142,10 +151,10 @@ int main(int argc, char** argv) {
       int recent;
     };
     std::vector<Hot> hot;
-    for (const IntegratedStory& story : engine.alignment().stories) {
+    for (const IntegratedStory& story : engine->alignment().stories) {
       int recent = 0;
       for (SnippetId sid : story.merged.snippets()) {
-        const Snippet* snippet = engine.store().Find(sid);
+        const Snippet* snippet = engine->store().Find(sid);
         if (snippet->timestamp >= now - 14 * kSecondsPerDay &&
             snippet->timestamp <= now) {
           ++recent;
@@ -183,7 +192,7 @@ int main(int argc, char** argv) {
   // ---- Follow one story: full cross-source timeline for the biggest.
   realign();
   const IntegratedStory* followed = nullptr;
-  for (const IntegratedStory& story : engine.alignment().stories) {
+  for (const IntegratedStory& story : engine->alignment().stories) {
     if (followed == nullptr ||
         story.merged.size() > followed->merged.size()) {
       followed = &story;
@@ -191,21 +200,21 @@ int main(int argc, char** argv) {
   }
   if (followed != nullptr) {
     std::printf("==== Following the biggest story to date ====\n%s\n",
-                viz::RenderSnippetsPerStory(engine, *followed).c_str());
+                viz::RenderSnippetsPerStory(*engine, *followed).c_str());
     std::printf("%s\n",
                 viz::RenderStoryOverview(
                     query.Overview(followed->merged, true))
                     .c_str());
     // Activity sparkline: the story's temporal footprint at a glance.
     ActivitySeries series =
-        BuildActivitySeries(engine, followed->merged);
+        BuildActivitySeries(*engine, followed->merged);
     std::printf("activity: %s\n",
                 viz::RenderActivitySparkline(series).c_str());
   }
 
   // ---- Trend detection (§1): which stories are bursting right now?
   Timestamp now = corpus.arrivals.back();
-  std::vector<TrendingStory> trending = DetectTrendingStories(engine, now);
+  std::vector<TrendingStory> trending = DetectTrendingStories(*engine, now);
   std::printf("==== Trending at %s ====\n", FormatDate(now).c_str());
   if (trending.empty()) {
     std::printf("  (no bursting stories — the stream has wound down)\n");
@@ -213,7 +222,7 @@ int main(int argc, char** argv) {
   size_t shown = 0;
   for (const TrendingStory& t : trending) {
     if (shown++ >= 5) break;
-    for (const IntegratedStory& story : engine.alignment().stories) {
+    for (const IntegratedStory& story : engine->alignment().stories) {
       if (story.id != t.story) continue;
       StoryOverview overview = query.Overview(story.merged, true, 3);
       std::string entities;
@@ -229,10 +238,11 @@ int main(int argc, char** argv) {
   std::printf("engine totals: %llu ingested, SI %.1f ms wall (%.1f ms "
               "summed over shards), %llu alignments (%.1f ms)\n",
               static_cast<unsigned long long>(
-                  engine.stats().snippets_ingested),
-              engine.stats().identify_time_ms, engine.stats().identify_cpu_ms,
-              static_cast<unsigned long long>(engine.stats().alignments_run),
-              engine.stats().align_time_ms);
+                  engine->stats().snippets_ingested),
+              engine->stats().identify_time_ms,
+              engine->stats().identify_cpu_ms,
+              static_cast<unsigned long long>(engine->stats().alignments_run),
+              engine->stats().align_time_ms);
   if (durable) {
     if (durable->degraded()) {
       // No checkpoint/close on a degraded engine: its WAL is the

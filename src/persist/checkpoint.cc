@@ -12,11 +12,13 @@ namespace {
 
 constexpr const char kCheckpointPrefix[] = "checkpoint-";
 constexpr const char kCheckpointSuffix[] = ".sp";
+/// Newest checkpoints kept on disk: the second is the fallback should
+/// the newest one be corrupted after the fact.
+constexpr size_t kKeepCheckpoints = 2;
 
 }  // namespace
 
-Checkpointer::Checkpointer(std::string dir, size_t keep)
-    : dir_(std::move(dir)), keep_(std::max<size_t>(keep, 1)) {}
+Checkpointer::Checkpointer(std::string dir) : dir_(std::move(dir)) {}
 
 std::string Checkpointer::CheckpointName(uint64_t covered_lsn) {
   return StrFormat("%s%020llu%s", kCheckpointPrefix,
@@ -63,11 +65,11 @@ Status Checkpointer::Write(const StoryPivotEngine& engine,
   // during recovery.
   RETURN_IF_ERROR(WriteStringToFile(dir_ + "/" + CheckpointName(covered_lsn),
                                     SaveSnapshot(engine)));
-  // Prune old checkpoints, newest `keep_` survive.
+  // Prune old checkpoints, newest kKeepCheckpoints survive.
   SP_FAILPOINT("checkpoint.prune");
   ASSIGN_OR_RETURN(std::vector<uint64_t> lsns, List());
-  if (lsns.size() > keep_) {
-    for (size_t i = 0; i + keep_ < lsns.size(); ++i) {
+  if (lsns.size() > kKeepCheckpoints) {
+    for (size_t i = 0; i + kKeepCheckpoints < lsns.size(); ++i) {
       RETURN_IF_ERROR(RemoveFile(dir_ + "/" + CheckpointName(lsns[i])));
     }
     RETURN_IF_ERROR(SyncDirectory(dir_));

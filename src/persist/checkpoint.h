@@ -22,13 +22,12 @@ namespace storypivot::persist {
 ///
 /// Because the rename is atomic a torn checkpoint cannot exist; a
 /// checkpoint that fails to parse means post-write corruption, and
-/// LoadNewest falls back to the next older one (keep >= 2 for that
-/// safety margin).
+/// LoadNewest falls back to the next older one — which is why Write
+/// keeps the newest two.
 class Checkpointer {
  public:
-  /// `dir` is the durability directory (shared with the WAL);
-  /// `keep` newest checkpoints survive each Write (minimum 1).
-  explicit Checkpointer(std::string dir, size_t keep = 2);
+  /// `dir` is the durability directory (shared with the WAL).
+  explicit Checkpointer(std::string dir);
 
   /// File name of the checkpoint covering lsns < `covered_lsn`.
   [[nodiscard]] static std::string CheckpointName(uint64_t covered_lsn);
@@ -41,7 +40,7 @@ class Checkpointer {
   [[nodiscard]] Result<std::vector<uint64_t>> List() const;
 
   /// Atomically writes a checkpoint of `engine` covering lsns
-  /// < `covered_lsn`, then prunes all but the newest `keep` checkpoints.
+  /// < `covered_lsn`, then prunes all but the newest two checkpoints.
   [[nodiscard]] Status Write(const StoryPivotEngine& engine,
                              uint64_t covered_lsn);
 
@@ -60,7 +59,6 @@ class Checkpointer {
 
  private:
   std::string dir_;
-  size_t keep_;
 };
 
 }  // namespace storypivot::persist

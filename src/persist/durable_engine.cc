@@ -36,9 +36,7 @@ void EncodeVocabulary(Encoder* enc, const text::Vocabulary& vocab) {
 }  // namespace
 
 DurableEngine::DurableEngine(std::string dir, DurabilityOptions options)
-    : dir_(std::move(dir)),
-      options_(options),
-      checkpointer_(dir_, options.keep_checkpoints) {}
+    : dir_(std::move(dir)), options_(options), checkpointer_(dir_) {}
 
 DurableEngine::~DurableEngine() {
   if (wal_ != nullptr) IgnoreError(wal_->Close());
@@ -186,7 +184,6 @@ Status DurableEngine::LogOp(std::string payload) {
   RETURN_IF_ERROR(CheckWritable());
   Result<uint64_t> lsn = wal_->Append(payload);
   if (!lsn.ok()) {
-    // The WAL already retried transients, so this failure is permanent.
     // The in-memory state now has a mutation the log does not:
     // acknowledging further mutations would desynchronise replay, so
     // drop to READ-ONLY degraded mode — queries stay served (from state

@@ -20,9 +20,6 @@ struct DurabilityOptions {
   /// Automatically checkpoint after this many logged operations;
   /// 0 disables auto-checkpointing (call Checkpoint() yourself).
   uint64_t checkpoint_every_ops = 0;
-  /// Newest checkpoints kept on disk (>= 1; 2 gives a fallback should
-  /// the newest one be corrupted after the fact).
-  size_t keep_checkpoints = 2;
 };
 
 /// The engine-mutation opcodes recorded in the WAL. Part of the on-disk
@@ -64,13 +61,13 @@ enum class WalOp : uint8_t {
 ///     incomplete final record, which recovery truncates away; a CRC
 ///     mismatch anywhere else is reported as corruption, never dropped.
 ///
-/// Fault tolerance (DESIGN.md §12): transient IO failures are retried
-/// inside the WAL (WalOptions::retry) and never surface. A PERMANENT
-/// WAL failure drops the engine into read-only DEGRADED mode instead of
-/// dying: queries and search keep working from the in-memory state,
-/// mutations are rejected with a typed `kDegraded` status, and
-/// `Reopen()` re-runs recovery from disk to rejoin the log-consistent
-/// state (discarding the at-most-one mutation that outran the log).
+/// Fault tolerance (DESIGN.md §12): one failure model. Any WAL append
+/// failure — nothing is retried — drops the engine into read-only
+/// DEGRADED mode instead of dying: queries and search keep working from
+/// the in-memory state, mutations are rejected with a typed `kDegraded`
+/// status, and `Reopen()` re-runs recovery from disk to rejoin the
+/// log-consistent state (discarding the at-most-one mutation that
+/// outran the log).
 ///
 /// Mutations mirror the StoryPivotEngine API (plus the extraction-state
 /// mutations RegisterSource/ImportVocabularies/gazetteer seeding, which
@@ -135,6 +132,7 @@ class DurableEngine {
 
   /// Rotates the WAL, writes an atomic checkpoint covering everything
   /// logged so far, and deletes the WAL segments the checkpoint covers.
+  /// A failed rotation closes the WAL, so the next mutation degrades.
   [[nodiscard]] Status Checkpoint();
 
   /// Forces the WAL to disk regardless of the fsync policy.
@@ -150,16 +148,22 @@ class DurableEngine {
   /// and, on success, resumes accepting mutations. The in-memory state
   /// is rebuilt from disk, so the unlogged mutation that triggered
   /// degradation is discarded — exactly the prefix-consistency
-  /// contract. On failure the engine stays degraded on its OLD
-  /// in-memory state (reads keep working) and Reopen can be called
-  /// again.
+  /// contract. The one exception is an append whose withdraw failed
+  /// too: its record may survive, so a caller that wants to re-apply
+  /// the rejected op compares next_lsn() with its value before the op.
+  /// A successful Reopen() replaces the engine object: references and
+  /// pointers taken from engine() before it dangle. On failure the
+  /// engine stays degraded on its OLD in-memory state (reads keep
+  /// working) and Reopen can be called again.
   [[nodiscard]] Status Reopen();
 
   // --- Reads -------------------------------------------------------------
 
   /// The wrapped engine, for queries, alignment and introspection. Do
   /// NOT mutate it directly — unlogged mutations void the durability
-  /// guarantee (they vanish on recovery and can derail replay).
+  /// guarantee (they vanish on recovery and can derail replay). A
+  /// successful Reopen() replaces the engine object, so fetch it again
+  /// after one.
   [[nodiscard]] StoryPivotEngine& engine() {
     writer_.AssertInSection();  // Single-writer read (DESIGN.md §13).
     return *engine_;
@@ -193,8 +197,8 @@ class DurableEngine {
     commit_hook_ = std::move(hook);
   }
 
-  /// True when a permanent WAL failure put the engine into read-only
-  /// degraded mode (reads served, mutations rejected with kDegraded).
+  /// True when a WAL failure put the engine into read-only degraded
+  /// mode (reads served, mutations rejected with kDegraded).
   [[nodiscard]] bool degraded() const {
     writer_.AssertInSection();  // Single-writer read (DESIGN.md §13).
     return degraded_;
@@ -206,12 +210,14 @@ class DurableEngine {
     return degraded_cause_;
   }
 
-  /// Cumulative WAL append retry statistics (zeros while the WAL is
-  /// closed).
-  [[nodiscard]] RetryPolicy::Stats wal_retry_stats() const {
-    writer_.AssertInSection();  // Single-writer read (DESIGN.md §13).
-    return wal_ == nullptr ? RetryPolicy::Stats{} : wal_->retry_stats();
-  }
+  /// WAL retry count, read by perfbench's `persist.retries`. It is
+  /// always 0: the WAL retries nothing, because every IO failure
+  /// degrades the engine and Reopen() is the one recovery (DESIGN.md
+  /// §12).
+  struct WalRetryStats {
+    uint64_t retries = 0;
+  };
+  [[nodiscard]] WalRetryStats wal_retry_stats() const { return {}; }
 
  private:
   DurableEngine(std::string dir, DurabilityOptions options);
@@ -224,10 +230,9 @@ class DurableEngine {
   /// Appends an encoded op and applies the auto-checkpoint policy
   /// (best-effort: the op is already durable, so a failed auto
   /// checkpoint warns and retries after the next op). On a WAL append
-  /// failure — transients were already retried inside the WAL — the
-  /// engine degrades: the in-memory state has the mutation but the log
-  /// does not, so acknowledging further logged mutations would
-  /// desynchronise replay.
+  /// failure the engine degrades: the in-memory state has the mutation
+  /// but the log does not, so acknowledging further logged mutations
+  /// would desynchronise replay.
   [[nodiscard]] Status LogOp(std::string payload) SP_REQUIRES(writer_);
 
   /// The full recovery sequence (newest checkpoint + WAL tail replay +

@@ -214,22 +214,7 @@ Result<uint64_t> WriteAheadLog::Append(std::string_view payload) {
 
   SP_FAILPOINT("wal.append");
   const uint64_t pre_size = active_.size();
-  // Transient write failures are retried; each re-attempt first rewinds
-  // the partial bytes the failed one left, so a retry can never leave a
-  // torn frame mid-segment (which would masquerade as a torn TAIL and
-  // silently hide every later record from recovery).
-  // Each lambda is a separate function to the thread-safety analysis,
-  // so it re-asserts the role the enclosing Append already holds.
-  Status appended = retry_.Run(
-      "WAL append",
-      [&] {
-        writer_.AssertInSection();
-        return active_.Append(frame);
-      },
-      [&] {
-        writer_.AssertInSection();
-        return active_.Rewind();
-      });
+  Status appended = active_.Append(frame);
   bool sync_now = false;
   switch (options_.fsync) {
     case FsyncPolicy::kEveryRecord:
@@ -241,17 +226,16 @@ Result<uint64_t> WriteAheadLog::Append(std::string_view payload) {
     case FsyncPolicy::kOnRotate:
       break;
   }
-  if (appended.ok() && sync_now) {
-    appended = retry_.Run("WAL fsync", [&] {
-      writer_.AssertInSection();
-      return active_.Sync();
-    });
-  }
+  if (appended.ok() && sync_now) appended = active_.Sync();
   if (!appended.ok()) {
     // Withdraw the record (or its torn prefix): the caller will treat
     // this op as not-logged, so the bytes must not survive into
-    // recovery where they would replay an unacknowledged mutation.
-    // After the rewind the log is byte-for-byte its pre-call self.
+    // recovery where they would replay an unacknowledged mutation, and
+    // a torn frame left mid-segment would masquerade as a torn TAIL and
+    // hide every later record. After the truncate the log is
+    // byte-for-byte its pre-call self. A failed fdatasync is never
+    // retried: the kernel may already have dropped the pages it could
+    // not write, so a second call can succeed without the bytes on disk.
     IgnoreError(active_.TruncateTo(pre_size));
     return appended;
   }
@@ -261,12 +245,9 @@ Result<uint64_t> WriteAheadLog::Append(std::string_view payload) {
     Status rotated = Rotate();
     if (!rotated.ok()) {
       // The record itself is durable and acknowledged; failed rotation
-      // only affects FUTURE appends. Close the log so they fail fast
-      // (letting the engine degrade) instead of appending to a segment
-      // whose directory entry may not be durable.
-      SP_LOG(kWarning) << "WAL rotation failed, closing log: "
+      // only affects FUTURE appends, which fail fast on the closed log.
+      SP_LOG(kWarning) << "WAL rotation failed, log closed: "
                        << rotated.ToString();
-      IgnoreError(active_.Close());
     }
   }
   return lsn;
@@ -277,10 +258,7 @@ Status WriteAheadLog::Sync() {
   if (!active_.is_open()) {
     return Status::FailedPrecondition("WAL is closed");
   }
-  RETURN_IF_ERROR(retry_.Run("WAL fsync", [&] {
-    writer_.AssertInSection();
-    return active_.Sync();
-  }));
+  RETURN_IF_ERROR(active_.Sync());
   unsynced_records_ = 0;
   return Status::OK();
 }
@@ -291,22 +269,21 @@ Status WriteAheadLog::Rotate() {
     return Status::FailedPrecondition("WAL is closed");
   }
   if (active_.size() == 0) return Status::OK();
-  SP_FAILPOINT("wal.rotate");
-  // Sync with retry BEFORE Close: Close's own fsync cannot be retried
-  // (it closes the fd either way), so drain transients first.
-  RETURN_IF_ERROR(retry_.Run("WAL pre-rotate sync", [&] {
-    writer_.AssertInSection();
-    return active_.Sync();
-  }));
-  RETURN_IF_ERROR(active_.Close());
-  unsynced_records_ = 0;
-  RETURN_IF_ERROR(retry_.Run("WAL segment open", [&] {
-    writer_.AssertInSection();
-    return OpenSegment(next_lsn_);
-  }));
-  // Make the new segment's directory entry durable: recovery relies on
-  // the segment chain being gapless.
-  return retry_.Run("WAL directory sync", [&] { return SyncDirectory(dir_); });
+  Status rotated;
+  if (!SP_FAILPOINT_FIRED("wal.rotate", &rotated)) {
+    rotated = active_.Close();
+    unsynced_records_ = 0;
+    if (rotated.ok()) rotated = OpenSegment(next_lsn_);
+    // Make the new segment's directory entry durable: recovery relies on
+    // the segment chain being gapless.
+    if (rotated.ok()) rotated = SyncDirectory(dir_);
+  }
+  if (!rotated.ok()) {
+    // Close, so later appends fail fast (and the engine degrades) instead
+    // of writing to a segment whose directory entry may not be durable.
+    IgnoreError(active_.Close());
+  }
+  return rotated;
 }
 
 Status WriteAheadLog::DropSegmentsBelow(uint64_t lsn) {

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "util/fs.h"
-#include "util/retry.h"
 #include "util/status.h"
 #include "util/sync.h"
 
@@ -32,12 +31,6 @@ struct WalOptions {
   size_t fsync_every_n = 64;
   /// Rotate to a new segment once the active one exceeds this size.
   uint64_t segment_bytes = 4ull << 20;
-  /// Backoff schedule for TRANSIENT append/fsync/rotate failures (see
-  /// util/retry.h); permanent errors are never retried.
-  RetryOptions retry;
-  /// Injectable backoff sleep; null sleeps for real. Tests and benches
-  /// install a recorder so retry storms cost no wall-clock time.
-  RetryPolicy::SleepFn retry_sleep;
 };
 
 /// One decoded log record.
@@ -103,22 +96,24 @@ class WriteAheadLog {
   /// Appends one record, assigning it the next lsn (returned). Applies
   /// the fsync policy and rotates segments as configured.
   ///
-  /// Fault contract: transient write/fsync failures are retried with
-  /// backoff (WalOptions::retry), partial writes are truncated away
-  /// before each retry, and a FAILED append withdraws the record from
-  /// the file entirely — an error return means the log is byte-for-byte
+  /// Fault contract (DESIGN.md §12): nothing is retried. A failed write
+  /// or fsync WITHDRAWS the record (or its torn prefix) from the file
+  /// with TruncateTo — an error return means the log is byte-for-byte
   /// what it was before the call, so an unacknowledged record can never
-  /// resurface at recovery. A rotation failure after the record is
-  /// durable is NOT an append failure: the lsn is returned and the log
-  /// closes itself so later appends fail fast instead of writing to a
-  /// segment whose directory entry may not be durable.
+  /// resurface at recovery. Only a failed withdraw breaks this; the
+  /// caller then reads the op's fate from next_lsn() after recovery. A
+  /// rotation failure after the record is durable is NOT an append
+  /// failure: the lsn is returned and the log closes itself so later
+  /// appends fail fast instead of writing to a segment whose directory
+  /// entry may not be durable.
   [[nodiscard]] Result<uint64_t> Append(std::string_view payload);
 
   /// Forces everything appended so far to disk regardless of policy.
   [[nodiscard]] Status Sync();
 
   /// Closes the active segment (synced) and starts a new one at the
-  /// current lsn. No-op when the active segment is empty.
+  /// current lsn. No-op when the active segment is empty. On failure the
+  /// log is closed, so later appends fail.
   [[nodiscard]] Status Rotate();
 
   /// Deletes every non-active segment whose records all have
@@ -133,12 +128,6 @@ class WriteAheadLog {
     return next_lsn_;
   }
   [[nodiscard]] const std::string& dir() const { return dir_; }
-
-  /// Cumulative retry counters (attempts, retries, backoff) across every
-  /// fallible operation on this log.
-  [[nodiscard]] const RetryPolicy::Stats& retry_stats() const {
-    return retry_.stats();
-  }
 
   // --- Static scanning (used by recovery and tests) ---------------------
 
@@ -169,12 +158,7 @@ class WriteAheadLog {
  private:
   WriteAheadLog(std::string dir, const WalOptions& options,
                 uint64_t next_lsn)
-      : dir_(std::move(dir)),
-        options_(options),
-        next_lsn_(next_lsn),
-        retry_(options.retry) {
-    if (options_.retry_sleep) retry_.set_sleep_fn(options_.retry_sleep);
-  }
+      : dir_(std::move(dir)), options_(options), next_lsn_(next_lsn) {}
 
   [[nodiscard]] Status OpenSegment(uint64_t start_lsn) SP_REQUIRES(writer_);
 
@@ -193,7 +177,6 @@ class WriteAheadLog {
   bool registered_ = false;
   /// Records appended since the last sync (for FsyncPolicy::kEveryN).
   size_t unsynced_records_ SP_GUARDED_BY(writer_) = 0;
-  RetryPolicy retry_;
 };
 
 }  // namespace storypivot::persist

@@ -48,37 +48,30 @@ Status InjectedError(std::string_view site, const Trigger& trigger) {
     msg += trigger.note;
     msg += ")";
   }
-  if (trigger.transient) {
-    msg += " ";
-    msg += kTransientMarker;
-  }
   return Status::IoError(std::move(msg));
 }
 
 }  // namespace
 
-Trigger OneShot(uint64_t on_evaluation, bool transient) {
+Trigger OneShot(uint64_t on_evaluation) {
   Trigger trigger;
   trigger.kind = Trigger::Kind::kOneShot;
   trigger.n = std::max<uint64_t>(on_evaluation, 1);
-  trigger.transient = transient;
   return trigger;
 }
 
-Trigger EveryNth(uint64_t n, bool transient) {
+Trigger EveryNth(uint64_t n) {
   Trigger trigger;
   trigger.kind = Trigger::Kind::kEveryNth;
   trigger.n = std::max<uint64_t>(n, 1);
-  trigger.transient = transient;
   return trigger;
 }
 
-Trigger Probability(double p, uint64_t seed, bool transient) {
+Trigger Probability(double p, uint64_t seed) {
   Trigger trigger;
   trigger.kind = Trigger::Kind::kProbability;
   trigger.probability = p;
   trigger.seed = seed;
-  trigger.transient = transient;
   return trigger;
 }
 

@@ -48,9 +48,6 @@ struct Trigger {
   double probability = 0.0;
   /// Cadence for kEveryNth / target evaluation for kOneShot (>= 1).
   uint64_t n = 1;
-  /// Marks injected errors as TRANSIENT (retry-able) vs permanent; see
-  /// `IsTransient` in util/retry.h.
-  bool transient = false;
   /// Seed for the per-site RNG (kProbability only). The site name is
   /// hashed in as the stream, so distinct sites armed with one seed
   /// still draw independent sequences.
@@ -60,11 +57,9 @@ struct Trigger {
 };
 
 /// Convenience constructors for the common trigger shapes.
-[[nodiscard]] Trigger OneShot(uint64_t on_evaluation = 1,
-                              bool transient = false);
-[[nodiscard]] Trigger EveryNth(uint64_t n, bool transient = false);
-[[nodiscard]] Trigger Probability(double p, uint64_t seed,
-                                  bool transient = false);
+[[nodiscard]] Trigger OneShot(uint64_t on_evaluation = 1);
+[[nodiscard]] Trigger EveryNth(uint64_t n);
+[[nodiscard]] Trigger Probability(double p, uint64_t seed);
 
 /// Evaluation/fire counters for one site, for assertions and reports.
 struct SiteStats {
@@ -131,10 +126,6 @@ class Registry {
 /// the injection marker). Lets tests distinguish injected faults from
 /// real environmental failures.
 [[nodiscard]] bool IsInjected(const Status& status);
-
-/// Marker embedded in transient injected errors; util/retry.h keys its
-/// transient-vs-permanent classification on it.
-inline constexpr std::string_view kTransientMarker = "[transient]";
 
 }  // namespace storypivot::failpoint
 

@@ -245,15 +245,6 @@ Status AppendFile::Append(std::string_view data) {
   return Status::OK();
 }
 
-Status AppendFile::Rewind() {
-  if (fd_ < 0) return Status::FailedPrecondition("AppendFile not open");
-  SP_FAILPOINT("fs.append.rewind");
-  if (::ftruncate(fd_, static_cast<off_t>(size_)) != 0) {
-    return IoError("cannot truncate partial append from", path_);
-  }
-  return Status::OK();
-}
-
 Status AppendFile::TruncateTo(uint64_t new_size) {
   if (fd_ < 0) return Status::FailedPrecondition("AppendFile not open");
   if (new_size > size_) {

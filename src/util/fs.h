@@ -81,21 +81,13 @@ class AppendFile {
 
   /// Appends all of `data`; short writes are retried until complete.
   /// On failure `size()` is NOT advanced, so the file may hold torn
-  /// bytes past `size()` — call `Rewind()` to drop them before retrying
-  /// or continuing.
+  /// bytes past `size()` — `TruncateTo(size())` drops them.
   [[nodiscard]] Status Append(std::string_view data);
 
-  /// Truncates the file back to `size()`, discarding whatever a failed
-  /// `Append` partially wrote. The WAL calls this before retrying an
-  /// append (and after a final failure), so a failed append never
-  /// leaves torn bytes mid-log where they would masquerade as a torn
-  /// tail and hide later records from recovery.
-  [[nodiscard]] Status Rewind();
-
   /// Truncates the file to `new_size` (<= size()) and adjusts `size()`.
-  /// The WAL uses this to WITHDRAW a completely written record whose
-  /// fsync failed: the caller is told the append failed, so the record
-  /// must not survive into recovery.
+  /// The WAL uses this to WITHDRAW a record whose write or fsync failed:
+  /// the caller is told the append failed, so neither the record nor a
+  /// torn prefix of it may survive into recovery.
   [[nodiscard]] Status TruncateTo(uint64_t new_size);
 
   /// fdatasyncs everything appended so far.

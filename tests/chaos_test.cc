@@ -6,10 +6,9 @@
 // never make an acknowledged operation vanish or an unacknowledged one
 // appear.
 //
-// Everything here is deterministic: fault schedules derive from a seed,
-// probability failpoints draw from per-site seeded RNGs, and retry
-// backoff uses an injected no-op sleeper, so a failing seed replays
-// identically under a debugger.
+// Everything here is deterministic: fault schedules derive from a seed
+// and probability failpoints draw from per-site seeded RNGs, so a
+// failing seed replays identically under a debugger.
 
 #include <gtest/gtest.h>
 
@@ -31,7 +30,6 @@
 #include "util/failpoint.h"
 #include "util/fs.h"
 #include "util/logging.h"
-#include "util/retry.h"
 
 #ifndef STORYPIVOT_FAILPOINTS
 
@@ -200,13 +198,17 @@ Status Apply(const Plan& plan, const PlanOp& op, StoryPivotEngine* engine) {
   return Status::Internal("unhandled op");
 }
 
-/// Fingerprint of a fresh fault-free engine fed ops [0, acked).
-uint64_t ReferenceFingerprint(const Plan& plan, size_t acked) {
+/// Element k is the fingerprint of a fault-free engine fed ops [0, k),
+/// for every k in [0, plan.ops.size()], from one pass (the fingerprint
+/// only reads the engine).
+std::vector<uint64_t> PrefixFingerprints(const Plan& plan) {
   StoryPivotEngine reference;
-  for (size_t i = 0; i < acked; ++i) {
-    SP_CHECK_OK(Apply(plan, plan.ops[i], &reference));
+  std::vector<uint64_t> fingerprints = {EngineStateFingerprint(reference)};
+  for (const PlanOp& op : plan.ops) {
+    SP_CHECK_OK(Apply(plan, op, &reference));
+    fingerprints.push_back(EngineStateFingerprint(reference));
   }
-  return EngineStateFingerprint(reference);
+  return fingerprints;
 }
 
 DurabilityOptions ChaosOptions() {
@@ -218,15 +220,15 @@ DurabilityOptions ChaosOptions() {
   options.wal.segment_bytes = 16 << 10;
   // Exercise the best-effort auto-checkpoint path under faults too.
   options.checkpoint_every_ops = 25;
-  // Backoff must not cost wall-clock time across thousands of retries.
-  options.wal.retry_sleep = [](uint64_t) {};
   return options;
 }
 
 /// The sites a fault schedule may arm. Excludes the withdraw/repair
 /// sites (fs.append.rewind, fs.truncate): those model the restore path
 /// ITSELF failing, which voids the acked-prefix guarantee by design —
-/// they get targeted tests instead of schedule coverage.
+/// they get targeted tests instead of schedule coverage
+/// (FailedWithdrawKeepsTheRejectedOp and
+/// RecoverySiteSweepFailsCleanOrRecoversCorrect).
 const char* const kScheduleSites[] = {
     "wal.append",      "fs.append.write", "fs.append.partial",
     "fs.append.sync",  "wal.rotate",      "fs.write.write",
@@ -234,8 +236,7 @@ const char* const kScheduleSites[] = {
 };
 
 /// Deterministic per-seed schedule: each site gets an independent fire
-/// probability in [0, 0.12] and a transient-vs-permanent coin flip
-/// (mostly transient, so runs make progress through the retry layer).
+/// probability in [0, 0.12].
 void ArmSchedule(uint64_t seed) {
   uint64_t state = seed * 6364136223846793005ull + 1442695040888963407ull;
   auto next = [&state]() {
@@ -245,8 +246,7 @@ void ArmSchedule(uint64_t seed) {
   for (const char* site : kScheduleSites) {
     const double p =
         0.12 * (static_cast<double>(next() % 1000) / 1000.0);
-    const bool transient = next() % 10 < 8;
-    Registry::Instance().Arm(site, Probability(p, seed, transient));
+    Registry::Instance().Arm(site, Probability(p, seed));
   }
 }
 
@@ -260,10 +260,10 @@ class ChaosTest : public ::testing::Test {
 
 TEST_F(ChaosTest, RecoveryMatchesAckedPrefixAcrossSeeds) {
   const Plan plan = MakePlan(120);
+  const std::vector<uint64_t> reference = PrefixFingerprints(plan);
   const std::string dir = FreshDir("seeds");
 
-  int degraded_runs = 0;
-  int clean_runs = 0;
+  int seeds_reopened = 0;
   for (uint64_t seed = 1; seed <= 50; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Result<std::vector<std::string>> stale = ListDirectory(dir);
@@ -274,73 +274,73 @@ TEST_F(ChaosTest, RecoveryMatchesAckedPrefixAcrossSeeds) {
 
     ArmSchedule(seed);
     size_t acked = 0;
+    int seed_reopens = 0;
     {
       Result<std::unique_ptr<DurableEngine>> opened =
           DurableEngine::Open(dir, ChaosOptions());
-      // Opening an empty dir writes nothing fallible, but a schedule
-      // could in principle hit the WAL segment creation; tolerate it.
-      if (!opened.ok()) {
-        Registry::Instance().DisarmAll();
-        continue;
-      }
+      ASSERT_OK(opened.status());
       DurableEngine& engine = *opened.value();
-      for (const PlanOp& op : plan.ops) {
-        Status applied = Apply(plan, op, &engine);
+      while (acked < plan.ops.size()) {
+        Status applied = Apply(plan, plan.ops[acked], &engine);
         if (applied.ok()) {
           ++acked;
           continue;
         }
-        // First failure ends the run. A degraded engine must honour
-        // the read-only contract on the spot: mutations rejected with
+        // Every failure degrades, and a degraded engine must honour the
+        // read-only contract on the spot: mutations rejected with
         // kDegraded, reads served from the state that is ahead of the
         // log by EXACTLY the unlogged mutation (apply-then-log).
-        if (engine.degraded()) {
-          EXPECT_FALSE(engine.degraded_cause().ok());
-          Status rejected = engine.Align();
-          EXPECT_EQ(rejected.code(), StatusCode::kDegraded)
-              << rejected.ToString();
-          EXPECT_EQ(EngineStateFingerprint(engine.engine()),
-                    ReferenceFingerprint(plan, acked + 1));
-          ++degraded_runs;
-        }
-        break;
+        ASSERT_TRUE(engine.degraded()) << applied.ToString();
+        EXPECT_FALSE(engine.degraded_cause().ok());
+        EXPECT_EQ(applied.code(), StatusCode::kDegraded);
+        EXPECT_EQ(engine.Align().code(), StatusCode::kDegraded);
+        EXPECT_EQ(EngineStateFingerprint(engine.engine()),
+                  reference[acked + 1]);
+        // Recover in place with the schedule still armed (no schedule
+        // site can fail recovery), then re-apply the rejected op: the
+        // withdraw sites are unarmed, so it must be gone from the log.
+        ASSERT_OK(engine.Reopen());
+        ++seed_reopens;
+        ASSERT_LT(seed_reopens, 1000) << "no progress";
+        EXPECT_FALSE(engine.degraded());
+        ASSERT_EQ(engine.next_lsn(), acked);
+        ASSERT_EQ(EngineStateFingerprint(engine.engine()), reference[acked]);
       }
-      if (acked == plan.ops.size()) ++clean_runs;
+      EXPECT_EQ(EngineStateFingerprint(engine.engine()), reference.back());
       // CRASH: the engine is destroyed without Close(). (With
       // fsync=kEveryRecord the destructor's best-effort close cannot
       // add or lose acked records — the withdraw contract keeps the
       // file equal to the acked stream at all times.)
     }
     Registry::Instance().DisarmAll();
+    if (seed_reopens > 0) ++seeds_reopened;
 
     Result<std::unique_ptr<DurableEngine>> recovered =
         DurableEngine::Open(dir, ChaosOptions());
     ASSERT_OK(recovered.status());
     EXPECT_EQ(recovered.value()->next_lsn(), acked);
-    const uint64_t got =
-        EngineStateFingerprint(recovered.value()->engine());
-    EXPECT_EQ(got, ReferenceFingerprint(plan, acked));
+    EXPECT_EQ(EngineStateFingerprint(recovered.value()->engine()),
+              reference[acked]);
     ASSERT_OK(recovered.value()->Close());
   }
-  // The schedule space must actually cover both outcomes, or the suite
-  // is vacuous.
-  EXPECT_GT(degraded_runs, 0);
-  EXPECT_GT(clean_runs, 0);
+  // Every seed ends the plan; some must get there past a Reopen(), or
+  // the suite is vacuous.
+  EXPECT_GT(seeds_reopened, 0);
 }
 
 // --- Degraded-mode contract ------------------------------------------------
 
 TEST_F(ChaosTest, PermanentAppendFailureDegradesAndReopenRecovers) {
   const Plan plan = MakePlan(40);
+  const std::vector<uint64_t> reference = PrefixFingerprints(plan);
   const std::string dir = FreshDir("degrade");
   Result<std::unique_ptr<DurableEngine>> opened =
       DurableEngine::Open(dir, ChaosOptions());
   ASSERT_OK(opened.status());
   DurableEngine& engine = *opened.value();
 
-  // Let 10 ops through, then a permanent fault on the 11th append.
-  Registry::Instance().Arm(
-      "wal.append", failpoint::OneShot(11, /*transient=*/false));
+  // Let 10 ops through, then a fault on the 11th append.
+  Registry::Instance().Arm("wal.append", failpoint::OneShot(11));
   size_t acked = 0;
   Status failure;
   for (const PlanOp& op : plan.ops) {
@@ -365,15 +365,13 @@ TEST_F(ChaosTest, PermanentAppendFailureDegradesAndReopenRecovers) {
   EXPECT_FALSE(engine.degraded());
   EXPECT_TRUE(engine.degraded_cause().ok());
   EXPECT_EQ(engine.next_lsn(), acked);
-  EXPECT_EQ(EngineStateFingerprint(engine.engine()),
-            ReferenceFingerprint(plan, acked));
+  EXPECT_EQ(EngineStateFingerprint(engine.engine()), reference[acked]);
 
   // And the engine takes mutations again.
   for (size_t i = acked; i < plan.ops.size(); ++i) {
     ASSERT_OK(Apply(plan, plan.ops[i], &engine));
   }
-  EXPECT_EQ(EngineStateFingerprint(engine.engine()),
-            ReferenceFingerprint(plan, plan.ops.size()));
+  EXPECT_EQ(EngineStateFingerprint(engine.engine()), reference.back());
   ASSERT_OK(engine.Close());
 }
 
@@ -395,8 +393,7 @@ TEST_F(ChaosTest, ReopenReattachesSearchObserverAndRebuildsIndex) {
   DurableEngine& engine = *opened.value();
   search::SearchEngine searcher(&engine.engine());
 
-  Registry::Instance().Arm("wal.append",
-                           failpoint::OneShot(30, /*transient=*/false));
+  Registry::Instance().Arm("wal.append", failpoint::OneShot(30));
   size_t acked = 0;
   for (const PlanOp& op : plan.ops) {
     if (!Apply(plan, op, &engine).ok()) break;
@@ -461,6 +458,7 @@ TEST_F(ChaosTest, ReopenReattachesSearchObserverAndRebuildsIndex) {
 // the pinned snapshot must drop it.
 TEST_F(ChaosTest, ServingEngineReopenPublishesRecoveredState) {
   const Plan plan = MakePlan(40);
+  const std::vector<uint64_t> reference = PrefixFingerprints(plan);
   const std::string dir = FreshDir("reopen_serving");
   serve::ServerOptions server_options;
   server_options.num_threads = 1;
@@ -472,8 +470,7 @@ TEST_F(ChaosTest, ServingEngineReopenPublishesRecoveredState) {
 
   // One append per op: the 11th append is op 10.
   ASSERT_EQ(plan.ops[10].kind, OpKind::kAddSnippet);
-  Registry::Instance().Arm("wal.append",
-                           failpoint::OneShot(11, /*transient=*/false));
+  Registry::Instance().Arm("wal.append", failpoint::OneShot(11));
   size_t acked = 0;
   for (const PlanOp& op : plan.ops) {
     if (!Apply(plan, op, &durable).ok()) break;
@@ -489,8 +486,7 @@ TEST_F(ChaosTest, ServingEngineReopenPublishesRecoveredState) {
   EXPECT_GT(pinned->epoch(), epoch_before);
   EXPECT_EQ(pinned->index().num_documents(), durable.engine().store().size());
   EXPECT_EQ(live_documents, durable.engine().store().size() + 1);
-  EXPECT_EQ(EngineStateFingerprint(durable.engine()),
-            ReferenceFingerprint(plan, acked));
+  EXPECT_EQ(EngineStateFingerprint(durable.engine()), reference[acked]);
 
   const text::Vocabulary& entities =
       std::as_const(durable.engine()).entity_vocabulary();
@@ -506,14 +502,14 @@ TEST_F(ChaosTest, ServingEngineReopenPublishesRecoveredState) {
 
 TEST_F(ChaosTest, ReopenFailureKeepsEngineDegradedAndReadable) {
   const Plan plan = MakePlan(30);
+  const std::vector<uint64_t> reference = PrefixFingerprints(plan);
   const std::string dir = FreshDir("reopen_fail");
   Result<std::unique_ptr<DurableEngine>> opened =
       DurableEngine::Open(dir, ChaosOptions());
   ASSERT_OK(opened.status());
   DurableEngine& engine = *opened.value();
 
-  Registry::Instance().Arm("wal.append",
-                           failpoint::OneShot(8, /*transient=*/false));
+  Registry::Instance().Arm("wal.append", failpoint::OneShot(8));
   size_t acked = 0;
   for (const PlanOp& op : plan.ops) {
     if (!Apply(plan, op, &engine).ok()) break;
@@ -524,8 +520,7 @@ TEST_F(ChaosTest, ReopenFailureKeepsEngineDegradedAndReadable) {
 
   // Recovery itself fails: the engine must stay degraded on its OLD
   // readable state, and a later Reopen must still be able to succeed.
-  Registry::Instance().Arm("fs.read.open",
-                           failpoint::OneShot(1, /*transient=*/false));
+  Registry::Instance().Arm("fs.read.open", failpoint::OneShot(1));
   EXPECT_FALSE(engine.Reopen().ok());
   EXPECT_TRUE(engine.degraded());
   EXPECT_EQ(engine.engine().store().size(), live_size);
@@ -534,53 +529,58 @@ TEST_F(ChaosTest, ReopenFailureKeepsEngineDegradedAndReadable) {
   ASSERT_OK(engine.Reopen());
   EXPECT_FALSE(engine.degraded());
   EXPECT_EQ(engine.next_lsn(), acked);
-  EXPECT_EQ(EngineStateFingerprint(engine.engine()),
-            ReferenceFingerprint(plan, acked));
+  EXPECT_EQ(EngineStateFingerprint(engine.engine()), reference[acked]);
   ASSERT_OK(engine.Close());
 }
 
-// --- Transient faults are invisible ---------------------------------------
+// --- A failed withdraw ----------------------------------------------------
 
-TEST_F(ChaosTest, TransientFaultsRetryToSuccessWithIdenticalState) {
-  const Plan plan = MakePlan(60);
-  const std::string dir = FreshDir("transient");
-  DurabilityOptions options = ChaosOptions();
-  // p=0.25 per evaluation, all transient: with 4 attempts per op the
-  // chance of exhausting any retry in this short run is ~(0.25)^4 per
-  // evaluation — the fixed seeds below are known-good, and determinism
-  // keeps them that way.
-  Registry::Instance().Arm(
-      "fs.append.write", Probability(0.25, /*seed=*/3, /*transient=*/true));
-  Registry::Instance().Arm(
-      "fs.append.sync", Probability(0.25, /*seed=*/4, /*transient=*/true));
-
+// The one gap in the WAL fault contract: when the truncate that
+// withdraws a failed record fails too, the record stays in the file.
+// The engine still degrades, and Reopen() then recovers the op the
+// caller saw fail — so a caller reads the op's fate from next_lsn()
+// after Reopen() (DESIGN.md §12).
+TEST_F(ChaosTest, FailedWithdrawKeepsTheRejectedOp) {
+  const Plan plan = MakePlan(40);
+  const std::vector<uint64_t> reference = PrefixFingerprints(plan);
+  const std::string dir = FreshDir("failed_withdraw");
   Result<std::unique_ptr<DurableEngine>> opened =
-      DurableEngine::Open(dir, options);
+      DurableEngine::Open(dir, ChaosOptions());
   ASSERT_OK(opened.status());
   DurableEngine& engine = *opened.value();
-  for (const PlanOp& op : plan.ops) {
-    ASSERT_OK(Apply(plan, op, &engine));
-  }
-  EXPECT_GT(Registry::Instance().Stats("fs.append.write").fires, 0u);
-  EXPECT_EQ(EngineStateFingerprint(engine.engine()),
-            ReferenceFingerprint(plan, plan.ops.size()));
-  ASSERT_OK(engine.Close());
-  Registry::Instance().DisarmAll();
 
-  // The WAL on disk is indistinguishable from a fault-free run's.
-  Result<std::unique_ptr<DurableEngine>> recovered =
-      DurableEngine::Open(dir, ChaosOptions());
-  ASSERT_OK(recovered.status());
-  EXPECT_EQ(recovered.value()->next_lsn(), plan.ops.size());
-  EXPECT_EQ(EngineStateFingerprint(recovered.value()->engine()),
-            ReferenceFingerprint(plan, plan.ops.size()));
-  ASSERT_OK(recovered.value()->Close());
+  // kEveryRecord syncs once per append: the 11th append's sync fails,
+  // and so does the truncate that withdraws its record.
+  Registry::Instance().Arm("fs.append.sync", failpoint::OneShot(11));
+  Registry::Instance().Arm("fs.append.rewind", failpoint::OneShot(1));
+  size_t acked = 0;
+  for (const PlanOp& op : plan.ops) {
+    if (!Apply(plan, op, &engine).ok()) break;
+    ++acked;
+  }
+  ASSERT_EQ(acked, 10u);
+  ASSERT_TRUE(engine.degraded());
+  EXPECT_EQ(Registry::Instance().Stats("fs.append.rewind").fires, 1u);
+  EXPECT_EQ(EngineStateFingerprint(engine.engine()), reference[acked + 1]);
+
+  ASSERT_OK(engine.Reopen());
+  EXPECT_EQ(engine.next_lsn(), acked + 1);
+  EXPECT_EQ(EngineStateFingerprint(engine.engine()), reference[acked + 1]);
+
+  // Resuming at next_lsn(), without re-applying the op, reaches the
+  // fault-free end state.
+  for (size_t i = engine.next_lsn(); i < plan.ops.size(); ++i) {
+    ASSERT_OK(Apply(plan, plan.ops[i], &engine));
+  }
+  EXPECT_EQ(EngineStateFingerprint(engine.engine()), reference.back());
+  ASSERT_OK(engine.Close());
 }
 
 // --- Faults during recovery itself ----------------------------------------
 
 TEST_F(ChaosTest, RecoverySiteSweepFailsCleanOrRecoversCorrect) {
   const Plan plan = MakePlan(50);
+  const std::vector<uint64_t> reference = PrefixFingerprints(plan);
   const std::string dir = FreshDir("recovery_sweep");
   // Lay down a real run (with a checkpoint + WAL tail to recover).
   {
@@ -592,7 +592,7 @@ TEST_F(ChaosTest, RecoverySiteSweepFailsCleanOrRecoversCorrect) {
     }
     // Crash without Close.
   }
-  const uint64_t want = ReferenceFingerprint(plan, plan.ops.size());
+  const uint64_t want = reference.back();
 
   const char* const kRecoverySites[] = {
       "fs.list",     "fs.read.open",   "fs.stat",
@@ -628,6 +628,7 @@ TEST_F(ChaosTest, RecoverySiteSweepFailsCleanOrRecoversCorrect) {
 
 TEST_F(ChaosTest, RotateFailureAfterDurableAppendStillAcks) {
   const Plan plan = MakePlan(40);
+  const std::vector<uint64_t> reference = PrefixFingerprints(plan);
   const std::string dir = FreshDir("rotate");
   DurabilityOptions options = ChaosOptions();
   options.wal.segment_bytes = 1;  // Rotate after every record.
@@ -638,8 +639,7 @@ TEST_F(ChaosTest, RotateFailureAfterDurableAppendStillAcks) {
   ASSERT_OK(opened.status());
   DurableEngine& engine = *opened.value();
 
-  Registry::Instance().Arm("wal.rotate",
-                           failpoint::OneShot(5, /*transient=*/false));
+  Registry::Instance().Arm("wal.rotate", failpoint::OneShot(5));
   size_t acked = 0;
   for (const PlanOp& op : plan.ops) {
     Status applied = Apply(plan, op, &engine);
@@ -663,8 +663,40 @@ TEST_F(ChaosTest, RotateFailureAfterDurableAppendStillAcks) {
   ASSERT_OK(recovered.status());
   EXPECT_EQ(recovered.value()->next_lsn(), acked);
   EXPECT_EQ(EngineStateFingerprint(recovered.value()->engine()),
-            ReferenceFingerprint(plan, acked));
+            reference[acked]);
   ASSERT_OK(recovered.value()->Close());
+}
+
+// A Checkpoint() whose rotation fails — here at the directory sync that
+// makes the new segment durable — closes the log, as a failed rotation
+// inside Append does: the next mutation degrades instead of being
+// acknowledged into a segment whose directory entry may not be durable.
+TEST_F(ChaosTest, CheckpointRotationFailureClosesTheLog) {
+  const Plan plan = MakePlan(30);
+  const std::vector<uint64_t> reference = PrefixFingerprints(plan);
+  const std::string dir = FreshDir("checkpoint_rotate");
+  DurabilityOptions options = ChaosOptions();
+  options.checkpoint_every_ops = 0;
+  Result<std::unique_ptr<DurableEngine>> opened =
+      DurableEngine::Open(dir, options);
+  ASSERT_OK(opened.status());
+  DurableEngine& engine = *opened.value();
+  const size_t acked = 10;
+  for (size_t i = 0; i < acked; ++i) {
+    ASSERT_OK(Apply(plan, plan.ops[i], &engine));
+  }
+
+  // The rotation's directory sync is the checkpoint's first.
+  Registry::Instance().Arm("fs.dir.sync", failpoint::OneShot(1));
+  EXPECT_FALSE(engine.Checkpoint().ok());
+  EXPECT_EQ(Apply(plan, plan.ops[acked], &engine).code(),
+            StatusCode::kDegraded);
+  ASSERT_TRUE(engine.degraded());
+
+  ASSERT_OK(engine.Reopen());
+  EXPECT_EQ(engine.next_lsn(), acked);
+  EXPECT_EQ(EngineStateFingerprint(engine.engine()), reference[acked]);
+  ASSERT_OK(engine.Close());
 }
 
 }  // namespace

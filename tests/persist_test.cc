@@ -463,7 +463,7 @@ TEST(CheckpointTest, NamesRoundTrip) {
 
 TEST(CheckpointTest, PrunesToKeepCount) {
   const std::string dir = FreshDir("ckpt_prune");
-  Checkpointer checkpointer(dir, /*keep=*/2);
+  Checkpointer checkpointer(dir);
   StoryPivotEngine engine;
   ASSERT_OK(checkpointer.Write(engine, 10));
   ASSERT_OK(checkpointer.Write(engine, 20));
@@ -475,7 +475,7 @@ TEST(CheckpointTest, PrunesToKeepCount) {
 
 TEST(CheckpointTest, LoadNewestFallsBackPastCorruption) {
   const std::string dir = FreshDir("ckpt_fallback");
-  Checkpointer checkpointer(dir, /*keep=*/2);
+  Checkpointer checkpointer(dir);
   StoryPivotEngine engine;
   engine.RegisterSource("survivor");
   ASSERT_OK(checkpointer.Write(engine, 10));

@@ -20,7 +20,6 @@
 #include "util/fs.h"
 #include "util/hash.h"
 #include "util/logging.h"
-#include "util/retry.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/strings.h"
@@ -975,169 +974,6 @@ TEST(DsvPermissiveTest, CleanInputHasNoSkips) {
   EXPECT_EQ(strict.value(), parsed.rows);
 }
 
-// --------------------------- Retry policy ---------------------------------
-
-Status Transient(const std::string& what) {
-  return Status::IoError(what + " " +
-                         std::string(failpoint::kTransientMarker));
-}
-
-TEST(RetryTest, TransientThenSuccess) {
-  RetryOptions options;
-  options.jitter = false;  // Assert the deterministic base schedule.
-  RetryPolicy retry(options);
-  std::vector<uint64_t> sleeps;
-  retry.set_sleep_fn([&](uint64_t us) { sleeps.push_back(us); });
-  int calls = 0;
-  Status status = retry.Run("op", [&] {
-    return ++calls < 3 ? Transient("flaky") : Status::OK();
-  });
-  EXPECT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(calls, 3);
-  // Exponential: 100us then 200us.
-  EXPECT_EQ(sleeps, (std::vector<uint64_t>{100, 200}));
-  EXPECT_EQ(retry.stats().retries, 2u);
-  EXPECT_EQ(retry.stats().exhausted, 0u);
-}
-
-TEST(RetryTest, PermanentErrorIsNotRetried) {
-  RetryPolicy retry;
-  retry.set_sleep_fn([](uint64_t) {});
-  int calls = 0;
-  Status status = retry.Run("op", [&] {
-    ++calls;
-    return Status::IoError("disk on fire");
-  });
-  EXPECT_EQ(status.code(), StatusCode::kIoError);
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(retry.stats().retries, 0u);
-}
-
-TEST(RetryTest, ExhaustionEscalatesWithAttemptCount) {
-  RetryOptions options;
-  options.max_attempts = 3;
-  RetryPolicy retry(options);
-  retry.set_sleep_fn([](uint64_t) {});
-  int calls = 0;
-  Status status = retry.Run("sync wal", [&] {
-    ++calls;
-    return Transient("still flaky");
-  });
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(calls, 3);
-  EXPECT_NE(std::string(status.message()).find("after 3 attempts"),
-            std::string::npos)
-      << status.ToString();
-  EXPECT_EQ(retry.stats().exhausted, 1u);
-}
-
-TEST(RetryTest, BackoffDoublesAndCaps) {
-  RetryOptions options;
-  options.max_attempts = 8;
-  options.initial_backoff_us = 100;
-  options.max_backoff_us = 500;
-  options.jitter = false;  // Assert the deterministic base schedule.
-  RetryPolicy retry(options);
-  std::vector<uint64_t> sleeps;
-  retry.set_sleep_fn([&](uint64_t us) { sleeps.push_back(us); });
-  [[maybe_unused]] Status status =
-      retry.Run("op", [] { return Transient("x"); });
-  EXPECT_EQ(sleeps,
-            (std::vector<uint64_t>{100, 200, 400, 500, 500, 500, 500}));
-}
-
-TEST(RetryTest, JitteredBackoffStaysInDecorrelatedBounds) {
-  RetryOptions options;
-  options.max_attempts = 12;
-  options.initial_backoff_us = 100;
-  options.max_backoff_us = 50'000;
-  options.jitter_seed = 42;  // Deterministic draw under test.
-  RetryPolicy retry(options);
-  std::vector<uint64_t> sleeps;
-  retry.set_sleep_fn([&](uint64_t us) { sleeps.push_back(us); });
-  [[maybe_unused]] Status status =
-      retry.Run("op", [] { return Transient("x"); });
-  ASSERT_EQ(sleeps.size(), 11u);
-  // Decorrelated jitter: each sleep is uniform in
-  // [initial, min(3 * previous, cap)] (first: previous = initial).
-  uint64_t prev = options.initial_backoff_us;
-  for (uint64_t us : sleeps) {
-    EXPECT_GE(us, options.initial_backoff_us);
-    EXPECT_LE(us, std::min<uint64_t>(3 * prev, options.max_backoff_us));
-    prev = std::max<uint64_t>(us, options.initial_backoff_us);
-  }
-}
-
-TEST(RetryTest, JitterIsSeedReproducibleAndPoliciesDecorrelate) {
-  auto schedule = [](uint64_t seed) {
-    RetryOptions options;
-    options.max_attempts = 8;
-    options.jitter_seed = seed;
-    RetryPolicy retry(options);
-    std::vector<uint64_t> sleeps;
-    retry.set_sleep_fn([&](uint64_t us) { sleeps.push_back(us); });
-    [[maybe_unused]] Status status =
-        retry.Run("op", [] { return Transient("x"); });
-    return sleeps;
-  };
-  // Same seed -> same schedule (tests can pin jittered behavior).
-  EXPECT_EQ(schedule(7), schedule(7));
-  // Distinct seeds -> distinct schedules (the anti-storm property:
-  // concurrent writers must not retry in lockstep).
-  EXPECT_NE(schedule(7), schedule(8));
-  // Auto-seeded policies (seed 0) draw distinct per-policy streams.
-  EXPECT_NE(schedule(0), schedule(0));
-}
-
-TEST(RetryTest, StatsAccountingOnFinalFailedAttempt) {
-  RetryOptions options;
-  options.max_attempts = 4;
-  options.jitter_seed = 3;
-  RetryPolicy retry(options);
-  std::vector<uint64_t> sleeps;
-  retry.set_sleep_fn([&](uint64_t us) { sleeps.push_back(us); });
-  Status status = retry.Run("op", [] { return Transient("x"); });
-  EXPECT_FALSE(status.ok());
-  // The run exhausted: every attempt ran, every retry slept exactly
-  // once, and backoff_us is the sum over the recorded sleeps.
-  EXPECT_EQ(retry.stats().runs, 1u);
-  EXPECT_EQ(retry.stats().attempts, 4u);
-  EXPECT_EQ(retry.stats().retries, 3u);
-  EXPECT_EQ(retry.stats().exhausted, 1u);
-  uint64_t total = 0;
-  for (uint64_t us : sleeps) total += us;
-  EXPECT_EQ(retry.stats().backoff_us, total);
-}
-
-TEST(RetryTest, FailingBeforeRetryStillCountsTheSleptRetry) {
-  RetryPolicy retry;
-  std::vector<uint64_t> sleeps;
-  retry.set_sleep_fn([&](uint64_t us) { sleeps.push_back(us); });
-  Status status = retry.Run(
-      "op", [] { return Transient("flaky"); },
-      [] { return Status::Internal("cannot rewind"); });
-  EXPECT_FALSE(status.ok());
-  // The backoff was slept before before_retry aborted the run, so the
-  // stats must count it: backoff_us stays the sum over retries.
-  EXPECT_EQ(sleeps.size(), 1u);
-  EXPECT_EQ(retry.stats().retries, 1u);
-  EXPECT_EQ(retry.stats().backoff_us, sleeps[0]);
-  EXPECT_EQ(retry.stats().exhausted, 0u);
-}
-
-TEST(RetryTest, FailingBeforeRetryHookAbortsTheLoop) {
-  RetryPolicy retry;
-  retry.set_sleep_fn([](uint64_t) {});
-  int calls = 0;
-  Status status = retry.Run(
-      "op", [&] { ++calls; return Transient("flaky"); },
-      [] { return Status::Internal("cannot rewind"); });
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(calls, 1);  // The op never re-ran on a broken base.
-  EXPECT_NE(std::string(status.message()).find("cannot rewind"),
-            std::string::npos);
-}
-
 #ifdef STORYPIVOT_FAILPOINTS
 
 // --------------------------- Failpoints -----------------------------------
@@ -1195,13 +1031,12 @@ TEST_F(FailpointTest, ProbabilityIsDeterministicPerSeed) {
   EXPECT_NE(std::count(first.begin(), first.end(), false), 0);
 }
 
-TEST_F(FailpointTest, TransientMarkerAndNotePropagate) {
-  failpoint::Trigger trigger = failpoint::OneShot(1, /*transient=*/true);
+TEST_F(FailpointTest, NoteAndSitePropagate) {
+  failpoint::Trigger trigger = failpoint::OneShot(1);
   trigger.note = "ENOSPC";
   failpoint::Registry::Instance().Arm("util_test.note", trigger);
   Status injected = EvalSite("util_test.note");
   ASSERT_FALSE(injected.ok());
-  EXPECT_TRUE(IsTransient(injected));
   EXPECT_NE(std::string(injected.message()).find("ENOSPC"),
             std::string::npos);
   EXPECT_NE(std::string(injected.message()).find("util_test.note"),
@@ -1242,7 +1077,7 @@ TEST_F(FsFailpointTest, WriteStringToFileCleansUpTempOnFsyncFailure) {
   ASSERT_TRUE(RemoveFile(path).ok());
 }
 
-TEST_F(FsFailpointTest, AppendFileReportsShortWriteAndRewinds) {
+TEST_F(FsFailpointTest, AppendFileReportsShortWriteAndTruncates) {
   const std::string path = ::testing::TempDir() + "/sp_fsfp_append.log";
   if (FileExists(path)) {
     ASSERT_TRUE(RemoveFile(path).ok());
@@ -1259,10 +1094,10 @@ TEST_F(FsFailpointTest, AppendFileReportsShortWriteAndRewinds) {
   EXPECT_NE(std::string(failed.message()).find("short write"),
             std::string::npos)
       << failed.ToString();
-  // ...size() still names the durable prefix, and Rewind drops the torn
-  // bytes so the next append continues cleanly.
+  // ...size() still names the durable prefix, and truncating to it
+  // drops the torn bytes so the next append continues cleanly.
   EXPECT_EQ(file.size(), 8u);
-  ASSERT_TRUE(file.Rewind().ok());
+  ASSERT_TRUE(file.TruncateTo(file.size()).ok());
   ASSERT_TRUE(file.Append("recovered").ok());
   ASSERT_TRUE(file.Close().ok());
   EXPECT_EQ(ReadFileToString(path).value(), "durable|recovered");
