@@ -1,10 +1,12 @@
 // Microbenchmarks (google-benchmark) for the hot paths under everything
 // in StoryPivot: tokenization, stemming, sparse-vector similarity, story
-// band keys (the alignment sketch) and temporal-index operations.
+// band keys (the alignment sketch), temporal-index operations and the
+// copy-on-write cost of a post after a freeze.
 
 #include <benchmark/benchmark.h>
 
 #include "core/similarity.h"
+#include "search/postings_index.h"
 #include "sketch/band_keys.h"
 #include "storage/temporal_index.h"
 #include "text/porter_stemmer.h"
@@ -148,6 +150,42 @@ void BM_TemporalIndexInsertOutOfOrder(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TemporalIndexInsertOutOfOrder);
+
+// Appends one posting to a term's list of n postings after a Freeze(), as
+// the serving writer does once per term per epoch, and drops the frozen
+// copy, as a retired epoch does. The list is rebuilt every 1,000 appends
+// so it stays near n.
+void BM_PostAfterFreeze(benchmark::State& state) {
+  const SnippetId n = static_cast<SnippetId>(state.range(0));
+  Snippet snippet;
+  snippet.entities = text::TermVector::FromEntries({{1, 1.0}});
+  search::PostingsIndex index;
+  auto fill = [&]() {
+    index = search::PostingsIndex();
+    for (SnippetId id = 0; id < n; ++id) {
+      snippet.id = id;
+      snippet.timestamp = static_cast<Timestamp>(id);
+      index.AddSnippet(snippet);
+    }
+  };
+  fill();
+  SnippetId next = n;
+  for (auto _ : state) {
+    const search::PostingsIndex frozen = index.Freeze();
+    snippet.id = next;
+    snippet.timestamp = static_cast<Timestamp>(next);
+    ++next;
+    index.AddSnippet(snippet);
+    benchmark::DoNotOptimize(frozen.num_postings());
+    if (next - n >= 1000) {
+      state.PauseTiming();
+      fill();
+      next = n;
+      state.ResumeTiming();
+    }
+  }
+}
+BENCHMARK(BM_PostAfterFreeze)->Arg(1000)->Arg(100000);
 
 }  // namespace
 }  // namespace storypivot

@@ -156,8 +156,8 @@ AlignmentResult StoryAligner::Align(
   for (const StorySet* partition : partitions) {
     SP_CHECK(partition != nullptr);
     for (const auto& [id, story] : partition->stories()) {
-      if (story.empty()) continue;
-      nodes.push_back({partition->source(), id, &story});
+      if (story->empty()) continue;
+      nodes.push_back({partition->source(), id, &story.read()});
     }
   }
   const size_t n = nodes.size();

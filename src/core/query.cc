@@ -52,8 +52,8 @@ std::vector<StoryOverview> StoryQuery::CollectStories(
   std::vector<StoryOverview> out;
   for (const StorySet* partition : engine_->partitions()) {
     for (const auto& [id, story] : partition->stories()) {
-      if (pred(story)) {
-        out.push_back(Overview(story, /*integrated=*/false, top_k));
+      if (pred(story.read())) {
+        out.push_back(Overview(story.read(), /*integrated=*/false, top_k));
       }
     }
   }
@@ -68,7 +68,7 @@ std::vector<StoryOverview> StoryQuery::SourceStories(SourceId source,
   const StorySet* partition = engine_->partition(source);
   if (partition == nullptr) return out;
   for (const auto& [id, story] : partition->stories()) {
-    out.push_back(Overview(story, /*integrated=*/false, top_k));
+    out.push_back(Overview(story.read(), /*integrated=*/false, top_k));
   }
   SortBySizeDesc(out);
   return out;

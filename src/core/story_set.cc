@@ -5,16 +5,18 @@
 namespace storypivot {
 
 Story& StorySet::CreateStory(StoryId id) {
-  auto [story, inserted] = stories_.Emplace(id, Story(id));
+  auto [box, inserted] = stories_.Emplace(id, cow::CowBox<Story>(Story(id)));
   SP_CHECK(inserted);
+  Story* story = box->Mutate();  // The box is new: no clone.
   story->set_stamp(++last_stamp_);
   return *story;
 }
 
 void StorySet::AddSnippetToStory(const Snippet& snippet, StoryId story_id) {
-  Story* story = stories_.FindMutable(story_id);
-  SP_CHECK(story != nullptr);
+  cow::CowBox<Story>* box = stories_.FindMutable(story_id);
+  SP_CHECK(box != nullptr);
   SP_CHECK(!story_of_.contains(snippet.id));
+  Story* story = box->Mutate();
   story->AddSnippet(snippet);
   story->set_stamp(++last_stamp_);
   story_of_.Emplace(snippet.id, story_id);
@@ -26,8 +28,9 @@ void StorySet::RemoveSnippet(const Snippet& snippet,
   const StoryId* assigned = story_of_.Find(snippet.id);
   SP_CHECK(assigned != nullptr);
   const StoryId story_id = *assigned;
-  Story* story = stories_.FindMutable(story_id);
-  SP_CHECK(story != nullptr);
+  cow::CowBox<Story>* box = stories_.FindMutable(story_id);
+  SP_CHECK(box != nullptr);
+  Story* story = box->Mutate();
 
   // Collect survivors for aggregate recomputation.
   std::vector<const Snippet*> survivors;
@@ -53,17 +56,18 @@ StoryId StorySet::MergeStories(const std::vector<StoryId>& ids) {
   SP_CHECK(stories_.contains(survivor_id));
   for (size_t i = 1; i < ids.size(); ++i) {
     if (ids[i] == survivor_id) continue;
-    // Copy the victim out before erasing it: map mutations relocate
-    // entries, so holding references across Erase is not an option.
-    const Story* found = stories_.Find(ids[i]);
+    // Share the victim's box before erasing it: map mutations relocate
+    // entries, so holding references into the map across Erase is not
+    // an option, and the box keeps the story alive in O(1).
+    const cow::CowBox<Story>* found = stories_.Find(ids[i]);
     SP_CHECK(found != nullptr);
-    Story victim = *found;
+    const cow::CowBox<Story> victim = *found;
     stories_.Erase(ids[i]);
-    for (SnippetId sid : victim.snippets()) {
+    for (SnippetId sid : victim->snippets()) {
       *story_of_.FindMutable(sid) = survivor_id;
     }
-    Story* survivor = stories_.FindMutable(survivor_id);
-    survivor->MergeFrom(victim);
+    Story* survivor = stories_.FindMutable(survivor_id)->Mutate();
+    survivor->MergeFrom(victim.read());
     survivor->set_stamp(++last_stamp_);
   }
   return survivor_id;
@@ -73,7 +77,7 @@ std::vector<StoryId> StorySet::SplitStory(
     StoryId story_id, const std::vector<std::vector<SnippetId>>& components,
     const SnippetStore& store, StoryId* next_story_id) {
   SP_CHECK(next_story_id != nullptr);
-  const Story* existing = stories_.Find(story_id);
+  const Story* existing = FindStory(story_id);
   SP_CHECK(existing != nullptr);
   SP_CHECK(!components.empty());
 
@@ -107,7 +111,8 @@ StoryId StorySet::StoryOf(SnippetId id) const {
 }
 
 const Story* StorySet::FindStory(StoryId id) const {
-  return stories_.Find(id);
+  const cow::CowBox<Story>* box = stories_.Find(id);
+  return box == nullptr ? nullptr : &box->read();
 }
 
 StorySet StorySet::Freeze() const { return StorySet(*this); }

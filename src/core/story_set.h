@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "cow/cow_box.h"
 #include "cow/persistent_map.h"
 #include "model/ids.h"
 #include "model/snippet.h"
@@ -23,14 +24,17 @@ namespace storypivot {
 ///
 /// All state is held in copy-on-write persistent structures, so Freeze()
 /// produces an O(1) snapshot that later mutations cannot reach
-/// (DESIGN.md §15). A side effect worth knowing: stories() iterates in a
-/// content-deterministic order (a pure function of the id set), not
-/// unordered_map's history-dependent order. Pointers returned by
+/// (DESIGN.md §15). Each story sits in its own CowBox: a trie path copy
+/// after a freeze copies box pointers, and only the story being mutated
+/// is cloned, not every story sharing its trie node. A side effect worth
+/// knowing: stories() iterates in a content-deterministic order (a pure
+/// function of the id set), not unordered_map's history-dependent order;
+/// read each story through its box. Pointers returned by
 /// FindStory()/CreateStory() are invalidated by any later mutation of
 /// the partition, not just rehashes.
 class StorySet {
  public:
-  using StoryMap = cow::PersistentMap<StoryId, Story>;
+  using StoryMap = cow::PersistentMap<StoryId, cow::CowBox<Story>>;
 
   explicit StorySet(SourceId source) : source_(source) {}
 

@@ -201,12 +201,17 @@ Status DurableEngine::LogOp(std::string payload) {
     Status checkpointed = Checkpoint();
     if (!checkpointed.ok()) {
       // Best-effort: the op itself is durably logged, a failed AUTO
-      // checkpoint only delays compaction. ops_since_checkpoint_ keeps
-      // growing, so the next op triggers another attempt. (A rotation
-      // failure inside Checkpoint closes the WAL; the next mutation
-      // then degrades the engine through the append path.)
-      SP_LOG(kWarning) << "auto-checkpoint failed (will retry after next "
-                       << "op): " << checkpointed.ToString();
+      // checkpoint only delays compaction. The count restarts, so the
+      // next attempt comes checkpoint_every_ops ops later: the failed
+      // attempt's rotation already opened a segment, and retrying on
+      // every op would open one per op that no checkpoint reclaims
+      // while the fault lasts. (A rotation failure inside Checkpoint
+      // closes the WAL; the next mutation then degrades the engine
+      // through the append path.)
+      ops_since_checkpoint_ = 0;
+      SP_LOG(kWarning) << "auto-checkpoint failed (will retry after "
+                       << options_.checkpoint_every_ops
+                       << " more ops): " << checkpointed.ToString();
     }
   }
   // The op is durable and applied: tell the serving tier (when one is

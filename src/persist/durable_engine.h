@@ -18,7 +18,8 @@ namespace storypivot::persist {
 struct DurabilityOptions {
   WalOptions wal;
   /// Automatically checkpoint after this many logged operations;
-  /// 0 disables auto-checkpointing (call Checkpoint() yourself).
+  /// 0 disables auto-checkpointing (call Checkpoint() yourself). A failed
+  /// automatic checkpoint restarts the count.
   uint64_t checkpoint_every_ops = 0;
 };
 

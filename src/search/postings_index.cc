@@ -7,34 +7,19 @@
 
 namespace storypivot::search {
 
-namespace {
-
-/// lower_bound over a postings list sorted by snippet id.
-std::vector<Posting>::iterator FindPosting(std::vector<Posting>* list,
-                                           SnippetId snippet) {
-  return std::lower_bound(
-      list->begin(), list->end(), snippet,
-      [](const Posting& p, SnippetId id) { return p.snippet < id; });
-}
-
-}  // namespace
-
-void PostingsIndex::Post(PostingList* box, const Posting& posting) {
-  std::vector<Posting>* list = box->Mutate();
-  auto it = FindPosting(list, posting.snippet);
-  SP_CHECK(it == list->end() || it->snippet != posting.snippet);
-  list->insert(it, posting);
+void PostingsIndex::Post(PostingList* list, const Posting& posting) {
+  SP_CHECK(list->Insert(posting));  // One posting per (term, snippet).
   ++num_postings_;
 }
 
-void PostingsIndex::Unpost(TermPostings* postings, text::TermId term,
+template <typename Map, typename Key>
+void PostingsIndex::Unpost(Map* postings, const Key& term,
                            SnippetId snippet) {
-  PostingList* box = postings->FindMutable(term);
-  SP_CHECK(box != nullptr);
-  std::vector<Posting>* list = box->Mutate();
-  auto it = FindPosting(list, snippet);
-  SP_CHECK(it != list->end() && it->snippet == snippet);
-  list->erase(it);
+  PostingList* list = postings->FindMutable(term);
+  SP_CHECK(list != nullptr);
+  Posting probe;
+  probe.snippet = snippet;
+  SP_CHECK(list->Erase(probe));
   --num_postings_;
   if (list->empty()) postings->Erase(term);
 }
@@ -68,36 +53,25 @@ void PostingsIndex::RemoveSnippet(const Snippet& snippet) {
     Unpost(&keyword_postings_, term, snippet.id);
   }
   if (!snippet.event_type.empty()) {
-    PostingList* box =
-        event_postings_.FindMutable(std::string_view(snippet.event_type));
-    SP_CHECK(box != nullptr);
-    std::vector<Posting>* list = box->Mutate();
-    auto it = FindPosting(list, snippet.id);
-    SP_CHECK(it != list->end() && it->snippet == snippet.id);
-    list->erase(it);
-    --num_postings_;
-    if (list->empty()) {
-      event_postings_.Erase(std::string_view(snippet.event_type));
-    }
+    Unpost(&event_postings_, std::string_view(snippet.event_type),
+           snippet.id);
   }
   SP_CHECK(num_documents_ > 0);
   --num_documents_;
   total_length_ -= snippet.entities.Sum() + snippet.keywords.Sum();
 }
 
-const std::vector<Posting>* PostingsIndex::Postings(
+const PostingsIndex::PostingList* PostingsIndex::Postings(
     Field field, text::TermId term) const {
   SP_CHECK(field == Field::kEntity || field == Field::kKeyword);
   const TermPostings& postings =
       field == Field::kEntity ? entity_postings_ : keyword_postings_;
-  const PostingList* list = postings.Find(term);
-  return list == nullptr ? nullptr : &list->read();
+  return postings.Find(term);
 }
 
-const std::vector<Posting>* PostingsIndex::EventTypePostings(
+const PostingsIndex::PostingList* PostingsIndex::EventTypePostings(
     std::string_view event_type) const {
-  const PostingList* list = event_postings_.Find(event_type);
-  return list == nullptr ? nullptr : &list->read();
+  return event_postings_.Find(event_type);
 }
 
 std::vector<std::pair<std::string, size_t>> PostingsIndex::EventTypes()
@@ -106,7 +80,7 @@ std::vector<std::pair<std::string, size_t>> PostingsIndex::EventTypes()
   out.reserve(event_postings_.size());
   event_postings_.ForEach(
       [&out](const std::string& type, const PostingList& postings) {
-        out.push_back({type, postings.read().size()});
+        out.push_back({type, postings.size()});
       });
   // The HAMT iterates in hash order; enumeration promises lexicographic.
   std::sort(out.begin(), out.end());
@@ -132,12 +106,12 @@ const std::string* PostingsIndex::EventTypeIgnoringCase(
 
 size_t PostingsIndex::DocumentFrequency(Field field,
                                         text::TermId term) const {
-  const std::vector<Posting>* postings = Postings(field, term);
+  const PostingList* postings = Postings(field, term);
   return postings == nullptr ? 0 : postings->size();
 }
 
 size_t PostingsIndex::EventTypeFrequency(std::string_view event_type) const {
-  const std::vector<Posting>* postings = EventTypePostings(event_type);
+  const PostingList* postings = EventTypePostings(event_type);
   return postings == nullptr ? 0 : postings->size();
 }
 

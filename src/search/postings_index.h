@@ -7,8 +7,8 @@
 #include <utility>
 #include <vector>
 
-#include "cow/cow_box.h"
 #include "cow/persistent_map.h"
+#include "cow/sorted_runs.h"
 #include "model/ids.h"
 #include "model/snippet.h"
 #include "model/time.h"
@@ -35,6 +35,13 @@ struct Posting {
   double tf = 0.0;
 };
 
+/// Postings order: by snippet id (one posting per snippet and term).
+struct PostingOrder {
+  bool operator()(const Posting& a, const Posting& b) const {
+    return a.snippet < b.snippet;
+  }
+};
+
 /// Snippet-granular inverted index over entity terms, keyword terms and
 /// event types, maintained incrementally as snippets enter and leave the
 /// engine (DESIGN.md §11).
@@ -45,17 +52,25 @@ struct Posting {
 /// splits move snippets between stories without touching term content,
 /// so the index needs no merge/split maintenance at all — story-level
 /// views resolve the live snippet -> story assignment at query time,
-/// which also makes the index state a pure function of the set of live
-/// snippets (deterministic across thread counts, insertion orders and
-/// crash/rebuild cycles).
+/// which also makes the flattened lists a pure function of the set of
+/// live snippets (deterministic across thread counts, insertion orders
+/// and crash/rebuild cycles).
 ///
-/// Posting lists are CowBox'd vectors hung off persistent (HAMT) maps,
-/// so Freeze() is an O(1) structural share. The first post/unpost to a
-/// term after a freeze copies that term's whole list plus a trie path:
-/// most of the bytes the serving tier's writer copies per epoch
-/// (DESIGN.md §15).
+/// Each posting list is a cow::SortedRuns: runs of at most kPostingRun
+/// postings (4 KB) behind CowBoxes in a CowBox'd spine, hung off
+/// persistent (HAMT) maps, so Freeze() is an O(1) structural share. The
+/// first post/unpost to a term after a freeze copies a trie path, the
+/// term's spine and one run, not the whole list (DESIGN.md §15). Run
+/// boundaries depend on the insertion history; the flattened lists do
+/// not, and readers only walk the runs in order.
 class PostingsIndex {
  public:
+  /// Postings per run: 128 x 32 B = 4 KB, the most one post clones.
+  static constexpr size_t kPostingRun = 128;
+  /// One term's postings in snippet-id order; size() is its snippet
+  /// document frequency.
+  using PostingList = cow::SortedRuns<Posting, PostingOrder, kPostingRun>;
+
   PostingsIndex() = default;
 
   PostingsIndex(const PostingsIndex&) = delete;
@@ -72,11 +87,11 @@ class PostingsIndex {
 
   /// Postings of a vocabulary term, sorted by snippet id; nullptr when
   /// the term was never posted. `field` must be kEntity or kKeyword.
-  [[nodiscard]] const std::vector<Posting>* Postings(
-      Field field, text::TermId term) const;
+  [[nodiscard]] const PostingList* Postings(Field field,
+                                            text::TermId term) const;
 
   /// Postings of an event type, sorted by snippet id; nullptr if unseen.
-  [[nodiscard]] const std::vector<Posting>* EventTypePostings(
+  [[nodiscard]] const PostingList* EventTypePostings(
       std::string_view event_type) const;
 
   /// Event types currently posted, in lexicographic order, with their
@@ -117,7 +132,6 @@ class PostingsIndex {
   [[nodiscard]] PostingsIndex Freeze() const;
 
  private:
-  using PostingList = cow::CowBox<std::vector<Posting>>;
   using TermPostings = cow::PersistentMap<text::TermId, PostingList>;
   /// Heterogeneous string hashing so lookups take string_view; the HAMT
   /// iterates in hash order, so EventTypes() sorts explicitly.
@@ -126,7 +140,10 @@ class PostingsIndex {
                          std::hash<std::string_view>>;
 
   void Post(PostingList* list, const Posting& posting);
-  void Unpost(TermPostings* postings, text::TermId term, SnippetId snippet);
+  /// Removes the snippet's posting under `term`, and the term once its
+  /// list is empty.
+  template <typename Map, typename Key>
+  void Unpost(Map* postings, const Key& term, SnippetId snippet);
 
   TermPostings entity_postings_;
   TermPostings keyword_postings_;

@@ -113,16 +113,16 @@ std::vector<StoryHit> RankStories(const PostingsIndex& index,
   if (num_stories == 0) return {};
 
   // Resolve each term's postings list; list length is its snippet df.
-  std::vector<const std::vector<Posting>*> lists;
+  auto list_of = [&index](Field field, text::TermId term,
+                          const std::string& event_type) {
+    return field == Field::kEventType ? index.EventTypePostings(event_type)
+                                      : index.Postings(field, term);
+  };
   std::vector<size_t> df;
-  lists.reserve(query.terms.size());
   df.reserve(query.terms.size());
   for (const QueryTerm& term : query.terms) {
-    const std::vector<Posting>* list =
-        term.field == Field::kEventType
-            ? index.EventTypePostings(term.event_type)
-            : index.Postings(term.field, term.term);
-    lists.push_back(list);
+    const PostingsIndex::PostingList* list =
+        list_of(term.field, term.term, term.event_type);
     df.push_back(list == nullptr ? 0 : list->size());
   }
 
@@ -166,35 +166,39 @@ std::vector<StoryHit> RankStories(const PostingsIndex& index,
   std::vector<double> scores_scratch;
   for (size_t i = 0; i < terms.size(); ++i) {
     const ScoredTerm& term = terms[i];
-    const std::vector<Posting>* list =
-        term.field == Field::kEventType
-            ? index.EventTypePostings(term.event_type)
-            : index.Postings(term.field, term.term);
+    const PostingsIndex::PostingList* list =
+        list_of(term.field, term.term, term.event_type);
     SP_CHECK(list != nullptr);  // df > 0 terms only.
     touched.clear();
-    for (const Posting& posting : *list) {
-      if (!InWindow(options, posting.timestamp)) continue;
-      const StorySet* part = partition(posting.source);
-      if (part == nullptr) continue;
-      const StoryId story = part->StoryOf(posting.snippet);
-      if (story == kInvalidStoryId || story >= candidate_of.size()) continue;
-      uint32_t slot = candidate_of[story];
-      if (slot == kNoCandidate) {
-        if (!allow_new) continue;
-        slot = static_cast<uint32_t>(candidates.size());
-        candidate_of[story] = slot;
-        Candidate candidate;
-        candidate.source = posting.source;
-        candidate.story = story;
-        candidates.push_back(candidate);
+    // The runs in order: the same posting sequence, and so the same tf
+    // sums, as one flat list.
+    for (const PostingsIndex::PostingList::Run& run : list->runs()) {
+      for (const Posting& posting : run.read()) {
+        if (!InWindow(options, posting.timestamp)) continue;
+        const StorySet* part = partition(posting.source);
+        if (part == nullptr) continue;
+        const StoryId story = part->StoryOf(posting.snippet);
+        if (story == kInvalidStoryId || story >= candidate_of.size()) {
+          continue;
+        }
+        uint32_t slot = candidate_of[story];
+        if (slot == kNoCandidate) {
+          if (!allow_new) continue;
+          slot = static_cast<uint32_t>(candidates.size());
+          candidate_of[story] = slot;
+          Candidate candidate;
+          candidate.source = posting.source;
+          candidate.story = story;
+          candidates.push_back(candidate);
+        }
+        Candidate& candidate = candidates[slot];
+        if (candidate.last_term != static_cast<int>(i)) {
+          candidate.last_term = static_cast<int>(i);
+          candidate.tf = 0.0;
+          touched.push_back(slot);
+        }
+        candidate.tf += posting.tf;
       }
-      Candidate& candidate = candidates[slot];
-      if (candidate.last_term != static_cast<int>(i)) {
-        candidate.last_term = static_cast<int>(i);
-        candidate.tf = 0.0;
-        touched.push_back(slot);
-      }
-      candidate.tf += posting.tf;
     }
     for (size_t ci : touched) {
       Candidate& candidate = candidates[ci];
@@ -285,7 +289,7 @@ std::vector<StoryHit> RankStoriesScan(const StoryPivotEngine& engine,
   double total_length = 0.0;
   for (const StorySet* part : engine.partitions()) {
     for (const auto& [id, story] : part->stories()) {
-      total_length += StoryLength(story);
+      total_length += StoryLength(story.read());
     }
   }
   const double avgdl = total_length / static_cast<double>(num_stories);
@@ -325,7 +329,8 @@ std::vector<StoryHit> RankStoriesScan(const StoryPivotEngine& engine,
 
   std::vector<StoryHit> hits;
   for (const StorySet* part : engine.partitions()) {
-    for (const auto& [id, story] : part->stories()) {
+    for (const auto& [id, box] : part->stories()) {
+      const Story& story = box.read();
       const double dl = StoryLength(story);
       double score = 0.0;
       uint32_t matched = 0;

@@ -22,6 +22,7 @@
 #include "core/engine.h"
 #include "core/snapshot.h"
 #include "datagen/corpus.h"
+#include "persist/checkpoint.h"
 #include "persist/durable_engine.h"
 #include "persist/wal.h"
 #include "search/ranker.h"
@@ -697,6 +698,71 @@ TEST_F(ChaosTest, CheckpointRotationFailureClosesTheLog) {
   EXPECT_EQ(engine.next_lsn(), acked);
   EXPECT_EQ(EngineStateFingerprint(engine.engine()), reference[acked]);
   ASSERT_OK(engine.Close());
+}
+
+// A failing automatic checkpoint is retried checkpoint_every_ops ops
+// later, not on every op: each attempt's rotation opens a segment that
+// only a successful checkpoint reclaims, so retrying per op would grow
+// the log directory by one segment per op for as long as the fault lasts.
+TEST_F(ChaosTest, FailingAutoCheckpointRetriesAfterAnotherInterval) {
+  const Plan plan = MakePlan(40);
+  const std::vector<uint64_t> reference = PrefixFingerprints(plan);
+  const std::string dir = FreshDir("auto_checkpoint");
+  DurabilityOptions options = ChaosOptions();
+  options.wal.segment_bytes = 64 << 20;  // Only checkpoints rotate.
+  options.checkpoint_every_ops = 5;
+  auto segments = [&dir]() {
+    Result<std::vector<uint64_t>> listed =
+        persist::WriteAheadLog::ListSegments(dir);
+    SP_CHECK_OK(listed.status());
+    return listed.value().size();
+  };
+  auto checkpoints = [&dir]() {
+    Result<std::vector<std::string>> names = ListDirectory(dir);
+    SP_CHECK_OK(names.status());
+    size_t count = 0;
+    for (const std::string& name : names.value()) {
+      if (persist::Checkpointer::ParseCheckpointName(name).ok()) ++count;
+    }
+    return count;
+  };
+
+  Result<std::unique_ptr<DurableEngine>> opened =
+      DurableEngine::Open(dir, options);
+  ASSERT_OK(opened.status());
+  DurableEngine& engine = *opened.value();
+  Registry::Instance().Arm("checkpoint.write", failpoint::EveryNth(1));
+  size_t acked = 0;
+  for (; acked < 20; ++acked) {
+    ASSERT_OK(Apply(plan, plan.ops[acked], &engine));
+  }
+  EXPECT_FALSE(engine.degraded());
+  EXPECT_EQ(checkpoints(), 0u);
+  // The first segment and one per failed attempt (after ops 5, 10, 15
+  // and 20).
+  EXPECT_LE(segments(), 5u);
+
+  // With the fault gone, the next automatic checkpoint lands and drops
+  // every segment it covers.
+  Registry::Instance().DisarmAll();
+  for (; acked < 25; ++acked) {
+    ASSERT_OK(Apply(plan, plan.ops[acked], &engine));
+  }
+  EXPECT_EQ(engine.ops_since_checkpoint(), 0u);
+  EXPECT_EQ(checkpoints(), 1u);
+  EXPECT_EQ(segments(), 1u);
+  ASSERT_OK(Apply(plan, plan.ops[acked], &engine));
+  ++acked;
+
+  // Crash (no Close) and recover: the acked prefix, exactly.
+  opened.value().reset();
+  Result<std::unique_ptr<DurableEngine>> recovered =
+      DurableEngine::Open(dir, options);
+  ASSERT_OK(recovered.status());
+  EXPECT_EQ(recovered.value()->next_lsn(), acked);
+  EXPECT_EQ(EngineStateFingerprint(recovered.value()->engine()),
+            reference[acked]);
+  ASSERT_OK(recovered.value()->Close());
 }
 
 }  // namespace

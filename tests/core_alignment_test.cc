@@ -417,7 +417,7 @@ TEST_P(BandedAlignment, ScoresExactlyTheBucketMates) {
   for (const StorySet& partition : input->partitions) {
     for (const auto& [id, story] : partition.stories()) {
       uint64_t keys[kLshBands];
-      StoryBandKeys(story.entities(), story.keywords(), keys);
+      StoryBandKeys(story->entities(), story->keywords(), keys);
       for (size_t b = 0; b < kLshBands; ++b) {
         buckets[b][keys[b]].push_back(nodes.size());
       }
@@ -500,7 +500,7 @@ std::map<std::pair<SourceId, StoryId>, uint64_t> Stamps(
   std::map<std::pair<SourceId, StoryId>, uint64_t> out;
   for (const StorySet* partition : partitions) {
     for (const auto& [id, story] : partition->stories()) {
-      if (!story.empty()) out[{partition->source(), id}] = story.stamp();
+      if (!story->empty()) out[{partition->source(), id}] = story->stamp();
     }
   }
   return out;

@@ -10,6 +10,7 @@
 #include "core/engine.h"
 #include "core/identifier.h"
 #include "core/story_set.h"
+#include "cow/stats.h"
 #include "model/time.h"
 #include "text/tfidf.h"
 #include "util/rng.h"
@@ -143,6 +144,40 @@ TEST_F(IdentifierFixture, StorySetStampsEveryMutation) {
   stories_.AddSnippetToStory(b, 1);
   EXPECT_TRUE(fresh_stamp(1));
   EXPECT_EQ(frozen.FindStory(1)->stamp(), stamp);
+}
+
+// After a Freeze(), adding a snippet to one story clones that story and
+// the trie nodes on its path: every other story stays shared with the
+// frozen partition, which still reads the old story.
+TEST_F(IdentifierFixture, StorySetWriteAfterFreezeClonesOneStory) {
+  constexpr StoryId kStories = 40;  // More than a trie node's 32 slots.
+  for (StoryId id = 0; id < kStories; ++id) {
+    stories_.CreateStory(id);
+    stories_.AddSnippetToStory(Put(100 + static_cast<Timestamp>(id),
+                                   {{0, 1.0}}, {}),
+                               id);
+  }
+  const StorySet frozen = stories_.Freeze();
+  const Snippet& extra = Put(500, {{1, 1.0}}, {});
+  const uint64_t before = cow::ReadCopyCounters().copies;
+  stories_.AddSnippetToStory(extra, 5);
+  const uint64_t copies = cow::ReadCopyCounters().copies - before;
+
+  for (StoryId id = 0; id < kStories; ++id) {
+    if (id == 5) {
+      EXPECT_NE(stories_.FindStory(id), frozen.FindStory(id));
+    } else {
+      EXPECT_EQ(stories_.FindStory(id), frozen.FindStory(id))
+          << "story " << id;
+    }
+  }
+  EXPECT_EQ(frozen.FindStory(5)->size(), 1u);
+  EXPECT_EQ(stories_.FindStory(5)->size(), 2u);
+  EXPECT_EQ(frozen.StoryOf(extra.id), kInvalidStoryId);
+  EXPECT_EQ(frozen.snippet_times().size(), kStories);
+  // The story, at most two trie nodes in each of the two maps, and the
+  // temporal index's spine and run.
+  EXPECT_LE(copies, 1u + 2u + 2u + 2u);
 }
 
 // ---------------------------- Identification -------------------------------
@@ -407,7 +442,8 @@ TEST_P(KernelSkipOracle, SameStoriesAsUnprunedPlacement) {
   }
   EXPECT_EQ(real_next, oracle_next);
   ASSERT_EQ(real_stories.stories().size(), oracle_stories.stories().size());
-  for (const auto& [id, story] : oracle_stories.stories()) {
+  for (const auto& [id, box] : oracle_stories.stories()) {
+    const Story& story = box.read();
     const Story* mine = real_stories.FindStory(id);
     ASSERT_NE(mine, nullptr) << "story " << id;
     EXPECT_EQ(mine->snippets(), story.snippets()) << "story " << id;

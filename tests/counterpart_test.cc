@@ -273,7 +273,7 @@ TEST(CachedKernelsTest, StoryPairScoreIsUncachedBitForBit) {
   std::vector<const Story*> stories;
   for (const StorySet* partition : engine->partitions()) {
     for (const auto& [id, story] : partition->stories()) {
-      stories.push_back(&story);
+      stories.push_back(&story.read());
     }
   }
   ASSERT_GT(stories.size(), 50u);

@@ -1,13 +1,16 @@
 // Unit tests for the persistent data-structures subsystem (src/cow/):
-// CowBox and PersistentMap (HAMT). The properties pinned
+// CowBox, PersistentMap (HAMT) and SortedRuns. The properties pinned
 // here — O(1) freeze, write immunity of frozen copies, content-
 // deterministic iteration order — are what the serving tier's
 // copy-on-write snapshot capture is built on (DESIGN.md §15).
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <iterator>
 #include <map>
 #include <random>
+#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -18,6 +21,7 @@
 
 #include "cow/cow_box.h"
 #include "cow/persistent_map.h"
+#include "cow/sorted_runs.h"
 #include "cow/stats.h"
 
 namespace storypivot::cow {
@@ -249,6 +253,159 @@ TEST(PersistentMapTest, MatchesReferenceUnderRandomizedChurn) {
     EXPECT_EQ(got, expected);
   }
 }
+
+// -------------------------------- SortedRuns -------------------------------
+
+constexpr size_t kSmallRun = 8;
+using SmallRuns = SortedRuns<int, std::less<int>, kSmallRun>;
+
+/// Non-empty runs of at most kSmallRun, strictly increasing across run
+/// boundaries, adding up to size().
+void ExpectWellFormed(const SmallRuns& runs) {
+  size_t total = 0;
+  bool first = true;
+  int last = 0;
+  for (const SmallRuns::Run& run : runs.runs()) {
+    ASSERT_FALSE(run.read().empty());
+    ASSERT_LE(run.read().size(), kSmallRun);
+    for (int value : run.read()) {
+      if (!first) {
+        ASSERT_LT(last, value);
+      }
+      first = false;
+      last = value;
+    }
+    total += run.read().size();
+  }
+  EXPECT_EQ(total, runs.size());
+}
+
+TEST(SortedRunsTest, TailAppendPastAFullRunOpensARun) {
+  SmallRuns runs;
+  for (int v = 0; v < static_cast<int>(kSmallRun); ++v) {
+    EXPECT_TRUE(runs.Insert(v));
+  }
+  ASSERT_EQ(runs.runs().size(), 1u);
+  const SmallRuns frozen = runs;
+  const CopyCounters before = ReadCopyCounters();
+  EXPECT_TRUE(runs.Insert(100));
+  // The spine is cloned; the full run stays shared with the copy.
+  EXPECT_EQ(ReadCopyCounters().copies, before.copies + 1);
+  ASSERT_EQ(runs.runs().size(), 2u);
+  EXPECT_EQ(&runs.runs()[0].read(), &frozen.runs()[0].read());
+  EXPECT_EQ(runs.runs()[1].read(), std::vector<int>{100});
+
+  // An insert inside a full run splits it in halves.
+  EXPECT_TRUE(runs.Insert(-1));
+  ASSERT_EQ(runs.runs().size(), 3u);
+  EXPECT_EQ(runs.runs()[0].read().size(), (kSmallRun + 1) / 2);
+  ExpectWellFormed(runs);
+  EXPECT_EQ(frozen.Flatten(), (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(SortedRunsTest, DuplicatesAndMissesChangeNothing) {
+  SmallRuns runs;
+  EXPECT_TRUE(runs.Insert(3));
+  EXPECT_TRUE(runs.Insert(1));
+  const SmallRuns frozen = runs;
+  const CopyCounters before = ReadCopyCounters();
+  EXPECT_FALSE(runs.Insert(3));
+  EXPECT_FALSE(runs.Erase(2));
+  EXPECT_EQ(ReadCopyCounters().copies, before.copies);
+  EXPECT_EQ(runs.Flatten(), (std::vector<int>{1, 3}));
+
+  // Erasing a run's last element removes the run.
+  EXPECT_TRUE(runs.Erase(1));
+  EXPECT_TRUE(runs.Erase(3));
+  EXPECT_TRUE(runs.empty());
+  EXPECT_TRUE(runs.runs().empty());
+  EXPECT_EQ(frozen.Flatten(), (std::vector<int>{1, 3}));
+}
+
+// Property: under random inserts (a third of them tail appends, as a
+// live feed posts them), duplicate inserts and erases of present and
+// absent values, the runs flatten to a sorted reference. Copies taken
+// along the way stay alive and unchanged. A mirror fed the same writes
+// but never copied records no copy, and every write clones at most the
+// spine and one run. The sequence grows to hundreds of runs, then drains
+// to empty, so runs split, open at the tail and empty.
+class SortedRunsProperty : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(SortedRunsProperty, MatchesSortedReference) {
+  std::mt19937 rng(GetParam());
+  SmallRuns runs;
+  SmallRuns mirror;  // The same writes; never copied.
+  std::set<int> reference;
+  std::vector<std::pair<SmallRuns, std::vector<int>>> copies;
+  int tail = 1000;
+
+  auto apply = [&](const std::function<bool(SmallRuns*)>& write) {
+    const uint64_t before = ReadCopyCounters().copies;
+    const bool changed = write(&runs);
+    const uint64_t recorded = ReadCopyCounters().copies - before;
+    EXPECT_LE(recorded, 2u);  // The spine and one run at most.
+    EXPECT_EQ(write(&mirror), changed);
+    EXPECT_EQ(ReadCopyCounters().copies, before + recorded);
+    return changed;
+  };
+  auto insert = [&](int value) {
+    const bool fresh = reference.insert(value).second;
+    EXPECT_EQ(apply([value](SmallRuns* r) { return r->Insert(value); }),
+              fresh);
+  };
+  auto erase = [&](int value) {
+    const bool present = reference.erase(value) > 0;
+    EXPECT_EQ(apply([value](SmallRuns* r) { return r->Erase(value); }),
+              present);
+  };
+  auto erase_some = [&]() {
+    if (reference.empty() || rng() % 4 == 0) {
+      erase(static_cast<int>(rng() % 3000));  // Often absent.
+      return;
+    }
+    auto it = reference.begin();
+    std::advance(it, rng() % reference.size());
+    erase(*it);
+  };
+  auto check = [&]() {
+    ExpectWellFormed(runs);
+    const std::vector<int> expected(reference.begin(), reference.end());
+    ASSERT_EQ(runs.Flatten(), expected);
+    ASSERT_EQ(mirror.Flatten(), expected);
+  };
+
+  size_t peak_runs = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const uint32_t pick = rng() % 10;
+    if (pick < 3) {
+      erase_some();
+    } else if (pick < 6) {
+      insert(tail++);
+    } else {
+      insert(static_cast<int>(rng() % 1000));
+    }
+    peak_runs = std::max(peak_runs, runs.runs().size());
+    if (step % 50 == 0) check();
+    if (step % 300 == 299) copies.emplace_back(runs, runs.Flatten());
+  }
+  EXPECT_GT(peak_runs, 100u);
+  for (int removed = 0; !reference.empty(); ++removed) {
+    auto it = reference.begin();
+    std::advance(it, rng() % reference.size());
+    erase(*it);
+    if (removed % 50 == 0) check();
+    if (removed % 300 == 299) copies.emplace_back(runs, runs.Flatten());
+  }
+  check();
+  EXPECT_TRUE(runs.runs().empty());
+  for (const auto& [copy, expected] : copies) {
+    ExpectWellFormed(copy);
+    EXPECT_EQ(copy.Flatten(), expected);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SortedRunsProperty,
+                         ::testing::Values(5u, 6u, 7u, 8u));
 
 }  // namespace
 }  // namespace storypivot::cow

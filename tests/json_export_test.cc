@@ -90,7 +90,8 @@ TEST_F(JsonFixture, StoryExportHasTermCounts) {
   const StorySet* partition = engine_.partition(nyt_);
   ASSERT_EQ(partition->stories().size(), 1u);
   std::string json = ExportStoryJson(
-      query, partition->stories().begin()->second, /*integrated=*/false);
+      query, partition->stories().begin()->second.read(),
+      /*integrated=*/false);
   EXPECT_NE(json.find("\"term\":\"Ukraine\""), std::string::npos);
   EXPECT_NE(json.find("\"count\":"), std::string::npos);
   EXPECT_NE(json.find("\"integrated\":false"), std::string::npos);

@@ -1107,7 +1107,7 @@ TEST(OwedAlignmentTest, TrailingAlteredAlignRecoversAndNeverReusesAnId) {
     }
     for (const StorySet* partition : durable.engine().partitions()) {
       partition->stories().ForEach(
-          [&used](StoryId id, const Story&) { used.insert(id); });
+          [&used](StoryId id, const cow::CowBox<Story>&) { used.insert(id); });
     }
     // Every id drawn from here on is new.
     EXPECT_GT(durable.engine().id_counters().next_story, *used.rbegin());

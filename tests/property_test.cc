@@ -25,7 +25,8 @@ void CheckEngineInvariants(const StoryPivotEngine& engine) {
     // (1) Assignment maps and story membership agree; aggregates match a
     // recomputation from the member snippets.
     size_t snippets_in_stories = 0;
-    for (const auto& [story_id, story] : partition->stories()) {
+    for (const auto& [story_id, box] : partition->stories()) {
+      const Story& story = box.read();
       ASSERT_FALSE(story.empty()) << "empty stories must be deleted";
       snippets_in_stories += story.size();
 

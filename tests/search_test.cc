@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/engine.h"
+#include "cow/stats.h"
 #include "datagen/corpus.h"
 #include "search/postings_index.h"
 #include "search/query_pipeline.h"
@@ -60,12 +61,13 @@ TEST(PostingsIndexTest, PostsAndUnpostsAllFields) {
   EXPECT_DOUBLE_EQ(index.total_length(), 2.0 + 1.0 + 3.0 + 1.0);
 
   // Postings are sorted by snippet id even with out-of-order adds.
-  const std::vector<Posting>* postings = index.Postings(Field::kEntity, 1);
-  ASSERT_NE(postings, nullptr);
-  ASSERT_EQ(postings->size(), 2u);
-  EXPECT_EQ((*postings)[0].snippet, 3u);
-  EXPECT_EQ((*postings)[1].snippet, 7u);
-  EXPECT_DOUBLE_EQ((*postings)[1].tf, 2.0);
+  const PostingsIndex::PostingList* list = index.Postings(Field::kEntity, 1);
+  ASSERT_NE(list, nullptr);
+  const std::vector<Posting> postings = list->Flatten();
+  ASSERT_EQ(postings.size(), 2u);
+  EXPECT_EQ(postings[0].snippet, 3u);
+  EXPECT_EQ(postings[1].snippet, 7u);
+  EXPECT_DOUBLE_EQ(postings[1].tf, 2.0);
 
   index.RemoveSnippet(MakeSnippet(7, 0, 100, {{1, 2.0}, {4, 1.0}},
                                   {{9, 3.0}}, "Accident"));
@@ -80,6 +82,34 @@ TEST(PostingsIndexTest, PostsAndUnpostsAllFields) {
   EXPECT_EQ(index.num_postings(), 0u);
   EXPECT_DOUBLE_EQ(index.total_length(), 0.0);
   EXPECT_TRUE(index.EventTypes().empty());
+}
+
+// A post after a Freeze() copies a trie path, the term's spine and one
+// run of at most kPostingRun postings: one bound for a 1,000-posting and
+// a 20,000-posting list, where cloning the whole list would copy 32 KB
+// and 640 KB. The frozen copy keeps its list.
+TEST(PostingsIndexTest, PostAfterFreezeCopiesABoundedAmount) {
+  auto bytes_of_one_post = [](size_t n) {
+    PostingsIndex index;
+    for (size_t i = 0; i < n; ++i) {
+      index.AddSnippet(MakeSnippet(i, 0, static_cast<Timestamp>(i),
+                                   {{1, 1.0}}, {}));
+    }
+    const PostingsIndex frozen = index.Freeze();
+    const uint64_t before = cow::ReadCopyCounters().bytes;
+    index.AddSnippet(
+        MakeSnippet(n, 0, static_cast<Timestamp>(n), {{1, 1.0}}, {}));
+    const uint64_t copied = cow::ReadCopyCounters().bytes - before;
+    EXPECT_EQ(frozen.DocumentFrequency(Field::kEntity, 1), n);
+    EXPECT_EQ(index.DocumentFrequency(Field::kEntity, 1), n + 1);
+    return copied;
+  };
+  // One run, and a spine of at most as many bytes, plus the trie path.
+  const uint64_t run_bytes = sizeof(std::vector<Posting>) +
+                             PostingsIndex::kPostingRun * sizeof(Posting);
+  const uint64_t bound = 2 * run_bytes + 1024;
+  EXPECT_LE(bytes_of_one_post(1000), bound);
+  EXPECT_LE(bytes_of_one_post(20000), bound);
 }
 
 TEST(PostingsIndexTest, EventTypesEnumerateLexicographically) {

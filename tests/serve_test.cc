@@ -646,18 +646,23 @@ void ExpectSnapshotsEqual(const ReadSnapshot& got, const ReadSnapshot& want,
 
   auto expect_field = [&](Field field, size_t num_terms) {
     for (text::TermId term = 0; term < num_terms; ++term) {
-      const std::vector<search::Posting>* a = got.index().Postings(field, term);
-      const std::vector<search::Posting>* b =
+      const search::PostingsIndex::PostingList* a =
+          got.index().Postings(field, term);
+      const search::PostingsIndex::PostingList* b =
           want.index().Postings(field, term);
       ASSERT_EQ(a == nullptr, b == nullptr)
           << "field " << static_cast<int>(field) << " term " << term;
       if (a == nullptr) continue;
       ASSERT_EQ(a->size(), b->size()) << "term " << term;
+      // Run boundaries follow each index's insertion history; the
+      // flattened lists must be equal.
+      const std::vector<search::Posting> fa = a->Flatten();
+      const std::vector<search::Posting> fb = b->Flatten();
       for (size_t i = 0; i < a->size(); ++i) {
-        ASSERT_EQ((*a)[i].snippet, (*b)[i].snippet);
-        ASSERT_EQ((*a)[i].source, (*b)[i].source);
-        ASSERT_EQ((*a)[i].timestamp, (*b)[i].timestamp);
-        ASSERT_EQ((*a)[i].tf, (*b)[i].tf);
+        ASSERT_EQ(fa[i].snippet, fb[i].snippet);
+        ASSERT_EQ(fa[i].source, fb[i].source);
+        ASSERT_EQ(fa[i].timestamp, fb[i].timestamp);
+        ASSERT_EQ(fa[i].tf, fb[i].tf);
       }
     }
   };
@@ -839,9 +844,9 @@ TEST(ReadSnapshotTest, SurvivesAggressiveMutationAfterCapture) {
   std::vector<std::vector<search::Posting>> entity_lists(num_entities);
   std::vector<std::vector<StoryHit>> entity_hits(num_entities);
   for (text::TermId term = 0; term < num_entities; ++term) {
-    const std::vector<search::Posting>* list =
+    const search::PostingsIndex::PostingList* list =
         snapshot->index().Postings(Field::kEntity, term);
-    if (list != nullptr) entity_lists[term] = *list;
+    if (list != nullptr) entity_lists[term] = list->Flatten();
     entity_hits[term] = snapshot->Search(TermQuery(Field::kEntity, term), all);
   }
 
@@ -869,16 +874,17 @@ TEST(ReadSnapshotTest, SurvivesAggressiveMutationAfterCapture) {
   EXPECT_EQ(snapshot->total_stories(), stories_before);
   EXPECT_EQ(snapshot->index().EventTypes(), events_before);
   for (text::TermId term = 0; term < num_entities; ++term) {
-    const std::vector<search::Posting>* list =
+    const search::PostingsIndex::PostingList* list =
         snapshot->index().Postings(Field::kEntity, term);
     if (entity_lists[term].empty()) {
       ASSERT_TRUE(list == nullptr || list->empty()) << "term " << term;
     } else {
       ASSERT_NE(list, nullptr) << "term " << term;
       ASSERT_EQ(list->size(), entity_lists[term].size());
+      const std::vector<search::Posting> now = list->Flatten();
       for (size_t i = 0; i < list->size(); ++i) {
-        ASSERT_EQ((*list)[i].snippet, entity_lists[term][i].snippet);
-        ASSERT_EQ((*list)[i].tf, entity_lists[term][i].tf);
+        ASSERT_EQ(now[i].snippet, entity_lists[term][i].snippet);
+        ASSERT_EQ(now[i].tf, entity_lists[term][i].tf);
       }
     }
     ASSERT_EQ(snapshot->Search(TermQuery(Field::kEntity, term), all),

@@ -34,7 +34,7 @@ TEST_F(TrendsFixture, ActivitySeriesBucketsByDay) {
   Add(day0 + 3 * kSecondsPerDay);
   const StorySet* partition = engine_.partition(src_);
   ASSERT_EQ(partition->stories().size(), 1u);
-  const Story& story = partition->stories().begin()->second;
+  const Story& story = partition->stories().begin()->second.read();
   ActivitySeries series = BuildActivitySeries(engine_, story);
   ASSERT_EQ(series.counts.size(), 4u);
   EXPECT_EQ(series.counts[0], 2);
